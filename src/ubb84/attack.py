@@ -13,13 +13,15 @@ block must stay PSD (|f|^2 <= a d).  The free coordinates are
 (s, b, c, Im f) with s = a+b; in qubit mode s is pinned at xi, which matches
 the (b, c, Im f) parametrization after the textbook eliminations.
 
-The search is a multi-start Nelder-Mead simplex (deterministic seeded
-starts, clamping plus penalty 1e3 * violation) followed by bounded
-coordinate refinement.  A feasibility-filtered dense grid serves as an
-independent lower-bound oracle; it spreads its b points over the feasible
-b-interval of each (s, c, Im f) and evaluates chi-bar through explicit
-sifted matrices and batched eigendecompositions, a separate code path from
-the scalar closed form used by the optimizer.
+Where the exact branch below applies, the maximum is returned in closed
+form and no search runs.  Everywhere else the search is a multi-start
+Nelder-Mead simplex (deterministic seeded starts, clamping plus penalty
+1e3 * violation) followed by bounded coordinate refinement.  A
+feasibility-filtered dense grid serves as an independent lower-bound
+oracle; it spreads its b points over the feasible b-interval of each
+(s, c, Im f) and evaluates chi-bar through explicit sifted matrices and
+batched eigendecompositions, a separate code path from the scalar closed
+form used by the optimizer.
 
 Normalization.  The qubit rate 1 - h(Q) - chi_max is per postselected
 signal.  Write the sifted state in normalized coordinates: diagonal
@@ -37,6 +39,28 @@ source state |Phi> survives sifting with p_kept = xi(1-xi), and the key per
 signal sent is p_kept (1 - h(Q) - chi_max).  That product, not the rate
 per postselected signal, is the one that is nondecreasing in kappa.  How
 an honest noisy channel changes p_kept is not modelled here.
+
+Exact branch.  When the filter weights satisfy w0 xi = w1 (1-xi) (within
+1e-12), the error rate fixes Re phi = 1/2 - Q for every state.  That holds
+for the unbalanced variant, for both hardware fixes (xi_effective = 1/2)
+and for PBS at kappa = 1, but not for PBS at kappa < 1.  Leave out the
+reduced-state constraint: the remaining feasible set is invariant under
+the swap alpha<->delta, beta<->gamma and under phi -> conj(phi), and
+chi-bar is concave (relative entropy is jointly convex), so the maximum
+lies at alpha = delta, beta = gamma, Im phi = 0.  On that line chi-bar is
+S(sigma) - h(Q), and S(sigma) is stationary at beta = Q(1-Q),
+alpha = 1/2 - Q(1-Q), where sigma has spectrum
+{(1-Q)^2, Q(1-Q), Q(1-Q), Q^2} and entropy 2 h(Q); so chi = h(Q), the
+BB84 bound of Shor and Preskill.  Mapped back, (a, b, c, d) is
+proportional to (alpha/w0, beta/w1, beta/w0, alpha/w1), Re f follows from
+``re_f_from_Q`` and Im f = 0.  The reduced-state constraint only bounds
+s = a+b, so if s lies within ``ConstraintSet.s_bounds`` (1e-12 slack) and
+the point is PSD within ``PSD_TOL`` it is the maximum over the full
+feasible set, and ``_maximize`` returns it with ``iterations=0``.
+Otherwise Nelder-Mead runs: in qubit mode at kappa < 1 with Q > 0 (there
+s = xi + 2 Q(1-Q)(1 - 2 xi) misses the pinned s = xi), in realistic mode
+when an s-bound binds (low loss), and for PBS at kappa < 1.  By concavity
+the true maximum then lies on the violated s-bound and is at most h(Q).
 """
 
 from __future__ import annotations
@@ -47,7 +71,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
 
-from .protocol import ProtocolConfig, Variant, filters
+from .protocol import ProtocolConfig
 from .qmath import binary_entropy
 from .sifting import SymmetricState
 
@@ -144,12 +168,6 @@ def re_f_from_Q(a: float, b: float, c: float, d: float, q: float, xi: float) -> 
     return 2.0 * p_tilde * (1.0 - 2.0 * q) / math.sqrt(xi * (1.0 - xi))
 
 
-def _filter_weights(cfg: ProtocolConfig):
-    """Diagonal of 2 F_B^2: (1-xi, xi) unbalanced, (1, 1) otherwise."""
-    f_b = filters(cfg).f_b
-    return 2.0 * float(f_b[0, 0].real) ** 2, 2.0 * float(f_b[1, 1].real) ** 2
-
-
 def _h_term(x: float) -> float:
     return 0.0 if x <= 1e-18 else -x * math.log2(x)
 
@@ -163,7 +181,7 @@ def chi_bar_of_params(cfg: ProtocolConfig, a, b, c, d, f) -> float:
     states share one spectrum, so chi-bar = S(sigma) - S(conditional).
     Agrees with the generic matrix route to machine precision.
     """
-    w0, w1 = _filter_weights(cfg)
+    w0, w1 = cfg.filter_weights
     f = complex(f)
     t = w0 * (a + c) + w1 * (b + d)
     aa, bb, cc, dd = w0 * a / t, w1 * b / t, w0 * c / t, w1 * d / t
@@ -254,7 +272,40 @@ def _start_points(cs: ConstraintSet, pin_s: bool, n_starts: int, seed: int):
     return points[:n_starts]
 
 
+def _symmetric_optimum(cfg: ProtocolConfig, cs: ConstraintSet) -> OptimResult | None:
+    """The exact maximum chi = h(Q) where it applies, else None.
+
+    Applies when the filter weights make Re phi = 1/2 - Q for every state
+    (w0 xi = w1 (1-xi)) and the symmetric optimum meets the s-bounds; see
+    "Exact branch" in the module docstring.
+    """
+    w0, w1 = cfg.filter_weights
+    if abs(w0 * cs.xi - w1 * (1.0 - cs.xi)) > 1e-12:
+        return None
+    beta = cs.q * (1.0 - cs.q)
+    alpha = 0.5 - beta
+    raw = (alpha / w0, beta / w1, beta / w0, alpha / w1)
+    total = sum(raw)
+    a, b, c, d = (x / total for x in raw)
+    lo, hi = cs.s_bounds()
+    if not lo - 1e-12 <= a + b <= hi + 1e-12:
+        return None
+    re = re_f_from_Q(a, b, c, d, cs.q, cs.xi)
+    if re * re > a * d + PSD_TOL:
+        return None
+    f = complex(re, 0.0)
+    return OptimResult(
+        chi_max=chi_bar_of_params(cfg, a, b, c, d, f),
+        argmax=SymmetricState(a=a, b=b, c=c, d=d, f=f),
+        iterations=0,
+        converged=True,
+    )
+
+
 def _maximize(cfg: ProtocolConfig, cs: ConstraintSet, seed: int, n_starts: int) -> OptimResult:
+    exact = _symmetric_optimum(cfg, cs)
+    if exact is not None:
+        return exact
     lo, hi = cs.s_bounds()
     pin_s = (hi - lo) < 1e-12
     starts = _start_points(cs, pin_s, n_starts, seed)
@@ -375,7 +426,7 @@ def _chi_bar_batch(cfg: ProtocolConfig, a, b, c, d, f):
     postselected conditional state through the partial inner products with
     the sender directions.
     """
-    w0, w1 = _filter_weights(cfg)
+    w0, w1 = cfg.filter_weights
     t = w0 * (a + c) + w1 * (b + d)
     n = a.shape[0]
     sig = np.zeros((n, 4, 4), dtype=complex)

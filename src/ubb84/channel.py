@@ -52,6 +52,10 @@ class ChannelParams:
     mu: float
 
     def __post_init__(self):
+        for name in PRESET_FIELDS:
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.alpha_db_per_km < 0 or self.distance_km < 0 or self.y0 < 0:
             raise ValueError("attenuation, distance and dark-count rate must be nonnegative")
         if not 0.0 < self.eta_det <= 1.0:

@@ -9,6 +9,7 @@ to stdout or to --out.  Exit codes: 0 success, 1 failed validation check,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -52,6 +53,8 @@ def _parse_kappas(raw: str):
 
 
 def _qber_grid(start: float, stop: float, step: float):
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ValueError("--qber-start, --qber-stop and --qber-step must be finite")
     if step <= 0:
         raise ValueError("--qber-step must be positive")
     values = []
@@ -63,6 +66,8 @@ def _qber_grid(start: float, stop: float, step: float):
 
 
 def _distances(args):
+    if not all(map(math.isfinite, (args.lmin, args.lmax, args.lstep))):
+        raise ValueError("--lmin, --lmax and --lstep must be finite")
     if args.lstep <= 0 or args.lmax < args.lmin:
         raise ValueError("need --lstep > 0 and --lmax >= --lmin")
     out = []

@@ -80,6 +80,35 @@ def _raw_rate(stats, chi: float, f_ec: float) -> float:
     return 0.5 * (pa - ec)
 
 
+def _chi_s_max(cfg: ProtocolConfig, stats, seed: int) -> float:
+    """Maximal single-photon Holevo quantity for the observed statistics.
+
+    Far past the cutoff eta_sys underflows and q_single rounds to 1/2,
+    where no attack state is needed: one key bit bounds the eavesdropper's
+    Holevo information, so chi = 1 errs in the secure direction and the
+    rate is 0.
+    """
+    if stats.q_single >= 0.5:
+        return 1.0
+    return maximize_holevo_realistic(cfg, stats.q_single, stats.p_lost, seed=seed).chi_max
+
+
+def _point(cfg: ProtocolConfig, params: ChannelParams, stats, chi: float) -> KeyRatePoint:
+    raw = _raw_rate(stats, chi, params.f_ec)
+    return KeyRatePoint(
+        variant=cfg.variant.value,
+        kappa=cfg.kappa,
+        distance_km=params.distance_km,
+        mu=params.mu,
+        qber_total=stats.q_tot,
+        q_single=stats.q_single,
+        p_lost=stats.p_lost,
+        chi_s_max=chi,
+        rate_raw=raw,
+        rate=max(0.0, raw),
+    )
+
+
 def realistic_keyrate(cfg: ProtocolConfig, params: ChannelParams, *,
                       chi_result: OptimResult | None = None,
                       seed: int = DEFAULT_SEED) -> KeyRatePoint:
@@ -89,21 +118,8 @@ def realistic_keyrate(cfg: ProtocolConfig, params: ChannelParams, *,
     precomputed ``chi_result`` can be passed to reuse it across mu values.
     """
     stats = honest_statistics(cfg, params)
-    if chi_result is None:
-        chi_result = maximize_holevo_realistic(cfg, stats.q_single, stats.p_lost, seed=seed)
-    raw = _raw_rate(stats, chi_result.chi_max, params.f_ec)
-    return KeyRatePoint(
-        variant=cfg.variant.value,
-        kappa=cfg.kappa,
-        distance_km=params.distance_km,
-        mu=params.mu,
-        qber_total=stats.q_tot,
-        q_single=stats.q_single,
-        p_lost=stats.p_lost,
-        chi_s_max=chi_result.chi_max,
-        rate_raw=raw,
-        rate=max(0.0, raw),
-    )
+    chi = chi_result.chi_max if chi_result is not None else _chi_s_max(cfg, stats, seed)
+    return _point(cfg, params, stats, chi)
 
 
 def _golden_max(fn, lo: float, hi: float, xtol: float):
@@ -134,17 +150,15 @@ def optimize_mu(cfg: ProtocolConfig, params: ChannelParams,
     lo, hi = mu_range
     if not 0.0 < lo < hi <= 2.0:
         raise ValueError(f"mu_range must satisfy 0 < lo < hi <= 2, got {mu_range!r}")
-    stats = honest_statistics(cfg, params)
-    chi_result = maximize_holevo_realistic(cfg, stats.q_single, stats.p_lost, seed=seed)
+    chi = _chi_s_max(cfg, honest_statistics(cfg, params), seed)
 
     def raw_of(mu: float) -> float:
-        return _raw_rate(honest_statistics(cfg, params.with_(mu=mu)), chi_result.chi_max,
-                         params.f_ec)
+        return _raw_rate(honest_statistics(cfg, params.with_(mu=mu)), chi, params.f_ec)
 
     mu_star = _golden_max(raw_of, lo, hi, xtol=1e-4)
     best = max((lo, hi, mu_star), key=raw_of)
-    point = realistic_keyrate(cfg, params.with_(mu=best), chi_result=chi_result, seed=seed)
-    return best, point
+    best_params = params.with_(mu=best)
+    return best, _point(cfg, best_params, honest_statistics(cfg, best_params), chi)
 
 
 def _scan_point(args):

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -71,6 +72,16 @@ class ProtocolConfig:
         if self.variant in (Variant.FIX_LOSS, Variant.FIX_UNEVEN_BS):
             return 0.5
         return self.xi
+
+    @cached_property
+    def filter_weights(self) -> tuple[float, float]:
+        """Diagonal (w0, w1) of 2 F_B^2: (1-xi, xi) unbalanced, (1, 1) otherwise.
+
+        Built once per config from ``filters``; the sifted-state formulas
+        read it on every chi-bar evaluation.
+        """
+        f_b = filters(self).f_b
+        return 2.0 * float(f_b[0, 0].real) ** 2, 2.0 * float(f_b[1, 1].real) ** 2
 
 
 def make_config(kappa: float, variant: Variant | str = Variant.UNBALANCED) -> ProtocolConfig:

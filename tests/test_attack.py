@@ -148,6 +148,47 @@ class TestRealisticOptimizer:
         assert abs(result.oracle_gap) <= 2e-3
 
 
+class TestExactBranch:
+    # variants whose filter weights satisfy w0 xi = w1 (1-xi)
+    CONSISTENT = [(Variant.UNBALANCED, 0.5), (Variant.FIX_LOSS, 0.5),
+                  (Variant.FIX_UNEVEN_BS, 0.5), (Variant.PBS, 1.0)]
+
+    @pytest.mark.parametrize("variant, kappa", CONSISTENT)
+    def test_reaches_binary_entropy(self, variant, kappa):
+        cfg = make_config(kappa, variant)
+        for p_lost in (0.9, 0.99):
+            for q in (0.01, 0.05, 0.10):
+                cs = constraint_set_realistic(cfg, q, p_lost)
+                result = maximize_holevo_realistic(cfg, q, p_lost)
+                assert result.iterations == 0  # no search ran
+                assert abs(result.chi_max - binary_entropy(q)) <= 1e-12
+                s = result.argmax
+                assert cs.is_feasible(s.a, s.b, s.c, s.d, s.f, tol=1e-12)
+                chi_grid, _ = grid_oracle(cfg, cs, 20)
+                assert result.chi_max >= chi_grid - 1e-6
+
+    def test_binding_s_bound_falls_through(self):
+        # the symmetric optimum has s = a+b of about 0.77, below the lower
+        # s-bound of about 0.815, so the search runs and stays below h(Q)
+        cfg = make_config(0.2)
+        q, p_lost = 0.05, 0.1
+        cs = constraint_set_realistic(cfg, q, p_lost)
+        assert cs.s_bounds()[0] > 0.8
+        result = maximize_holevo_realistic(cfg, q, p_lost)
+        assert result.iterations > 0
+        chi_grid, _ = grid_oracle(cfg, cs, 30)
+        assert result.chi_max >= chi_grid - 1e-6
+        assert result.chi_max < binary_entropy(q)
+
+    def test_qubit_bounded_by_binary_entropy(self):
+        # chi_max(kappa, Q) <= chi_max(1, Q) = h(Q), derived in the
+        # ubb84.attack module docstring
+        for kappa in (0.2, 0.4, 0.6, 0.8, 1.0):
+            cfg = make_config(kappa)
+            for q in (0.01, 0.04, 0.07, 0.10):
+                assert maximize_holevo_qubit(cfg, q).chi_max <= binary_entropy(q) + 1e-9
+
+
 class TestGridOracle:
     def test_balanced_anchor(self):
         cfg = make_config(1.0)

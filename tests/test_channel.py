@@ -163,6 +163,13 @@ class TestParams:
         with pytest.raises(ValueError):
             default_params().with_(f_ec=0.9)
 
+    @pytest.mark.parametrize("field", ["alpha_db_per_km", "distance_km", "eta_det", "y0",
+                                       "e_d", "f_ec", "mu"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            default_params().with_(**{field: value})
+
     def test_parse_round_trip(self):
         text = """
         # fiber

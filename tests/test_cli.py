@@ -1,3 +1,4 @@
+import math
 import subprocess
 import sys
 
@@ -77,6 +78,48 @@ class TestRealisticCommands:
         )
         assert code == 2
         assert "unknown key" in err
+
+    @pytest.mark.parametrize("line, field", [("y0 = nan", "y0"), ("mu = nan", "mu"),
+                                             ("distance_km = inf", "distance_km")])
+    def test_non_finite_preset_exits_2(self, capsys, tmp_path, line, field):
+        preset = tmp_path / "nan.preset"
+        preset.write_text(line + "\n")
+        code, out, err = run_cli(
+            capsys, "distance-scan", "--variant", "unbalanced", "--kappa", "0.5",
+            "--lmax", "0", "--lstep", "5", "--preset", str(preset), "--threads", "1",
+        )
+        assert code == 2
+        assert out == ""
+        assert f"{field} must be finite" in err
+
+    # NaN, not inf: without the check an infinite bound never ends the grid loop
+    @pytest.mark.parametrize("argv", [
+        ("distance-scan", "--variant", "pbs", "--kappa", "1.0", "--lmax", "nan"),
+        ("compare", "--kappa", "0.5", "--lstep", "nan"),
+        ("qubit-scan", "--kappas", "1.0", "--qber-stop", "nan"),
+    ])
+    def test_non_finite_axis_exits_2(self, capsys, argv):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert "must be finite" in err
+
+    @pytest.mark.parametrize("variant", ["unbalanced", "pbs"])
+    def test_past_the_cutoff_reports_zero(self, capsys, variant):
+        # eta_sys underflows, q_single rounds to 1/2 and chi_s_max is 1
+        code, out, _ = run_cli(
+            capsys, "distance-scan", "--variant", variant, "--kappa", "0.5",
+            "--lmin", "800", "--lmax", "1000", "--lstep", "50", "--threads", "1",
+        )
+        assert code == 0
+        rows = [dict(zip(CSV_HEADER, line.split(","))) for line in out.strip().splitlines()[1:]]
+        assert len(rows) == 5
+        for row in rows:
+            values = {k: float(v) for k, v in row.items() if k != "variant"}
+            assert all(map(math.isfinite, values.values())), row
+            if values["q_single"] == 0.5:
+                assert values["chi_s_max"] == 1.0
+                assert values["rate"] == 0.0
+        assert float(rows[-1]["q_single"]) == 0.5
 
     def test_compare_emits_all_variants(self, capsys):
         code, out, _ = run_cli(
