@@ -66,14 +66,14 @@ the true maximum then lies on the violated s-bound and is at most h(Q).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
 
 from .protocol import ProtocolConfig
 from .qmath import binary_entropy
-from .sifting import SymmetricState
+from .sifting import SymmetricState, re_f_from_Q
 
 __all__ = [
     "ConstraintSet",
@@ -87,10 +87,10 @@ __all__ = [
     "maximize_holevo_realistic",
     "qubit_keyrate",
     "qubit_keyrate_raw",
-    "re_f_from_Q",
 ]
 
 DEFAULT_SEED = 11
+N_STARTS = 20
 PENALTY = 1e3
 PSD_TOL = 1e-12
 
@@ -139,7 +139,6 @@ class OptimResult:
     argmax: SymmetricState
     iterations: int
     converged: bool
-    oracle_gap: float | None = None
 
 
 def constraint_set_qubit(cfg: ProtocolConfig, q: float) -> ConstraintSet:
@@ -153,19 +152,6 @@ def constraint_set_realistic(cfg: ProtocolConfig, q: float, p_lost: float) -> Co
     if not 0.0 <= p_lost < 1.0 + 1e-12:
         raise ValueError(f"p_lost must be in [0, 1), got {p_lost!r}")
     return ConstraintSet(mode="realistic", xi=cfg.xi_effective, q=float(q), p_lost=float(p_lost))
-
-
-def re_f_from_Q(a: float, b: float, c: float, d: float, q: float, xi: float) -> float:
-    """Invert the error-rate closed form for the corner coherence.
-
-    Re[f] = 2 p_tilde (1 - 2Q) / sqrt(xi(1-xi)).  A result with
-    |Re f| > sqrt(a d) signals an infeasible point; callers treat it as a
-    constraint violation rather than an exception.
-    """
-    p_tilde = ((1.0 - xi) * (a + c) + xi * (b + d)) / 4.0
-    if p_tilde <= 0.0:
-        raise ValueError("degenerate kept weight")
-    return 2.0 * p_tilde * (1.0 - 2.0 * q) / math.sqrt(xi * (1.0 - xi))
 
 
 def _h_term(x: float) -> float:
@@ -248,7 +234,7 @@ def _finalize(z, cfg, cs, pin_s):
     return chi, (a, b, c, d, f)
 
 
-def _start_points(cs: ConstraintSet, pin_s: bool, n_starts: int, seed: int):
+def _start_points(cs: ConstraintSet, pin_s: bool, seed: int):
     lo, hi = cs.s_bounds()
     s0 = min(max(cs.xi, lo), hi)
     q = cs.q
@@ -263,13 +249,13 @@ def _start_points(cs: ConstraintSet, pin_s: bool, n_starts: int, seed: int):
     points = []
     for s, b, c, im in canonical:
         points.append((b, c, im) if pin_s else (s, b, c, im))
-    while len(points) < n_starts:
+    while len(points) < N_STARTS:
         s = rng.uniform(lo, hi) if not pin_s else s0
         b = rng.uniform(0.0, s)
         c = rng.uniform(0.0, 1.0 - s)
         im = rng.uniform(-0.4, 0.4)
         points.append((b, c, im) if pin_s else (s, b, c, im))
-    return points[:n_starts]
+    return points[:N_STARTS]
 
 
 def _symmetric_optimum(cfg: ProtocolConfig, cs: ConstraintSet) -> OptimResult | None:
@@ -302,13 +288,13 @@ def _symmetric_optimum(cfg: ProtocolConfig, cs: ConstraintSet) -> OptimResult | 
     )
 
 
-def _maximize(cfg: ProtocolConfig, cs: ConstraintSet, seed: int, n_starts: int) -> OptimResult:
+def _maximize(cfg: ProtocolConfig, cs: ConstraintSet, seed: int) -> OptimResult:
     exact = _symmetric_optimum(cfg, cs)
     if exact is not None:
         return exact
     lo, hi = cs.s_bounds()
     pin_s = (hi - lo) < 1e-12
-    starts = _start_points(cs, pin_s, n_starts, seed)
+    starts = _start_points(cs, pin_s, seed)
 
     iterations = 0
     converged = False
@@ -369,32 +355,19 @@ def _maximize(cfg: ProtocolConfig, cs: ConstraintSet, seed: int, n_starts: int) 
     )
 
 
-def maximize_holevo_qubit(cfg: ProtocolConfig, q: float, *, seed: int = DEFAULT_SEED,
-                          n_starts: int = 20, oracle_resolution: int | None = None) -> OptimResult:
+def maximize_holevo_qubit(cfg: ProtocolConfig, q: float, *, seed: int = DEFAULT_SEED) -> OptimResult:
     """Maximal chi-bar under the exact reduced-state constraint.
 
     Maximizes over symmetric states with a+b = xi, c+d = 1-xi, Re f fixed by
-    the error rate and Im f free.  ``oracle_resolution`` additionally runs
-    the grid oracle and records chi_max - oracle in ``oracle_gap``.
+    the error rate and Im f free.
     """
-    cs = constraint_set_qubit(cfg, q)
-    result = _maximize(cfg, cs, seed, n_starts)
-    if oracle_resolution is not None:
-        chi_grid, _ = grid_oracle(cfg, cs, oracle_resolution)
-        result = replace(result, oracle_gap=result.chi_max - chi_grid)
-    return result
+    return _maximize(cfg, constraint_set_qubit(cfg, q), seed)
 
 
 def maximize_holevo_realistic(cfg: ProtocolConfig, q: float, p_lost: float, *,
-                              seed: int = DEFAULT_SEED, n_starts: int = 20,
-                              oracle_resolution: int | None = None) -> OptimResult:
+                              seed: int = DEFAULT_SEED) -> OptimResult:
     """Maximal chi-bar under the loss-relaxed reduced-state constraint."""
-    cs = constraint_set_realistic(cfg, q, p_lost)
-    result = _maximize(cfg, cs, seed, n_starts)
-    if oracle_resolution is not None:
-        chi_grid, _ = grid_oracle(cfg, cs, oracle_resolution)
-        result = replace(result, oracle_gap=result.chi_max - chi_grid)
-    return result
+    return _maximize(cfg, constraint_set_realistic(cfg, q, p_lost), seed)
 
 
 def qubit_keyrate_raw(cfg: ProtocolConfig, q: float, *, seed: int = DEFAULT_SEED):
@@ -527,12 +500,8 @@ def grid_oracle(cfg: ProtocolConfig, constraints: ConstraintSet, resolution: int
         ii = np.repeat(ii[rows], resolution)
         aa = s - bb
         dd = (1.0 - s) - cc
-        p_tilde = ((1.0 - constraints.xi) * (aa + cc) + constraints.xi * (bb + dd)) / 4.0
-        valid = p_tilde > 0.0
-        re = np.zeros_like(aa)
-        re[valid] = (2.0 * p_tilde[valid] * (1.0 - 2.0 * constraints.q)
-                     / math.sqrt(constraints.xi * (1.0 - constraints.xi)))
-        feas = valid & (re * re + ii * ii <= aa * dd + PSD_TOL)
+        re = re_f_from_Q(aa, bb, cc, dd, constraints.q, constraints.xi)
+        feas = re * re + ii * ii <= aa * dd + PSD_TOL
         if not feas.any():
             continue
         f = re[feas] + 1j * ii[feas]

@@ -9,6 +9,7 @@ to stdout or to --out.  Exit codes: 0 success, 1 failed validation check,
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import os
 import sys
@@ -40,6 +41,16 @@ def _emit(text: str, out: str | None):
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _print_cutoffs(points):
+    """One stderr line per (variant, kappa) curve: where its rate first fails."""
+    for (variant, kappa), curve in itertools.groupby(points, key=lambda p: (p.variant, p.kappa)):
+        curve = list(curve)
+        cutoff = cutoff_distance(curve)
+        where = (f"first nonpositive rate at {cutoff:g} km" if cutoff is not None
+                 else f"rate positive up to {curve[-1].distance_km:g} km")
+        print(f"# cutoff {variant} kappa={kappa:g}: {where}", file=sys.stderr)
 
 
 def _parse_kappas(raw: str):
@@ -145,13 +156,12 @@ def main(argv=None) -> int:
             points = distance_scan(cfg, _params(args), _distances(args),
                                    threads=_threads(args), seed=args.seed)
             _emit(format_csv(points), args.out)
-            cutoff = cutoff_distance(points)
-            if cutoff is not None:
-                print(f"# cutoff: first nonpositive rate at {cutoff:g} km", file=sys.stderr)
+            _print_cutoffs(points)
         elif args.command == "compare":
             points = compare_variants(args.kappa, _params(args), _distances(args),
                                       threads=_threads(args), seed=args.seed)
             _emit(format_csv(points), args.out)
+            _print_cutoffs(points)
         elif args.command == "squash-validate":
             rows, ok = monte_carlo_check(args.trials, args.seed)
             lines = [f"{'pattern':24s} {'outcome':8s} {'expected':>9s} {'observed':>9s} "

@@ -19,7 +19,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .attack import DEFAULT_SEED, OptimResult, maximize_holevo_qubit, maximize_holevo_realistic
+from .attack import DEFAULT_SEED, OptimResult, maximize_holevo_realistic, qubit_keyrate_raw
 from .channel import ChannelParams, honest_statistics
 from .protocol import ProtocolConfig, Variant, make_config
 from .qmath import binary_entropy
@@ -167,17 +167,26 @@ def _scan_point(args):
     return point
 
 
-def distance_scan(cfg: ProtocolConfig, params: ChannelParams, distances, *,
-                  threads: int = 1, seed: int = DEFAULT_SEED):
-    """Mu-optimized key-rate points, one per distance, in input order."""
+def _scan(cfgs, params: ChannelParams, distances, threads: int, seed: int):
+    """Mu-optimized points for every (config, distance) pair, row-major in cfgs.
+
+    Runs serially for ``threads <= 1`` and otherwise through one process
+    pool shared by all configs; results keep the job order either way.
+    """
     distances = list(distances)
     if not distances:
         raise ValueError("distance list is empty")
-    jobs = [(cfg, params, d, seed) for d in distances]
+    jobs = [(cfg, params, d, seed) for cfg in cfgs for d in distances]
     if threads > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(_scan_point, jobs))
     return [_scan_point(job) for job in jobs]
+
+
+def distance_scan(cfg: ProtocolConfig, params: ChannelParams, distances, *,
+                  threads: int = 1, seed: int = DEFAULT_SEED):
+    """Mu-optimized key-rate points, one per distance, in input order."""
+    return _scan([cfg], params, distances, threads, seed)
 
 
 def cutoff_distance(points):
@@ -190,8 +199,7 @@ def cutoff_distance(points):
 
 def qubit_point(cfg: ProtocolConfig, q: float, *, seed: int = DEFAULT_SEED) -> KeyRatePoint:
     """Qubit-level rate record; distance and mu do not apply."""
-    result = maximize_holevo_qubit(cfg, q, seed=seed)
-    raw = 1.0 - binary_entropy(q) - result.chi_max
+    raw, chi = qubit_keyrate_raw(cfg, q, seed=seed)
     return KeyRatePoint(
         variant=cfg.variant.value,
         kappa=cfg.kappa,
@@ -200,7 +208,7 @@ def qubit_point(cfg: ProtocolConfig, q: float, *, seed: int = DEFAULT_SEED) -> K
         qber_total=q,
         q_single=q,
         p_lost=0.0,
-        chi_s_max=result.chi_max,
+        chi_s_max=chi,
         rate_raw=raw,
         rate=max(0.0, raw),
     )
@@ -214,8 +222,4 @@ def qubit_scan(cfgs, q_list, *, seed: int = DEFAULT_SEED):
 def compare_variants(kappa: float, params: ChannelParams, distances, *,
                      threads: int = 1, seed: int = DEFAULT_SEED):
     """Distance scans of all four variants at one kappa, concatenated."""
-    points = []
-    for variant in Variant:
-        cfg = make_config(kappa, variant)
-        points.extend(distance_scan(cfg, params, distances, threads=threads, seed=seed))
-    return points
+    return _scan([make_config(kappa, v) for v in Variant], params, distances, threads, seed)

@@ -85,11 +85,17 @@ class ProtocolConfig:
 
 
 def make_config(kappa: float, variant: Variant | str = Variant.UNBALANCED) -> ProtocolConfig:
-    """Build a configuration; requires kappa in (0, 1]."""
+    """Build a configuration; requires kappa in (0, 1].
+
+    Below about 1.1e-16, xi = 1/(1+kappa) rounds to 1 and the skewed
+    filter weight 1 - xi vanishes, so such a kappa is rejected too.
+    """
     if not 0.0 < kappa <= 1.0:
         raise ValueError(f"kappa must be in (0, 1], got {kappa!r}")
-    variant = Variant(variant)
-    return ProtocolConfig(kappa=float(kappa), variant=variant, xi=1.0 / (1.0 + kappa))
+    xi = 1.0 / (1.0 + kappa)
+    if xi == 1.0:
+        raise ValueError(f"kappa = {kappa!r} is too small: xi = 1/(1+kappa) rounds to 1")
+    return ProtocolConfig(kappa=float(kappa), variant=Variant(variant), xi=xi)
 
 
 @dataclass(frozen=True)
@@ -140,9 +146,6 @@ class SymmetryGroup:
     @property
     def order(self) -> int:
         return 4
-
-    def act_outcome(self, g: int, x: int) -> int:
-        return (x + g) % 4
 
     def act_announcement(self, g: int, u: str) -> str:
         if u not in ANNOUNCEMENTS:

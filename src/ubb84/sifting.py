@@ -3,7 +3,8 @@
 The postselection keeps matching-basis events via the filter map
 F[rho] = (F_A (x) F_B) rho (F_A (x) F_B)^dag / p_tilde.  Because the filters
 are identical for even and odd announcements, both announcement branches
-produce the same normalized state with equal weight.
+produce the same normalized state with equal weight, so one kept weight
+and one sifted state describe both.
 
 The Holevo quantity is always computed on the joint A-B state: for rank-one
 sender elements, chi = S(rho_AB) - sum_x p(x) S(rho_B^x).  Conditional
@@ -30,6 +31,7 @@ __all__ = [
     "holevo_ab",
     "joint_probability",
     "overall_holevo",
+    "re_f_from_Q",
     "sift",
     "symmetrize",
 ]
@@ -41,14 +43,16 @@ class DegeneratePostselectionError(ValueError):
 
 @dataclass(frozen=True)
 class SiftStats:
-    """Unnormalized kept weights and postselected states per announcement."""
+    """Kept weight of one announcement, total kept weight and sifted state.
 
-    p_tilde_even: float
-    p_tilde_odd: float
+    Each announcement occurs with probability 1/2 and keeps weight
+    ``p_tilde``, so ``p_kept = 2 p_tilde``; ``rho`` is the normalized
+    postselected state shared by both.
+    """
+
+    p_tilde: float
     p_kept: float
-    p_u: tuple
-    rho_even: np.ndarray
-    rho_odd: np.ndarray
+    rho: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -90,8 +94,8 @@ def joint_probability(rho_ab: np.ndarray, a_x: np.ndarray, b_y: np.ndarray) -> f
 def sift(rho_ab: np.ndarray, cfg: ProtocolConfig) -> SiftStats:
     """Apply the announcement filter map to ``rho_ab``.
 
-    Equal filters on both announcements force p_tilde(even) = p_tilde(odd)
-    and identical postselected states; p(u) is exactly (1/2, 1/2).
+    Equal filters on both announcements force equal kept weights and
+    identical postselected states, so one filter serves both.
     """
     pair = filters(cfg)
     g = kron(pair.f_a, pair.f_b)
@@ -99,15 +103,7 @@ def sift(rho_ab: np.ndarray, cfg: ProtocolConfig) -> SiftStats:
     p_tilde = float(np.trace(filtered).real)
     if p_tilde < 1e-15:
         raise DegeneratePostselectionError("postselection kept weight vanished")
-    rho_u = filtered / p_tilde
-    return SiftStats(
-        p_tilde_even=p_tilde,
-        p_tilde_odd=p_tilde,
-        p_kept=2.0 * p_tilde,
-        p_u=(0.5, 0.5),
-        rho_even=rho_u,
-        rho_odd=rho_u,
-    )
+    return SiftStats(p_tilde=p_tilde, p_kept=2.0 * p_tilde, rho=filtered / p_tilde)
 
 
 def conditional_on_a(rho_ab: np.ndarray, alpha: np.ndarray) -> np.ndarray:
@@ -151,15 +147,12 @@ def holevo_ab(rho_ab: np.ndarray, povm_a) -> float:
 def overall_holevo(rho_ab: np.ndarray, cfg: ProtocolConfig) -> float:
     """Announcement-averaged postselected Holevo quantity chi-bar.
 
-    chi_bar = sum_u p(u) chi(F^u[rho], M_A^u); with equal filters this is the
-    plain average of the even and odd branches on the shared sifted state.
+    chi_bar = sum_u p(u) chi(F^u[rho], M_A^u) with p(u) = 1/2.  All branches
+    share one sifted state, so chi_bar is the Holevo quantity of that state
+    for the half-weighted union of both announcements' sender POVMs.
     """
-    stats = sift(rho_ab, cfg)
-    total = 0.0
-    for p_u, u, rho_u in zip(stats.p_u, ANNOUNCEMENTS, (stats.rho_even, stats.rho_odd)):
-        m_a, _ = postselected_povms(cfg, u)
-        total += p_u * holevo_ab(rho_u, m_a)
-    return total
+    m_a = [0.5 * e for u in ANNOUNCEMENTS for e in postselected_povms(cfg, u)[0].elements]
+    return holevo_ab(sift(rho_ab, cfg).rho, m_a)
 
 
 def symmetrize(rho_ab: np.ndarray) -> SymmetricState:
@@ -189,18 +182,33 @@ def symmetrize(rho_ab: np.ndarray) -> SymmetricState:
     )
 
 
+def re_f_from_Q(a, b, c, d, q, xi):
+    """The error-rate relation: Re[f] of a symmetric state with error rate Q.
+
+    Re[f] = 2 p_tilde (1 - 2Q) / sqrt(xi(1-xi)) with the kept weight
+    p_tilde = ((1-xi)(a+c) + xi(b+d)) / 4, elementwise on arrays; for a
+    normalized state and 1/2 <= xi < 1, p_tilde >= (1-xi)/4 > 0.  The
+    optimizer calls this once per objective evaluation and ``error_rate_Q``
+    inverts it.  A result with |Re f| > sqrt(a d) signals an infeasible
+    point; callers treat it as a constraint violation, not an exception.
+    """
+    p_tilde = ((1.0 - xi) * (a + c) + xi * (b + d)) / 4.0
+    return 2.0 * p_tilde * (1.0 - 2.0 * q) / math.sqrt(xi * (1.0 - xi))
+
+
 def error_rate_Q(s: SymmetricState, cfg: ProtocolConfig):
     """Average matching-basis error rate of a symmetric state.
 
-    Returns (Q, p_tilde) with p_tilde = ((1-xi)(a+c) + xi(b+d)) / 4 and
-    Q = (p_tilde - Re[f] sqrt(xi(1-xi)) / 2) / (2 p_tilde).  This closed form
-    equals the error-outcome sum of the skewed middle-click statistics; it is
-    the coarse-grained estimator used for parameter estimation by every
-    variant (the hardware fixes evaluate it at their balanced xi).
+    Returns (Q, p_tilde), read off ``re_f_from_Q``, which is affine in Q:
+    with r0 = Re f at Q = 0, Q = (1 - Re[f] / r0) / 2 and
+    p_tilde = r0 sqrt(xi(1-xi)) / 2.  This closed form equals the
+    error-outcome sum of the skewed middle-click statistics; it is the
+    coarse-grained estimator used for parameter estimation by every variant
+    (the hardware fixes evaluate it at their balanced xi).
     """
     xi = cfg.xi_effective
-    p_tilde = ((1.0 - xi) * (s.a + s.c) + xi * (s.b + s.d)) / 4.0
+    r0 = re_f_from_Q(s.a, s.b, s.c, s.d, 0.0, xi)
+    p_tilde = 0.5 * r0 * math.sqrt(xi * (1.0 - xi))
     if p_tilde < 1e-15:
         raise DegeneratePostselectionError("kept weight vanished in error-rate evaluation")
-    q = (p_tilde - 0.5 * s.f.real * math.sqrt(xi * (1.0 - xi))) / (2.0 * p_tilde)
-    return q, p_tilde
+    return 0.5 * (1.0 - s.f.real / r0), p_tilde

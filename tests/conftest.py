@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ubb84.protocol import source_state
+from ubb84.protocol import alice_povm, bob_povm, source_state
 from ubb84.sifting import sift
 
 
@@ -25,6 +25,22 @@ def signal_kept_weight(cfg) -> float:
     """
     ket, _ = source_state(cfg)
     return sift(np.outer(ket, ket.conj()), cfg).p_kept
+
+
+def _psd_sqrt(m: np.ndarray) -> np.ndarray:
+    lam, vec = np.linalg.eigh(m)
+    return (vec * np.sqrt(np.clip(lam, 0.0, None))) @ vec.conj().T
+
+
+def announcement_filters(cfg):
+    """Even and odd filters sqrt(A_x + A_x') (x) sqrt(B_x + B_x'), x' = x + 2.
+
+    Built straight from the sender and receiver POVMs, independently of
+    ``protocol.filters``: (0, 2) for the even announcement, (1, 3) for odd.
+    """
+    a, b = alice_povm(cfg), bob_povm(cfg)
+    return [np.kron(_psd_sqrt(a.element(x) + a.element(x + 2)),
+                    _psd_sqrt(b.element(x) + b.element(x + 2))) for x in (0, 1)]
 
 
 def random_pure(rng: np.random.Generator, dim: int = 4) -> np.ndarray:

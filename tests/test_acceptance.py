@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_density, signal_kept_weight
+from conftest import announcement_filters, random_density, signal_kept_weight
 from ubb84.attack import constraint_set_qubit, grid_oracle, maximize_holevo_qubit, qubit_keyrate_raw
 from ubb84.channel import default_params
 from ubb84.engine import compare_variants, distance_scan, qubit_point
@@ -109,9 +109,11 @@ def test_criterion_3_symmetry_suite():
     for i, rho in enumerate(states):
         c = cfg_list[i % 3]
         stats = sift(rho, c)
-        assert stats.p_tilde_even == pytest.approx(stats.p_tilde_odd, abs=1e-12)
-        assert np.allclose(stats.rho_even, stats.rho_odd, atol=1e-12)
-        assert stats.p_u == (0.5, 0.5)
+        for g_u in announcement_filters(c):  # even and odd give one sifted state
+            kept = g_u @ rho @ g_u.conj().T
+            p_u = np.trace(kept).real
+            assert p_u == pytest.approx(stats.p_tilde, abs=1e-12)
+            assert np.abs(kept / p_u - stats.rho).max() <= 1e-12
         base = overall_holevo(rho, c)
         for g in range(4):
             u = group.unitaries[g]

@@ -3,9 +3,12 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from ubb84.cli import main
-from ubb84.engine import CSV_HEADER
+from ubb84.channel import default_params
+from ubb84.cli import VARIANT_CHOICES, main
+from ubb84.engine import CSV_HEADER, compare_variants, cutoff_distance, format_csv
 
 
 def run_cli(capsys, *argv):
@@ -46,6 +49,32 @@ class TestQubitCommands:
         code, _, err = run_cli(capsys, "qubit-rate", "--kappa", "0.0", "--qber", "0.05")
         assert code == 2
         assert "error" in err
+
+    # below about 1.1e-16, xi = 1/(1+kappa) rounds to 1 and 1 - xi vanishes
+    @pytest.mark.parametrize("variant", VARIANT_CHOICES)
+    def test_kappa_with_xi_rounding_to_one_exits_2(self, capsys, variant):
+        for argv in (("qubit-rate", "--kappa", "1e-17", "--qber", "0.05"),
+                     ("qubit-scan", "--kappas", "1e-300")):
+            code, out, err = run_cli(capsys, *argv, "--variant", variant)
+            assert code == 2, argv
+            assert out == ""
+            assert "kappa" in err
+
+    @settings(derandomize=True, deadline=None, max_examples=40,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(kappa=st.one_of(st.floats(), st.floats(0.0, 1.0)),
+           qber=st.one_of(st.floats(), st.floats(0.0, 0.5)))
+    @example(kappa=1e-17, qber=0.05)
+    def test_qubit_rate_is_finite_or_exits_2(self, capsys, kappa, qber):
+        for variant in VARIANT_CHOICES:
+            code, out, _ = run_cli(capsys, "qubit-rate", f"--kappa={kappa!r}",
+                                   f"--qber={qber!r}", "--variant", variant)
+            assert code in (0, 2), (variant, code)
+            if code == 0:
+                row = dict(zip(CSV_HEADER, out.splitlines()[1].split(",")))
+                for field in ("kappa", "qber_total", "q_single", "p_lost",
+                              "chi_s_max", "rate_raw", "rate"):
+                    assert math.isfinite(float(row[field])), (variant, row)
 
 
 class TestRealisticCommands:
@@ -129,6 +158,29 @@ class TestRealisticCommands:
         assert code == 0
         variants = [line.split(",")[0] for line in out.strip().splitlines()[1:]]
         assert variants == ["unbalanced", "pbs", "fix-loss", "fix-uneven-bs"]
+
+    def test_compare_prints_one_cutoff_line_per_variant(self, capsys):
+        distances = [0.0, 100.0, 200.0]
+        code, out, err = run_cli(
+            capsys, "compare", "--kappa", "0.5", "--lmax", "200", "--lstep", "100",
+            "--threads", "1",
+        )
+        assert code == 0
+        points = compare_variants(0.5, default_params(), distances)
+        assert out == format_csv(points)
+        expected = []
+        for variant in VARIANT_CHOICES:
+            cutoff = cutoff_distance([p for p in points if p.variant == variant])
+            where = (f"first nonpositive rate at {cutoff:g} km" if cutoff is not None
+                     else "rate positive up to 200 km")
+            expected.append(f"# cutoff {variant} kappa=0.5: {where}")
+        assert err.splitlines() == expected
+
+        code, _, err = run_cli(capsys, "compare", "--kappa", "0.5", "--lmax", "0",
+                               "--threads", "1")
+        assert code == 0
+        assert err.splitlines() == [f"# cutoff {v} kappa=0.5: rate positive up to 0 km"
+                                    for v in VARIANT_CHOICES]
 
 
 class TestSquashValidate:

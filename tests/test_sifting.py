@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import holevo_via_purification, random_density
+from conftest import announcement_filters, holevo_via_purification, random_density
 from ubb84.protocol import Variant, alice_povm, bob_povm, make_config, postselected_povms, source_state, symmetry_group
 from ubb84.qmath import binary_entropy, kron
 from ubb84.sifting import (
@@ -51,24 +51,28 @@ class TestJointProbability:
 class TestSift:
     def test_balanced_source(self):
         stats = sift(source_density(make_config(1.0)), make_config(1.0))
-        assert stats.p_tilde_even == pytest.approx(1 / 8, abs=1e-12)
+        assert stats.p_tilde == pytest.approx(1 / 8, abs=1e-12)
         assert stats.p_kept == pytest.approx(1 / 4, abs=1e-12)
 
     def test_pbs_source(self):
         cfg = make_config(1.0, Variant.PBS)
         stats = sift(source_density(cfg), cfg)
-        assert stats.p_tilde_even == pytest.approx(1 / 4, abs=1e-12)
+        assert stats.p_tilde == pytest.approx(1 / 4, abs=1e-12)
         assert stats.p_kept == pytest.approx(1 / 2, abs=1e-12)
 
     def test_equal_announcements_for_random_states(self):
         rng = np.random.default_rng(0)
         for _ in range(25):
             rho = random_density(rng)
-            stats = sift(rho, make_config(rng.uniform(0.2, 1.0)))
-            assert stats.p_u == (0.5, 0.5)
-            assert stats.p_tilde_even == pytest.approx(stats.p_tilde_odd, abs=1e-12)
-            assert np.allclose(stats.rho_even, stats.rho_odd, atol=1e-12)
-            assert np.trace(stats.rho_even).real == pytest.approx(1.0, abs=1e-10)
+            cfg = make_config(rng.uniform(0.2, 1.0))
+            stats = sift(rho, cfg)
+            # each announcement's own filter reproduces the one sifted state
+            for g in announcement_filters(cfg):
+                kept = g @ rho @ g.conj().T
+                p_u = np.trace(kept).real
+                assert p_u == pytest.approx(stats.p_tilde, abs=1e-12)
+                assert np.abs(kept / p_u - stats.rho).max() <= 1e-12
+            assert np.trace(stats.rho).real == pytest.approx(1.0, abs=1e-10)
 
     def test_degenerate_input(self):
         with pytest.raises(DegeneratePostselectionError):
