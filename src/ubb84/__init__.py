@@ -4,7 +4,6 @@ from .attack import (
     ConstraintSet,
     InfeasibleError,
     OptimResult,
-    grid_oracle,
     maximize_holevo_qubit,
     maximize_holevo_realistic,
     qubit_keyrate,
@@ -44,7 +43,6 @@ __all__ = [
     "default_params",
     "distance_scan",
     "format_csv",
-    "grid_oracle",
     "honest_statistics",
     "load_params",
     "make_config",

@@ -9,19 +9,35 @@ The feasible set is the family of group-symmetric attack states written as
   photons must account for the remainder with a valid density matrix.
 
 In both modes Re[f] is eliminated by the observed error rate and the corner
-block must stay PSD (|f|^2 <= a d).  The free coordinates are
-(s, b, c, Im f) with s = a+b; in qubit mode s is pinned at xi, which matches
-the (b, c, Im f) parametrization after the textbook eliminations.
+block must stay PSD (|f|^2 <= a d).
 
 Where the exact branch below applies, the maximum is returned in closed
-form and no search runs.  Everywhere else the search is a multi-start
-Nelder-Mead simplex (deterministic seeded starts, clamping plus penalty
-1e3 * violation) followed by bounded coordinate refinement.  A
-feasibility-filtered dense grid serves as an independent lower-bound
-oracle; it spreads its b points over the feasible b-interval of each
-(s, c, Im f) and evaluates chi-bar through explicit sifted matrices and
-batched eigendecompositions, a separate code path from the scalar closed
-form used by the optimizer.
+form and no search runs.  Everywhere else the search works in the sifted
+coordinates of "Normalization" below.  chi-bar is concave and even in
+Im phi, and the feasible set is symmetric under phi -> conj(phi), so the
+maximum has Im phi = 0.  At fixed s = a+b the trace and the s-constraint
+make beta and gamma affine in (alpha, delta), and ``re_f_from_Q`` makes
+phi affine too.  So each s-slice is a convex set in the (alpha, delta)
+plane: at fixed alpha the linear constraints bound delta and
+phi^2 <= alpha delta is a quadratic in delta, which gives the feasible
+delta-interval in closed form.  Two nested 1-D searches maximize over
+delta and then over alpha.  s is pinned at xi in qubit mode, and in
+realistic mode, for the variants with w0 xi = w1 (1-xi), at the s-bound
+that the symmetric point violates (see "Exact branch").  Only PBS at
+kappa < 1 in realistic mode adds an outer search over the feasible
+s-range.  There the best value g(s) of a slice is unimodal: the slices are
+sections of the convex feasible set by the hyperplanes
+(1-s)(a+b) = s(c+d), so the segment between maximizers at s1 < s3 crosses
+every slice in between, and concavity keeps chi-bar on it above
+min(g(s1), g(s3)).  Each 1-D search is Brent's method (parabolic steps,
+golden-section fallback) that tries both ends of its range first, because
+maxima sit on or next to a boundary of the feasible set.  Every
+evaluation is a call of ``chi_bar_of_params`` at a feasible point, and the
+best point evaluated is the result.
+
+The tests hold the search to an independent lower bound, the grid oracle
+in ``tests/reference.py``, which evaluates chi-bar through explicit sifted
+matrices instead of the closed form ``chi_bar_of_params``.
 
 Normalization.  The qubit rate 1 - h(Q) - chi_max is per postselected
 signal.  Write the sifted state in normalized coordinates: diagonal
@@ -53,23 +69,23 @@ alpha = 1/2 - Q(1-Q), where sigma has spectrum
 {(1-Q)^2, Q(1-Q), Q(1-Q), Q^2} and entropy 2 h(Q); so chi = h(Q), the
 BB84 bound of Shor and Preskill.  Mapped back, (a, b, c, d) is
 proportional to (alpha/w0, beta/w1, beta/w0, alpha/w1), Re f follows from
-``re_f_from_Q`` and Im f = 0.  The reduced-state constraint only bounds
-s = a+b, so if s lies within ``ConstraintSet.s_bounds`` (1e-12 slack) and
-the point is PSD within ``PSD_TOL`` it is the maximum over the full
-feasible set, and ``_maximize`` returns it with ``iterations=0``.
-Otherwise Nelder-Mead runs: in qubit mode at kappa < 1 with Q > 0 (there
+``re_f_from_Q`` and Im f = 0.  The point is PSD, since
+alpha = 1/2 - Q(1-Q) >= 1/2 - Q = phi.  The reduced-state constraint only
+bounds s = a+b, so if s lies within ``ConstraintSet.s_bounds`` (1e-12
+slack) the point is the maximum over the full feasible set, and
+``_maximize`` returns it with ``iterations=0``.  Otherwise the search
+runs: in qubit mode at kappa < 1 with Q > 0 (there
 s = xi + 2 Q(1-Q)(1 - 2 xi) misses the pinned s = xi), in realistic mode
-when an s-bound binds (low loss), and for PBS at kappa < 1.  By concavity
-the true maximum then lies on the violated s-bound and is at most h(Q).
+when an s-bound binds (low loss), and for PBS at kappa < 1.  For the
+first two, concavity puts the true maximum on the violated s-bound, where
+the search pins s, and it is at most h(Q).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-
-import numpy as np
-from scipy.optimize import minimize, minimize_scalar
 
 from .protocol import ProtocolConfig
 from .qmath import binary_entropy
@@ -82,17 +98,14 @@ __all__ = [
     "chi_bar_of_params",
     "constraint_set_qubit",
     "constraint_set_realistic",
-    "grid_oracle",
     "maximize_holevo_qubit",
     "maximize_holevo_realistic",
     "qubit_keyrate",
     "qubit_keyrate_raw",
 ]
 
-DEFAULT_SEED = 11
-N_STARTS = 20
-PENALTY = 1e3
-PSD_TOL = 1e-12
+# corner-condition slack of the search, in sifted units; SymmetricState allows 1e-12
+_SLACK = 1e-14
 
 
 class InfeasibleError(ValueError):
@@ -135,6 +148,13 @@ class ConstraintSet:
 
 @dataclass(frozen=True)
 class OptimResult:
+    """Maximum, maximizer and search effort.
+
+    ``iterations`` counts the chi-bar evaluations of the search, 0 on the
+    exact branch.  ``converged`` is True whenever a result is returned:
+    Brent's method always closes its bracket to the tolerance.
+    """
+
     chi_max: float
     argmax: SymmetricState
     iterations: int
@@ -185,333 +205,289 @@ def chi_bar_of_params(cfg: ProtocolConfig, a, b, c, d, f) -> float:
 # ---------------------------------------------------------------------------
 # optimizer
 
+_GOLD = 0.5 * (3.0 - math.sqrt(5.0))
+_ULPS = 4.0 * sys.float_info.epsilon
 
-def _build_point(z, cs: ConstraintSet, pin_s: bool):
-    """Clamp a raw simplex point into the box and derive the full state.
 
-    Returns (a, b, c, d, re_f, im_f, violation); the only violation that can
-    survive the clamping is the PSD corner condition.
+def _brent_max(fn, lo: float, hi: float, rtol: float = 1.5e-8):
+    """Maximize a unimodal ``fn`` on [lo, hi] by Brent's method.
+
+    Parabolic steps through the three best points, a golden-section step
+    whenever the parabola is not trusted, and no two evaluations closer
+    than rtol (hi - lo) plus a few ulps.  The tolerance scales with the
+    range, not with |x|, to resolve maxima close to an end of a short
+    range far from 0.  A maximum on or next to an end is common here (a
+    boundary of the feasible set), and Brent's method would close in on
+    it by golden steps alone, so both ends are evaluated first.  An end
+    that beats the first interior point is the maximum if fn does not
+    rise one tolerance step inward; otherwise the search runs between
+    that end and the first point, from the step.  Returns (x, fn(x)).
     """
-    lo, hi = cs.s_bounds()
-    if pin_s:
-        s = cs.xi
-        b, c, im = z
-    else:
-        s, b, c, im = z
-        s = min(max(s, lo), hi)
-    b = min(max(b, 0.0), s)
-    c = min(max(c, 0.0), 1.0 - s)
-    im = min(max(im, -0.5), 0.5)
-    a = s - b
-    d = (1.0 - s) - c
-    re = re_f_from_Q(a, b, c, d, cs.q, cs.xi)
-    viol = max(0.0, re * re + im * im - a * d)
-    return a, b, c, d, re, im, viol
+    x = lo + _GOLD * (hi - lo)
+    fx = fn(x)
+    if hi <= lo:
+        return x, fx
+    span = rtol * (hi - lo)
+    f_end, end = max((fn(lo), lo), (fn(hi), hi))
+    a, b = lo, hi
+    if f_end >= fx:
+        step = end + math.copysign(span + _ULPS * abs(end), x - end)
+        f_step = fn(step) if abs(step - end) < abs(x - end) else -math.inf
+        if f_step <= f_end:
+            return end, f_end
+        a, b = sorted((end, x))
+        x, fx = step, f_step
+    w = v = x
+    fw = fv = fx
+    d = e = 0.0
+    while True:
+        m = 0.5 * (a + b)
+        tol = span + _ULPS * abs(x)
+        if abs(x - m) <= 2.0 * tol - 0.5 * (b - a):
+            break
+        p = q = r = 0.0
+        if abs(e) > tol:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, d
+        if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
+            d = p / q
+            if x + d - a < 2.0 * tol or b - x - d < 2.0 * tol:
+                d = tol if x < m else -tol
+        else:
+            e = (b - x) if x < m else (a - x)
+            d = _GOLD * e
+        u = x + (d if abs(d) >= tol else math.copysign(tol, d))
+        fu = fn(u)
+        if fu >= fx:
+            if u < x:
+                b = x
+            else:
+                a = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu >= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu >= fv or v == x or v == w:
+                v, fv = u, fu
+    return (end, f_end) if f_end > fx else (x, fx)
 
 
-def _objective(z, cfg, cs, pin_s):
-    a, b, c, d, re, im, viol = _build_point(z, cs, pin_s)
-    norm = math.hypot(re, im)
-    cap = math.sqrt(max(a * d, 0.0))
-    if norm > cap and norm > 0.0:
-        # evaluate on the PSD boundary; the violation enters via the penalty
-        scale = cap / norm * (1.0 - 1e-12)
-        re, im = re * scale, im * scale
-    chi = chi_bar_of_params(cfg, a, b, c, d, complex(re, im))
-    return -(chi - PENALTY * viol)
+def _edge(feasible, inside: float, outside: float) -> float:
+    """The last feasible point from ``inside`` towards ``outside``, by bisection."""
+    if feasible(outside):
+        return outside
+    for _ in range(60):
+        mid = 0.5 * (inside + outside)
+        inside, outside = (mid, outside) if feasible(mid) else (inside, mid)
+    return inside
 
 
-def _finalize(z, cfg, cs, pin_s):
-    """Project a candidate onto the feasible set; None if it cannot be."""
-    a, b, c, d, re, im, _ = _build_point(z, cs, pin_s)
-    ad = a * d
-    if re * re > ad + PSD_TOL:
-        return None
-    cap = math.sqrt(max(ad - re * re, 0.0))
-    im = math.copysign(min(abs(im), cap), im)
-    f = complex(re, im)
-    chi = chi_bar_of_params(cfg, a, b, c, d, f)
-    return chi, (a, b, c, d, f)
+class _Slice:
+    """The search at fixed s = a+b, in sifted coordinates (alpha, delta).
 
-
-def _start_points(cs: ConstraintSet, pin_s: bool, seed: int):
-    lo, hi = cs.s_bounds()
-    s0 = min(max(cs.xi, lo), hi)
-    q = cs.q
-    mix = min(1.0, 2.0 * q)
-    canonical = [
-        (s0, 0.0, 0.0, 0.0),
-        (s0, s0 * 2.0 * q * (1.0 - q), (1.0 - s0) * 2.0 * q * (1.0 - q), 0.0),
-        (s0, s0 * mix / 2.0, (1.0 - s0) * mix / 2.0, 0.0),
-        (s0, s0 / 2.0, (1.0 - s0) / 2.0, 0.0),
-    ]
-    rng = np.random.default_rng(seed)
-    points = []
-    for s, b, c, im in canonical:
-        points.append((b, c, im) if pin_s else (s, b, c, im))
-    while len(points) < N_STARTS:
-        s = rng.uniform(lo, hi) if not pin_s else s0
-        b = rng.uniform(0.0, s)
-        c = rng.uniform(0.0, 1.0 - s)
-        im = rng.uniform(-0.4, 0.4)
-        points.append((b, c, im) if pin_s else (s, b, c, im))
-    return points[:N_STARTS]
-
-
-def _symmetric_optimum(cfg: ProtocolConfig, cs: ConstraintSet) -> OptimResult | None:
-    """The exact maximum chi = h(Q) where it applies, else None.
-
-    Applies when the filter weights make Re phi = 1/2 - Q for every state
-    (w0 xi = w1 (1-xi)) and the symmetric optimum meets the s-bounds; see
-    "Exact branch" in the module docstring.
+    The trace alpha+beta+gamma+delta = 1 and the s-constraint
+    (1-s)(alpha/w0 + beta/w1) = s(gamma/w0 + delta/w1) make beta and gamma
+    affine in (alpha, delta), and ``re_f_from_Q`` makes phi (real) affine
+    too; each is stored as (constant, alpha and delta coefficients).
     """
+
+    def __init__(self, cfg: ProtocolConfig, cs: ConstraintSet, s: float):
+        self.weights = w0, w1 = cfg.filter_weights
+        den = (1.0 - s) * w0 + s * w1
+        self.beta = b0, ba, bd = w1 * s / den, -w1 / den, s * (w0 - w1) / den
+        self.gamma = g0, ga, gd = w0 * (1.0 - s) / den, (1.0 - s) * (w1 - w0) / den, -w0 / den
+        # phi = u (alpha + gamma) + v (beta + delta): re_f_from_Q is linear in the diagonal
+        root = math.sqrt(w0 * w1)
+        u = root * re_f_from_Q(1.0 / w0, 0.0, 0.0, 0.0, cs.q, cs.xi)
+        v = root * re_f_from_Q(0.0, 1.0 / w1, 0.0, 0.0, cs.q, cs.xi)
+        self.phi = (u * g0 + v * b0, u * (1.0 + ga) + v * ba, u * gd + v * (1.0 + bd))
+
+    def raw(self, alpha: float, delta: float):
+        """(a, b, c, d, Re f) up to a common factor: the filter weights undone."""
+        w0, w1 = self.weights
+        (b0, ba, bd), (g0, ga, gd), (p0, pa, pd) = self.beta, self.gamma, self.phi
+        return (alpha / w0, (b0 + ba * alpha + bd * delta) / w1,
+                (g0 + ga * alpha + gd * delta) / w0, delta / w1,
+                (p0 + pa * alpha + pd * delta) / math.sqrt(w0 * w1))
+
+    def delta_range(self, alpha: float):
+        """Feasible delta at fixed alpha as (lo, hi); lo > hi when empty.
+
+        beta >= 0 and gamma >= 0 are linear in delta (one free of delta
+        bounds alpha instead, in ``alpha_range``).  With phi = p0 + p1 delta
+        the corner condition phi^2 <= alpha delta + _SLACK is the convex
+        quadratic p1^2 delta^2 + (2 p0 p1 - alpha) delta + p0^2 - _SLACK <= 0,
+        with discriminant alpha (alpha - 4 p0 p1) + 4 p1^2 _SLACK.  The slack
+        keeps a feasible set that shrinks to a point (Q -> 0) from being
+        emptied by rounding in a double root.
+        """
+        lo, hi = 0.0, math.inf
+        for c0, ca, cd in (self.beta, self.gamma):
+            if cd > 0.0:
+                lo = max(lo, -(c0 + ca * alpha) / cd)
+            elif cd < 0.0:
+                hi = min(hi, (c0 + ca * alpha) / -cd)
+        p0, p1 = self.phi[0] + self.phi[1] * alpha, self.phi[2]
+        qa, qb, qc = p1 * p1, 2.0 * p0 * p1 - alpha, p0 * p0 - _SLACK
+        disc = alpha * (alpha - 4.0 * p0 * p1) + 4.0 * qa * _SLACK
+        if qa == 0.0:
+            return (max(lo, qc / -qb) if qb < 0.0 else lo if qc <= 0.0 else math.inf), hi
+        if disc < 0.0:
+            return math.inf, hi
+        t = -0.5 * (qb + math.copysign(math.sqrt(disc), qb))  # cancellation-free roots
+        r1, r2 = sorted((t / qa, qc / t)) if t != 0.0 else (0.0, 0.0)
+        return max(lo, r1), min(hi, r2)
+
+    def _width(self, alpha: float) -> float:
+        lo, hi = self.delta_range(alpha)
+        return hi - lo
+
+    def alpha_peak(self):
+        """(peak, lo, hi): a feasible alpha in the bracket [lo, hi], or None.
+
+        A linear constraint free of delta and the sign of the (unrelaxed)
+        discriminant, linear in alpha, bound alpha in closed form.  Inside,
+        the width of ``delta_range`` is concave (an upper envelope of the
+        convex slice minus a lower one), so Brent's method finds its peak,
+        to near machine precision because a thin slice (small Q) is
+        feasible only there; bisection then finds where it crosses 0.
+        """
+        lo, hi = 0.0, 1.0
+        for c0, ca, cd in (self.beta, self.gamma):
+            if cd == 0.0:  # c0 + ca alpha >= 0 with ca = -w1/den < 0
+                hi = min(hi, c0 / -ca)
+        p0, pa, p1 = self.phi
+        k1, k0 = 1.0 - 4.0 * pa * p1, 4.0 * p0 * p1
+        if k1 > 0.0:
+            lo = max(lo, k0 / k1)
+        elif k1 < 0.0:
+            hi = min(hi, k0 / k1)
+        elif k0 > 0.0:
+            return None
+        lo = min(lo, hi)  # a slice shrunk to a point may round to lo > hi
+        peak, width = _brent_max(self._width, lo, hi, 1e-13)
+        return (peak, lo, hi) if width >= 0.0 else None
+
+    def alpha_range(self):
+        """The feasible alpha-interval (lo, hi), or None when it is empty."""
+        found = self.alpha_peak()
+        if found is None:
+            return None
+        peak, lo, hi = found
+        feasible = lambda alpha: self._width(alpha) >= 0.0  # noqa: E731
+        return _edge(feasible, peak, lo), _edge(feasible, peak, hi)
+
+
+class _Search:
+    """Nested Brent searches that count evaluations and keep the best point."""
+
+    def __init__(self, cfg: ProtocolConfig, cs: ConstraintSet):
+        self.cfg, self.cs = cfg, cs
+        self.evals, self.chi, self.state = 0, -math.inf, None
+
+    def _chi(self, sl: _Slice, alpha: float, delta: float) -> float:
+        raw = sl.raw(alpha, delta)
+        chi = chi_bar_of_params(self.cfg, *raw)
+        self.evals += 1
+        if chi > self.chi:
+            self.chi, self.state = chi, raw
+        return chi
+
+    def slice_max(self, s: float) -> float:
+        """Best chi-bar of the slice at s: Brent over alpha of Brent over delta."""
+        sl = _Slice(self.cfg, self.cs, s)
+        alphas = sl.alpha_range()
+        if alphas is None:
+            return -math.inf
+
+        def over_delta(alpha):
+            lo, hi = sl.delta_range(alpha)
+            return _brent_max(lambda delta: self._chi(sl, alpha, delta), lo, max(lo, hi))[1]
+
+        return _brent_max(over_delta, *alphas)[1]
+
+
+def _feasible_s(cfg: ProtocolConfig, cs: ConstraintSet, lo: float, hi: float):
+    """The s-interval within [lo, hi] with nonempty slices.
+
+    The feasible set is convex and holds the honest state, at s = xi.
+    """
+    feasible = lambda s: _Slice(cfg, cs, s).alpha_peak() is not None  # noqa: E731
+    return _edge(feasible, cs.xi, lo), _edge(feasible, cs.xi, hi)
+
+
+def _maximize(cfg: ProtocolConfig, cs: ConstraintSet) -> OptimResult:
     w0, w1 = cfg.filter_weights
-    if abs(w0 * cs.xi - w1 * (1.0 - cs.xi)) > 1e-12:
-        return None
-    beta = cs.q * (1.0 - cs.q)
-    alpha = 0.5 - beta
-    raw = (alpha / w0, beta / w1, beta / w0, alpha / w1)
-    total = sum(raw)
-    a, b, c, d = (x / total for x in raw)
     lo, hi = cs.s_bounds()
-    if not lo - 1e-12 <= a + b <= hi + 1e-12:
-        return None
-    re = re_f_from_Q(a, b, c, d, cs.q, cs.xi)
-    if re * re > a * d + PSD_TOL:
-        return None
-    f = complex(re, 0.0)
+    if abs(w0 * cs.xi - w1 * (1.0 - cs.xi)) <= 1e-12:
+        beta = cs.q * (1.0 - cs.q)
+        raw = ((0.5 - beta) / w0, beta / w1, beta / w0, (0.5 - beta) / w1)
+        total = sum(raw)
+        a, b, c, d = (x / total for x in raw)
+        if lo - 1e-12 <= a + b <= hi + 1e-12:
+            f = complex(re_f_from_Q(a, b, c, d, cs.q, cs.xi), 0.0)
+            return OptimResult(chi_max=chi_bar_of_params(cfg, a, b, c, d, f),
+                               argmax=SymmetricState(a=a, b=b, c=c, d=d, f=f),
+                               iterations=0, converged=True)
+        lo = hi = min(max(a + b, lo), hi)
+    elif hi - lo < 1e-12:
+        lo = hi = cs.xi
+    else:
+        lo, hi = _feasible_s(cfg, cs, lo, hi)
+    search = _Search(cfg, cs)
+    # the s-level tolerance is looser: g(s) is smooth and flat at its maximum
+    _brent_max(search.slice_max, lo, hi, 1e-6)
+    if search.state is None:
+        raise InfeasibleError(
+            f"no feasible attack state found (mode={cs.mode}, q={cs.q}, p_lost={cs.p_lost})"
+        )
+    a, b, c, d, re = search.state
+    total = a + b + c + d
     return OptimResult(
-        chi_max=chi_bar_of_params(cfg, a, b, c, d, f),
-        argmax=SymmetricState(a=a, b=b, c=c, d=d, f=f),
-        iterations=0,
+        chi_max=search.chi,
+        argmax=SymmetricState(a=a / total, b=b / total, c=c / total, d=d / total,
+                              f=complex(re / total, 0.0)),
+        iterations=search.evals,
         converged=True,
     )
 
 
-def _maximize(cfg: ProtocolConfig, cs: ConstraintSet, seed: int) -> OptimResult:
-    exact = _symmetric_optimum(cfg, cs)
-    if exact is not None:
-        return exact
-    lo, hi = cs.s_bounds()
-    pin_s = (hi - lo) < 1e-12
-    starts = _start_points(cs, pin_s, seed)
-
-    iterations = 0
-    converged = False
-    candidates = list(starts)
-    for z0 in starts:
-        res = minimize(
-            _objective,
-            np.asarray(z0, dtype=float),
-            args=(cfg, cs, pin_s),
-            method="Nelder-Mead",
-            options={"xatol": 1e-9, "fatol": 1e-9, "maxiter": 4000},
-        )
-        iterations += int(res.nit)
-        converged = converged or bool(res.success)
-        candidates.append(tuple(res.x))
-
-    best_chi = -math.inf
-    best_z = None
-    best_state = None
-    for z in candidates:
-        final = _finalize(z, cfg, cs, pin_s)
-        if final is not None and final[0] > best_chi:
-            best_chi, best_state = final
-            best_z = z
-    if best_state is None:
-        raise InfeasibleError(
-            f"no feasible attack state found (mode={cs.mode}, q={cs.q}, p_lost={cs.p_lost})"
-        )
-
-    # coordinate refinement around the incumbent
-    boxes = ([(0.0, cs.xi), (0.0, 1.0 - cs.xi), (-0.5, 0.5)] if pin_s
-             else [(lo, hi), (0.0, 1.0), (0.0, 1.0), (-0.5, 0.5)])
-    z = list(best_z)
-    for _ in range(3):
-        for k, (blo, bhi) in enumerate(boxes):
-            if bhi - blo < 1e-12:
-                continue
-
-            def along(v, k=k):
-                zz = list(z)
-                zz[k] = v
-                return _objective(zz, cfg, cs, pin_s)
-
-            res = minimize_scalar(along, bounds=(blo, bhi), method="bounded",
-                                  options={"xatol": 1e-10})
-            if res.fun < _objective(z, cfg, cs, pin_s):
-                z[k] = float(res.x)
-    final = _finalize(z, cfg, cs, pin_s)
-    if final is not None and final[0] > best_chi:
-        best_chi, best_state = final
-
-    a, b, c, d, f = best_state
-    return OptimResult(
-        chi_max=best_chi,
-        argmax=SymmetricState(a=a, b=b, c=c, d=d, f=f),
-        iterations=iterations,
-        converged=converged,
-    )
-
-
-def maximize_holevo_qubit(cfg: ProtocolConfig, q: float, *, seed: int = DEFAULT_SEED) -> OptimResult:
+def maximize_holevo_qubit(cfg: ProtocolConfig, q: float) -> OptimResult:
     """Maximal chi-bar under the exact reduced-state constraint.
 
     Maximizes over symmetric states with a+b = xi, c+d = 1-xi, Re f fixed by
     the error rate and Im f free.
     """
-    return _maximize(cfg, constraint_set_qubit(cfg, q), seed)
+    return _maximize(cfg, constraint_set_qubit(cfg, q))
 
 
-def maximize_holevo_realistic(cfg: ProtocolConfig, q: float, p_lost: float, *,
-                              seed: int = DEFAULT_SEED) -> OptimResult:
+def maximize_holevo_realistic(cfg: ProtocolConfig, q: float, p_lost: float) -> OptimResult:
     """Maximal chi-bar under the loss-relaxed reduced-state constraint."""
-    return _maximize(cfg, constraint_set_realistic(cfg, q, p_lost), seed)
+    return _maximize(cfg, constraint_set_realistic(cfg, q, p_lost))
 
 
-def qubit_keyrate_raw(cfg: ProtocolConfig, q: float, *, seed: int = DEFAULT_SEED):
+def qubit_keyrate_raw(cfg: ProtocolConfig, q: float):
     """(rate, chi_max) with rate = 1 - h(Q) - chi_max, sign preserved."""
-    result = maximize_holevo_qubit(cfg, q, seed=seed)
+    result = maximize_holevo_qubit(cfg, q)
     return 1.0 - binary_entropy(q) - result.chi_max, result.chi_max
 
 
-def qubit_keyrate(cfg: ProtocolConfig, q: float, *, seed: int = DEFAULT_SEED) -> float:
+def qubit_keyrate(cfg: ProtocolConfig, q: float) -> float:
     """Key rate per postselected signal, floored at zero for reporting.
 
     For the unbalanced variant at kappa < 1 this is at least the balanced
     value; times the kept weight p_kept = xi(1-xi) it is the key per signal
     sent, which is the rate monotone in kappa (see the module docstring).
     """
-    raw, _ = qubit_keyrate_raw(cfg, q, seed=seed)
+    raw, _ = qubit_keyrate_raw(cfg, q)
     return max(0.0, raw)
-
-
-# ---------------------------------------------------------------------------
-# grid oracle
-
-
-def _chi_bar_batch(cfg: ProtocolConfig, a, b, c, d, f):
-    """chi-bar for stacked parameter arrays via explicit sifted matrices.
-
-    Independent check path for the optimizer: builds the normalized sifted
-    states, takes batched eigendecompositions for S(sigma), and forms every
-    postselected conditional state through the partial inner products with
-    the sender directions.
-    """
-    w0, w1 = cfg.filter_weights
-    t = w0 * (a + c) + w1 * (b + d)
-    n = a.shape[0]
-    sig = np.zeros((n, 4, 4), dtype=complex)
-    sig[:, 0, 0] = w0 * a / t
-    sig[:, 1, 1] = w1 * b / t
-    sig[:, 2, 2] = w0 * c / t
-    sig[:, 3, 3] = w1 * d / t
-    corner = math.sqrt(w0 * w1) * f / t
-    sig[:, 3, 0] = corner
-    sig[:, 0, 3] = np.conj(corner)
-
-    def batch_entropy(mats):
-        lam = np.linalg.eigvalsh(mats)
-        lam = np.clip(lam, 0.0, None)
-        out = np.zeros(lam.shape[:-1])
-        mask = lam > 0.0
-        out = -np.sum(np.where(mask, lam * np.log2(np.where(mask, lam, 1.0)), 0.0), axis=-1)
-        return out
-
-    chi = batch_entropy(sig)
-    sig_r = sig.reshape(n, 2, 2, 2, 2)
-    for x in range(4):
-        v = np.array([1.0, np.exp(-1j * math.pi * x / 2)]) / math.sqrt(2.0)
-        cond = np.einsum("a,nabcd,c->nbd", v.conj(), sig_r, v)
-        p_x = np.einsum("nbb->n", cond).real
-        lam = np.linalg.eigvalsh(cond)
-        lam = np.clip(lam, 0.0, None)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = lam / p_x[:, None]
-            terms = np.where(lam > 0.0, lam * np.log2(np.where(ratio > 0.0, ratio, 1.0)), 0.0)
-        # sum over u of p(u) chi_u folds into a single half-weighted x-sum
-        chi += 0.5 * terms.sum(axis=1)
-    return chi
-
-
-def _b_interval(s: float, c, im, cs: ConstraintSet):
-    """Feasible range of b at fixed (s, c, Im f), as arrays (lo, hi).
-
-    With a = s-b and d = 1-s-c fixed, Re f = K (A0 + e b), where
-    K = (1-2Q) / (2 sqrt(xi(1-xi))), A0 = (1-xi)(s+c) + xi d and
-    e = 2 xi - 1, so |f|^2 <= a d reads A b^2 + B b + C <= 0 with
-    A = K^2 e^2, B = 2 K^2 A0 e + d and C = K^2 A0^2 + Im f^2 - s d.
-    A >= 0 makes the feasible b a single interval; at xi = 1/2 (A = 0) the
-    condition is linear in b.  Rows with no feasible b come back with
-    lo > hi.
-    """
-    xi = cs.xi
-    k = (1.0 - 2.0 * cs.q) / (2.0 * math.sqrt(xi * (1.0 - xi)))
-    e = 2.0 * xi - 1.0
-    d = 1.0 - s - c
-    a0 = (1.0 - xi) * (s + c) + xi * d
-    qa = k * k * e * e
-    qb = 2.0 * k * k * a0 * e + d
-    qc = k * k * a0 * a0 + im * im - s * d
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if qa == 0.0:
-            lo = np.full_like(qc, -np.inf)
-            hi = np.where(qb > 0.0, -qc / qb, np.where(qc <= 0.0, np.inf, -np.inf))
-        else:
-            disc = qb * qb - 4.0 * qa * qc
-            # cancellation-free roots; qb >= 0 since xi >= 1/2
-            qq = -0.5 * (qb + np.sqrt(np.maximum(disc, 0.0)))
-            r1, r2 = qq / qa, np.where(qq < 0.0, qc / qq, 0.0)
-            lo = np.where(disc >= 0.0, np.minimum(r1, r2), np.inf)
-            hi = np.where(disc >= 0.0, np.maximum(r1, r2), -np.inf)
-    return np.maximum(lo, 0.0), np.minimum(hi, s)
-
-
-def grid_oracle(cfg: ProtocolConfig, constraints: ConstraintSet, resolution: int):
-    """Exhaustive chi-bar lower bound on a feasibility-filtered grid.
-
-    Deterministic; ``resolution`` points per free dimension (>= 20).  The
-    s, c and Im f axes are uniform; the Im f axis spans [0, sqrt(max a d)]
-    only, since chi-bar is even in Im f.  Because Re f is pinned by Q the
-    feasible states form a thin sliver near |Re f| = sqrt(a d), which a
-    uniform b axis misses; instead the b points are spread across the
-    feasible b-interval of each (s, c, Im f), solved in closed form by
-    ``_b_interval``.  Returns (chi_max, argmax).
-    """
-    if resolution < 20:
-        raise ValueError("grid oracle needs at least 20 points per free dimension")
-    lo, hi = constraints.s_bounds()
-    s_axis = np.linspace(lo, hi, resolution) if hi - lo > 1e-12 else np.array([lo])
-    t = np.linspace(0.0, 1.0, resolution)
-    best_chi = -math.inf
-    best = None
-    for s in s_axis:
-        c_axis = np.linspace(0.0, 1.0 - s, resolution)
-        im_cap = math.sqrt(max(s * (1.0 - s), 0.0))
-        im_axis = np.linspace(0.0, im_cap, resolution)
-        cc, ii = (g.ravel() for g in np.meshgrid(c_axis, im_axis, indexing="ij"))
-        b_lo, b_hi = _b_interval(s, cc, ii, constraints)
-        rows = b_lo <= b_hi
-        if not rows.any():
-            continue
-        bb = (b_lo[rows, None] + (b_hi - b_lo)[rows, None] * t).ravel()
-        cc = np.repeat(cc[rows], resolution)
-        ii = np.repeat(ii[rows], resolution)
-        aa = s - bb
-        dd = (1.0 - s) - cc
-        re = re_f_from_Q(aa, bb, cc, dd, constraints.q, constraints.xi)
-        feas = re * re + ii * ii <= aa * dd + PSD_TOL
-        if not feas.any():
-            continue
-        f = re[feas] + 1j * ii[feas]
-        chi = _chi_bar_batch(cfg, aa[feas], bb[feas], cc[feas], dd[feas], f)
-        k = int(np.argmax(chi))
-        if chi[k] > best_chi:
-            best_chi = float(chi[k])
-            best = (float(aa[feas][k]), float(bb[feas][k]), float(cc[feas][k]),
-                    float(dd[feas][k]), complex(f[k]))
-    if best is None:
-        raise InfeasibleError("grid oracle found no feasible point")
-    a, b, c, d, f = best
-    return best_chi, SymmetricState(a=a, b=b, c=c, d=d, f=f)

@@ -14,21 +14,24 @@ import math
 import os
 import sys
 
-from .attack import DEFAULT_SEED, InfeasibleError
+from .attack import InfeasibleError
 from .channel import default_params, load_params
 from .engine import compare_variants, cutoff_distance, distance_scan, format_csv, qubit_point, qubit_scan
 from .protocol import Variant, make_config
 from .squash import monte_carlo_check
 
 VARIANT_CHOICES = [v.value for v in Variant]
+DEFAULT_SEED = 11
 
 
 def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--out", metavar="FILE", help="write CSV here instead of stdout")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                        help="optimizer / sampling seed (default %(default)s)")
+                        help="sampling seed of squash-validate; the rate commands are "
+                             "deterministic and ignore it (default %(default)s)")
     parser.add_argument("--threads", type=int, default=0,
-                        help="worker processes for scans; 0 = all cores (default)")
+                        help="worker processes for distance-scan and compare; 0 = all "
+                             "cores (default); qubit-rate and qubit-scan run serially")
 
 
 def _threads(args) -> int:
@@ -145,21 +148,21 @@ def main(argv=None) -> int:
     try:
         if args.command == "qubit-rate":
             cfg = make_config(args.kappa, args.variant)
-            point = qubit_point(cfg, args.qber, seed=args.seed)
+            point = qubit_point(cfg, args.qber)
             _emit(format_csv([point]), args.out)
         elif args.command == "qubit-scan":
             cfgs = [make_config(k, args.variant) for k in _parse_kappas(args.kappas)]
             qs = _qber_grid(args.qber_start, args.qber_stop, args.qber_step)
-            _emit(format_csv(qubit_scan(cfgs, qs, seed=args.seed)), args.out)
+            _emit(format_csv(qubit_scan(cfgs, qs)), args.out)
         elif args.command == "distance-scan":
             cfg = make_config(args.kappa, args.variant)
             points = distance_scan(cfg, _params(args), _distances(args),
-                                   threads=_threads(args), seed=args.seed)
+                                   threads=_threads(args))
             _emit(format_csv(points), args.out)
             _print_cutoffs(points)
         elif args.command == "compare":
             points = compare_variants(args.kappa, _params(args), _distances(args),
-                                      threads=_threads(args), seed=args.seed)
+                                      threads=_threads(args))
             _emit(format_csv(points), args.out)
             _print_cutoffs(points)
         elif args.command == "squash-validate":

@@ -19,7 +19,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .attack import DEFAULT_SEED, OptimResult, maximize_holevo_realistic, qubit_keyrate_raw
+from .attack import OptimResult, maximize_holevo_realistic, qubit_keyrate_raw
 from .channel import ChannelParams, honest_statistics
 from .protocol import ProtocolConfig, Variant, make_config
 from .qmath import binary_entropy
@@ -80,7 +80,7 @@ def _raw_rate(stats, chi: float, f_ec: float) -> float:
     return 0.5 * (pa - ec)
 
 
-def _chi_s_max(cfg: ProtocolConfig, stats, seed: int) -> float:
+def _chi_s_max(cfg: ProtocolConfig, stats) -> float:
     """Maximal single-photon Holevo quantity for the observed statistics.
 
     Far past the cutoff eta_sys underflows and q_single rounds to 1/2,
@@ -90,7 +90,7 @@ def _chi_s_max(cfg: ProtocolConfig, stats, seed: int) -> float:
     """
     if stats.q_single >= 0.5:
         return 1.0
-    return maximize_holevo_realistic(cfg, stats.q_single, stats.p_lost, seed=seed).chi_max
+    return maximize_holevo_realistic(cfg, stats.q_single, stats.p_lost).chi_max
 
 
 def _point(cfg: ProtocolConfig, params: ChannelParams, stats, chi: float) -> KeyRatePoint:
@@ -110,15 +110,14 @@ def _point(cfg: ProtocolConfig, params: ChannelParams, stats, chi: float) -> Key
 
 
 def realistic_keyrate(cfg: ProtocolConfig, params: ChannelParams, *,
-                      chi_result: OptimResult | None = None,
-                      seed: int = DEFAULT_SEED) -> KeyRatePoint:
+                      chi_result: OptimResult | None = None) -> KeyRatePoint:
     """Tagged key rate per emitted signal for the given channel parameters.
 
     The Holevo maximization depends only on (q_single, p_lost, kappa); a
     precomputed ``chi_result`` can be passed to reuse it across mu values.
     """
     stats = honest_statistics(cfg, params)
-    chi = chi_result.chi_max if chi_result is not None else _chi_s_max(cfg, stats, seed)
+    chi = chi_result.chi_max if chi_result is not None else _chi_s_max(cfg, stats)
     return _point(cfg, params, stats, chi)
 
 
@@ -140,7 +139,7 @@ def _golden_max(fn, lo: float, hi: float, xtol: float):
 
 
 def optimize_mu(cfg: ProtocolConfig, params: ChannelParams,
-                mu_range=(1e-4, 2.0), *, seed: int = DEFAULT_SEED):
+                mu_range=(1e-4, 2.0)):
     """Golden-section maximization of the realistic rate over mu.
 
     q_single and p_lost do not depend on mu, so the Holevo maximization runs
@@ -150,7 +149,7 @@ def optimize_mu(cfg: ProtocolConfig, params: ChannelParams,
     lo, hi = mu_range
     if not 0.0 < lo < hi <= 2.0:
         raise ValueError(f"mu_range must satisfy 0 < lo < hi <= 2, got {mu_range!r}")
-    chi = _chi_s_max(cfg, honest_statistics(cfg, params), seed)
+    chi = _chi_s_max(cfg, honest_statistics(cfg, params))
 
     def raw_of(mu: float) -> float:
         return _raw_rate(honest_statistics(cfg, params.with_(mu=mu)), chi, params.f_ec)
@@ -162,12 +161,12 @@ def optimize_mu(cfg: ProtocolConfig, params: ChannelParams,
 
 
 def _scan_point(args):
-    cfg, params, distance, seed = args
-    _, point = optimize_mu(cfg, params.with_(distance_km=distance), seed=seed)
+    cfg, params, distance = args
+    _, point = optimize_mu(cfg, params.with_(distance_km=distance))
     return point
 
 
-def _scan(cfgs, params: ChannelParams, distances, threads: int, seed: int):
+def _scan(cfgs, params: ChannelParams, distances, threads: int):
     """Mu-optimized points for every (config, distance) pair, row-major in cfgs.
 
     Runs serially for ``threads <= 1`` and otherwise through one process
@@ -176,7 +175,7 @@ def _scan(cfgs, params: ChannelParams, distances, threads: int, seed: int):
     distances = list(distances)
     if not distances:
         raise ValueError("distance list is empty")
-    jobs = [(cfg, params, d, seed) for cfg in cfgs for d in distances]
+    jobs = [(cfg, params, d) for cfg in cfgs for d in distances]
     if threads > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(_scan_point, jobs))
@@ -184,9 +183,9 @@ def _scan(cfgs, params: ChannelParams, distances, threads: int, seed: int):
 
 
 def distance_scan(cfg: ProtocolConfig, params: ChannelParams, distances, *,
-                  threads: int = 1, seed: int = DEFAULT_SEED):
+                  threads: int = 1):
     """Mu-optimized key-rate points, one per distance, in input order."""
-    return _scan([cfg], params, distances, threads, seed)
+    return _scan([cfg], params, distances, threads)
 
 
 def cutoff_distance(points):
@@ -197,9 +196,9 @@ def cutoff_distance(points):
     return None
 
 
-def qubit_point(cfg: ProtocolConfig, q: float, *, seed: int = DEFAULT_SEED) -> KeyRatePoint:
+def qubit_point(cfg: ProtocolConfig, q: float) -> KeyRatePoint:
     """Qubit-level rate record; distance and mu do not apply."""
-    raw, chi = qubit_keyrate_raw(cfg, q, seed=seed)
+    raw, chi = qubit_keyrate_raw(cfg, q)
     return KeyRatePoint(
         variant=cfg.variant.value,
         kappa=cfg.kappa,
@@ -214,12 +213,12 @@ def qubit_point(cfg: ProtocolConfig, q: float, *, seed: int = DEFAULT_SEED) -> K
     )
 
 
-def qubit_scan(cfgs, q_list, *, seed: int = DEFAULT_SEED):
+def qubit_scan(cfgs, q_list):
     """Qubit rates for every (config, error rate) pair, row-major in cfgs."""
-    return [qubit_point(cfg, q, seed=seed) for cfg in cfgs for q in q_list]
+    return [qubit_point(cfg, q) for cfg in cfgs for q in q_list]
 
 
 def compare_variants(kappa: float, params: ChannelParams, distances, *,
-                     threads: int = 1, seed: int = DEFAULT_SEED):
+                     threads: int = 1):
     """Distance scans of all four variants at one kappa, concatenated."""
-    return _scan([make_config(kappa, v) for v in Variant], params, distances, threads, seed)
+    return _scan([make_config(kappa, v) for v in Variant], params, distances, threads)

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from conftest import announcement_filters, random_density, signal_kept_weight
-from ubb84.attack import constraint_set_qubit, grid_oracle, maximize_holevo_qubit, qubit_keyrate_raw
+from reference import grid_oracle
+from ubb84.attack import constraint_set_qubit, maximize_holevo_qubit, qubit_keyrate_raw
 from ubb84.channel import default_params
 from ubb84.engine import compare_variants, distance_scan, qubit_point
 from ubb84.protocol import (

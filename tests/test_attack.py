@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from conftest import random_density, signal_kept_weight
+from reference import grid_oracle
 from ubb84.attack import (
     InfeasibleError,
     chi_bar_of_params,
     constraint_set_qubit,
     constraint_set_realistic,
-    grid_oracle,
     maximize_holevo_qubit,
     maximize_holevo_realistic,
     qubit_keyrate,
@@ -108,6 +108,22 @@ class TestQubitOptimizer:
         if re * re <= a * d:
             assert result.chi_max >= chi_bar_of_params(cfg, a, b, c, d, re) - 1e-9
 
+    def test_feasible_set_shrunk_to_a_point(self):
+        # as Q -> 0 the feasible set shrinks to the honest state; rounding
+        # must not empty it
+        cases = [(make_config(k, Variant.PBS), q, None) for k in (1e-6, 0.2) for q in (0.0, 1e-12)]
+        cases += [(make_config(1e-3), 1e-12, None), (make_config(1e-3), 1e-12, 1e-13),
+                  (make_config(0.5), 1e-10, None)]
+        for cfg, q, p_lost in cases:
+            if p_lost is None:
+                cs, result = constraint_set_qubit(cfg, q), maximize_holevo_qubit(cfg, q)
+            else:
+                cs = constraint_set_realistic(cfg, q, p_lost)
+                result = maximize_holevo_realistic(cfg, q, p_lost)
+            s = result.argmax
+            assert cs.is_feasible(s.a, s.b, s.c, s.d, s.f, tol=1e-8), (cfg, q)
+            assert -1e-9 <= result.chi_max <= 1e-6, (cfg, q)
+
     def test_validates_inputs(self):
         with pytest.raises(ValueError):
             maximize_holevo_qubit(make_config(1.0), 0.5)
@@ -139,6 +155,12 @@ class TestRealisticOptimizer:
         cs = constraint_set_realistic(cfg, 0.03, 0.7)
         s = maximize_holevo_realistic(cfg, 0.03, 0.7).argmax
         assert cs.is_feasible(s.a, s.b, s.c, s.d, s.f, tol=1e-8)
+
+    def test_pbs_reaches_a_known_feasible_state(self):
+        # a feasible state with chi-bar 0.36798170 exists; Nelder-Mead
+        # stopped at 0.3679734
+        result = maximize_holevo_realistic(make_config(0.2, Variant.PBS), 0.03304, 0.961)
+        assert result.chi_max >= 0.3679816975 - 1e-9
 
     def test_grid_oracle_agreement(self):
         cfg = make_config(0.5)
@@ -189,6 +211,27 @@ class TestExactBranch:
                 assert maximize_holevo_qubit(cfg, q).chi_max <= binary_entropy(q) + 1e-9
 
 
+class TestOracleSweep:
+    # small kappa and low Q, where Nelder-Mead underestimated chi_max
+    QS = (0.001, 0.01, 0.05, 0.2)
+
+    @pytest.mark.parametrize("p_lost", [None, 0.1, 0.9])
+    @pytest.mark.parametrize("kappa", [1e-8, 1e-6, 1e-4, 1e-3, 2e-3, 0.3])
+    @pytest.mark.parametrize("variant", [Variant.UNBALANCED, Variant.PBS])
+    def test_reaches_grid_oracle(self, variant, kappa, p_lost):
+        cfg = make_config(kappa, variant)
+        for q in self.QS:
+            if p_lost is None:
+                cs, result = constraint_set_qubit(cfg, q), maximize_holevo_qubit(cfg, q)
+            else:
+                cs = constraint_set_realistic(cfg, q, p_lost)
+                result = maximize_holevo_realistic(cfg, q, p_lost)
+            chi_grid, _ = grid_oracle(cfg, cs, 20)
+            assert result.chi_max >= chi_grid - 1e-6, q
+            s = result.argmax
+            assert cs.is_feasible(s.a, s.b, s.c, s.d, s.f, tol=1e-8), q
+
+
 class TestGridOracle:
     def test_balanced_anchor(self):
         cfg = make_config(1.0)
@@ -217,6 +260,15 @@ class TestGridOracle:
         assert product_chi == pytest.approx(binary_entropy(xi), abs=1e-12)
         chi_skew, _ = grid_oracle(cfg, constraint_set_qubit(cfg, 0.4999999), 25)
         assert chi_skew >= product_chi - 1e-9
+
+    def test_single_feasible_point_at_zero_error(self):
+        # at Q = 0 the qubit feasible set is the honest state alone
+        cfg = make_config(0.02)
+        cs = constraint_set_qubit(cfg, 0.0)
+        chi, arg = grid_oracle(cfg, cs, 40)
+        assert abs(chi) <= 1e-6
+        assert cs.is_feasible(arg.a, arg.b, arg.c, arg.d, arg.f, tol=1e-8)
+        assert arg.a == pytest.approx(cfg.xi, abs=1e-9)
 
     def test_rejects_low_resolution(self):
         cfg = make_config(1.0)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from ubb84.channel import default_params
 from ubb84.cli import VARIANT_CHOICES, main
 from ubb84.engine import CSV_HEADER, compare_variants, cutoff_distance, format_csv
+from ubb84.qmath import binary_entropy
 
 
 def run_cli(capsys, *argv):
@@ -44,6 +45,14 @@ class TestQubitCommands:
         lines = out_file.read_text().strip().splitlines()
         assert lines[0] == ",".join(CSV_HEADER)
         assert len(lines) == 1 + 2 * 3
+
+    def test_small_kappa_is_not_underestimated(self, capsys):
+        # Nelder-Mead reported chi_s_max 0.00184 and rate 0.917 here
+        code, out, _ = run_cli(capsys, "qubit-rate", "--kappa", "1e-3", "--qber", "0.01")
+        assert code == 0
+        row = dict(zip(CSV_HEADER, out.splitlines()[1].split(",")))
+        assert float(row["chi_s_max"]) >= 0.0618
+        assert float(row["rate"]) <= 1.0 - binary_entropy(0.01) - 0.0618
 
     def test_invalid_kappa_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "qubit-rate", "--kappa", "0.0", "--qber", "0.05")
@@ -202,3 +211,13 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == ",".join(CSV_HEADER)
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy.optimize alone took over half of the CLI's start-up time
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, ubb84.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
