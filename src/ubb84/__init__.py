@@ -20,7 +20,7 @@ from .engine import (
     realistic_keyrate,
 )
 from .protocol import ProtocolConfig, Variant, make_config
-from .sifting import SymmetricState, overall_holevo, symmetrize
+from .sifting import SymmetricState
 from .squash import ClickPattern, EffectiveOutcome, classify, squash_distribution, squash_sample
 
 __version__ = "0.1.0"
@@ -49,11 +49,9 @@ __all__ = [
     "maximize_holevo_qubit",
     "maximize_holevo_realistic",
     "optimize_mu",
-    "overall_holevo",
     "qubit_keyrate",
     "qubit_scan",
     "realistic_keyrate",
     "squash_distribution",
     "squash_sample",
-    "symmetrize",
 ]

@@ -132,33 +132,18 @@ class ConstraintSet:
         hi = min(1.0, self.xi / kept)
         return lo, hi
 
-    def violation(self, a, b, c, d, f) -> float:
-        """Total constraint violation (0 on the feasible set)."""
-        v = max(0.0, abs(f) ** 2 - a * d)
-        v += sum(max(0.0, -x) for x in (a, b, c, d))
-        v += abs(a + b + c + d - 1.0)
-        lo, hi = self.s_bounds()
-        s = a + b
-        v += max(0.0, lo - s) + max(0.0, s - hi)
-        return v
-
-    def is_feasible(self, a, b, c, d, f, tol=1e-8) -> bool:
-        return self.violation(a, b, c, d, f) <= tol
-
 
 @dataclass(frozen=True)
 class OptimResult:
     """Maximum, maximizer and search effort.
 
     ``iterations`` counts the chi-bar evaluations of the search, 0 on the
-    exact branch.  ``converged`` is True whenever a result is returned:
-    Brent's method always closes its bracket to the tolerance.
+    exact branch.
     """
 
     chi_max: float
     argmax: SymmetricState
     iterations: int
-    converged: bool
 
 
 def constraint_set_qubit(cfg: ProtocolConfig, q: float) -> ConstraintSet:
@@ -185,7 +170,8 @@ def chi_bar_of_params(cfg: ProtocolConfig, a, b, c, d, f) -> float:
     and corner sqrt(w0 w1) f / T, where (w0, w1) come from the receiver
     filter and T normalizes the trace.  All four postselected conditional
     states share one spectrum, so chi-bar = S(sigma) - S(conditional).
-    Agrees with the generic matrix route to machine precision.
+    Agrees with the matrix route (``overall_holevo`` in ``tests/reference.py``)
+    to machine precision.
     """
     w0, w1 = cfg.filter_weights
     f = complex(f)
@@ -438,7 +424,7 @@ def _maximize(cfg: ProtocolConfig, cs: ConstraintSet) -> OptimResult:
             f = complex(re_f_from_Q(a, b, c, d, cs.q, cs.xi), 0.0)
             return OptimResult(chi_max=chi_bar_of_params(cfg, a, b, c, d, f),
                                argmax=SymmetricState(a=a, b=b, c=c, d=d, f=f),
-                               iterations=0, converged=True)
+                               iterations=0)
         lo = hi = min(max(a + b, lo), hi)
     elif hi - lo < 1e-12:
         lo = hi = cs.xi
@@ -458,7 +444,6 @@ def _maximize(cfg: ProtocolConfig, cs: ConstraintSet) -> OptimResult:
         argmax=SymmetricState(a=a / total, b=b / total, c=c / total, d=d / total,
                               f=complex(re / total, 0.0)),
         iterations=search.evals,
-        converged=True,
     )
 
 

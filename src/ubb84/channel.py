@@ -135,15 +135,11 @@ class ApparatusModel:
 
     ``survival`` is the probability that a photon reaches a detector at all
     (outside slots included); ``kept`` the probability that it lands in a
-    kept slot.  ``middle_fraction`` = kept / survival.
+    kept slot.
     """
 
     survival: float
     kept: float
-
-    @property
-    def middle_fraction(self) -> float:
-        return self.kept / self.survival
 
 
 def transmittance(params: ChannelParams) -> float:

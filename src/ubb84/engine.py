@@ -19,7 +19,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .attack import OptimResult, maximize_holevo_realistic, qubit_keyrate_raw
+from .attack import maximize_holevo_realistic, qubit_keyrate_raw
 from .channel import ChannelParams, honest_statistics
 from .protocol import ProtocolConfig, Variant, make_config
 from .qmath import binary_entropy
@@ -109,16 +109,10 @@ def _point(cfg: ProtocolConfig, params: ChannelParams, stats, chi: float) -> Key
     )
 
 
-def realistic_keyrate(cfg: ProtocolConfig, params: ChannelParams, *,
-                      chi_result: OptimResult | None = None) -> KeyRatePoint:
-    """Tagged key rate per emitted signal for the given channel parameters.
-
-    The Holevo maximization depends only on (q_single, p_lost, kappa); a
-    precomputed ``chi_result`` can be passed to reuse it across mu values.
-    """
+def realistic_keyrate(cfg: ProtocolConfig, params: ChannelParams) -> KeyRatePoint:
+    """Tagged key rate per emitted signal for the given channel parameters."""
     stats = honest_statistics(cfg, params)
-    chi = chi_result.chi_max if chi_result is not None else _chi_s_max(cfg, stats)
-    return _point(cfg, params, stats, chi)
+    return _point(cfg, params, stats, _chi_s_max(cfg, stats))
 
 
 def _golden_max(fn, lo: float, hi: float, xtol: float):

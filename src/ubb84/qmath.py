@@ -1,77 +1,15 @@
-"""Minimal complex Hermitian matrix toolkit for 2x2 and 4x4 operators.
+"""Binary entropy, the one entropy the closed-form rates need.
 
-All entropies and logarithms are base 2 (bits) throughout.
+All entropies and logarithms are base 2 (bits) throughout.  The matrix
+toolkit (Hermitian eigenvalues, von Neumann entropy, partial trace) that
+the tests' reference route uses lives in ``tests/reference.py``.
 """
 
 from __future__ import annotations
 
 import math
 
-import numpy as np
-
-__all__ = [
-    "HERMITIAN_ATOL",
-    "MAX_DIM",
-    "binary_entropy",
-    "eig_hermitian",
-    "is_hermitian",
-    "kron",
-    "partial_trace",
-    "von_neumann_entropy",
-]
-
-HERMITIAN_ATOL = 1e-12
-MAX_DIM = 8
-
-# Eigenvalues in [_EIG_CLAMP, 0] are treated as numerical PSD noise and
-# clamped to zero before logarithms; anything below is non-physical.
-_EIG_CLAMP = -1e-8
-
-
-def is_hermitian(m: np.ndarray, atol: float = HERMITIAN_ATOL) -> bool:
-    """True if ``m`` is square and equals its conjugate transpose within atol."""
-    m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        return False
-    return bool(np.allclose(m, m.conj().T, rtol=0.0, atol=atol))
-
-
-def eig_hermitian(m: np.ndarray) -> np.ndarray:
-    """Real eigenvalues of a Hermitian matrix, ascending.
-
-    Rejects non-Hermitian input (entrywise deviation beyond 1e-12) and
-    dimensions above 8.
-    """
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if m.shape[0] > MAX_DIM:
-        raise ValueError(f"dimension {m.shape[0]} exceeds the supported maximum {MAX_DIM}")
-    if not is_hermitian(m):
-        raise ValueError("matrix is not Hermitian within tolerance 1e-12")
-    return np.linalg.eigvalsh(m)
-
-
-def von_neumann_entropy(rho: np.ndarray, scaled: bool = False) -> float:
-    """Von Neumann entropy S(rho) = -sum(lam * log2(lam)) in bits.
-
-    By default ``rho`` must have unit trace.  With ``scaled=True`` the input
-    may have any trace t > 0 and t * S(rho / t) is returned, which is the
-    form needed for probability-weighted conditional entropies.
-    """
-    lam = eig_hermitian(rho)
-    if lam[0] < _EIG_CLAMP:
-        raise ValueError(f"matrix is not PSD: eigenvalue {lam[0]:.3e} below {_EIG_CLAMP}")
-    lam = np.clip(lam, 0.0, None)
-    t = float(lam.sum())
-    if scaled:
-        if t <= 0.0:
-            raise ValueError("scaled entropy requires positive trace")
-    elif abs(t - 1.0) > 1e-8:
-        raise ValueError(f"expected unit trace, got {t!r} (use scaled=True for subnormalized input)")
-    p = lam / t
-    p = p[p > 0.0]
-    return float(t * -(p * np.log2(p)).sum())
+__all__ = ["binary_entropy"]
 
 
 def binary_entropy(p: float) -> float:
@@ -82,28 +20,3 @@ def binary_entropy(p: float) -> float:
     if p == 0.0 or p == 1.0:
         return 0.0
     return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
-
-
-def partial_trace(rho_ab: np.ndarray, keep: str) -> np.ndarray:
-    """Partial trace of a 4x4 operator on a 2 (x) 2 space.
-
-    ``keep`` is "A" or "B"; the basis ordering is {|00>, |01>, |10>, |11>}.
-    """
-    rho_ab = np.asarray(rho_ab, dtype=complex)
-    if rho_ab.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 matrix, got shape {rho_ab.shape}")
-    r = rho_ab.reshape(2, 2, 2, 2)
-    if keep == "A":
-        return np.einsum("abcb->ac", r)
-    if keep == "B":
-        return np.einsum("abad->bd", r)
-    raise ValueError(f"keep must be 'A' or 'B', got {keep!r}")
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product, limited to results of dimension <= 8."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape[0] * b.shape[0] > MAX_DIM:
-        raise ValueError("kron result would exceed the supported dimension 8")
-    return np.kron(a, b)

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ubb84.protocol import alice_povm, bob_povm, source_state
-from ubb84.sifting import sift
+from reference import alice_povm, bob_povm, sift, source_state
 
 
 def random_density(rng: np.random.Generator, dim: int = 4) -> np.ndarray:
@@ -36,7 +35,7 @@ def announcement_filters(cfg):
     """Even and odd filters sqrt(A_x + A_x') (x) sqrt(B_x + B_x'), x' = x + 2.
 
     Built straight from the sender and receiver POVMs, independently of
-    ``protocol.filters``: (0, 2) for the even announcement, (1, 3) for odd.
+    ``reference.filters``: (0, 2) for the even announcement, (1, 3) for odd.
     """
     a, b = alice_povm(cfg), bob_povm(cfg)
     return [np.kron(_psd_sqrt(a.element(x) + a.element(x + 2)),

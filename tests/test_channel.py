@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from reference import middle_fraction
 from ubb84.channel import (
     ChannelParams,
     apparatus_transmittance,
@@ -91,7 +92,7 @@ class TestApparatus:
         model = apparatus_transmittance(cfg)
         xi = cfg.xi
         assert model.survival == pytest.approx(1 / (2 * xi))
-        assert model.middle_fraction == pytest.approx(2 * xi * (1 - xi))
+        assert middle_fraction(model) == pytest.approx(2 * xi * (1 - xi))
 
     def test_unbalanced_beats_fix_loss(self):
         for kappa in (0.1, 0.4, 0.7, 0.99):

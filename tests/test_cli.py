@@ -213,10 +213,12 @@ def test_module_entry_point():
     assert proc.stdout.splitlines()[0] == ",".join(CSV_HEADER)
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # scipy.optimize alone took over half of the CLI's start-up time
+@pytest.mark.parametrize("module", ["scipy", "numpy"])
+def test_cli_import_leaves_module_unloaded(module):
+    # scipy.optimize alone took over half of the CLI's start-up time and
+    # numpy most of the rest; the package runs on the standard library
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, ubb84.cli; print('scipy' in sys.modules)"],
+        [sys.executable, "-c", f"import sys, ubb84.cli; print({module!r} in sys.modules)"],
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr

@@ -4,18 +4,17 @@ import numpy as np
 import pytest
 
 from conftest import random_density
-from ubb84.protocol import (
-    Variant,
+from reference import (
     alice_povm,
     bob_povm,
+    conditional_on_a,
     filters,
-    make_config,
     postselected_povms,
     signal_state,
     source_state,
     symmetry_group,
 )
-from ubb84.sifting import conditional_on_a
+from ubb84.protocol import Variant, make_config
 
 
 class TestConfig:
@@ -214,6 +213,17 @@ class TestFilters:
             for u in group.unitaries:
                 assert np.allclose(pair.f_b @ u - u @ pair.f_b, 0.0, atol=1e-12)
                 assert np.allclose(pair.f_a @ u - u @ pair.f_a, 0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("kappa", [1e-8, 0.3, 0.7, 1.0])
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_closed_form_weights_match_povm(self, variant, kappa):
+        # 2 F_B^2 = 2 (B_0 + B_2) is diagonal; its diagonal is the closed form
+        cfg = make_config(kappa, variant)
+        b = bob_povm(cfg)
+        basis_sum = 2.0 * (b.element(0) + b.element(2))
+        assert np.abs(basis_sum - np.diag(np.diag(basis_sum))).max() <= 1e-15
+        expected = tuple(np.diag(basis_sum).real)
+        assert cfg.filter_weights == pytest.approx(expected, rel=0.0, abs=1e-15)
 
 
 class TestPostselectedPovms:

