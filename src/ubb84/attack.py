@@ -1,15 +1,13 @@
 """Constrained maximization of the eavesdropper's Holevo quantity.
 
 The feasible set is the family of group-symmetric attack states written as
-(a, b, c, d, f).  Two constraint modes exist:
-
-* qubit - the reduced sender state is pinned exactly: a+b = xi, c+d = 1-xi.
-* realistic - only the weaker conservation constraint survives:
-  xi - (1-p_lost)(a+b) >= 0 and (1-xi) - (1-p_lost)(c+d) >= 0, i.e. the lost
-  photons must account for the remainder with a valid density matrix.
-
-In both modes Re[f] is eliminated by the observed error rate and the corner
-block must stay PSD (|f|^2 <= a d).
+(a, b, c, d, f) under one reduced-state constraint.  With a fraction
+p_lost of the single photons lost, xi - (1-p_lost)(a+b) >= 0 and
+(1-xi) - (1-p_lost)(c+d) >= 0: the lost photons must account for the
+remainder with a valid density matrix.  The qubit-level bound is the case
+p_lost = 0, where the constraint pins a+b = xi, c+d = 1-xi.  Re[f] is
+eliminated by the observed error rate and the corner block must stay PSD
+(|f|^2 <= a d).
 
 Where the exact branch below applies, the maximum is returned in closed
 form and no search runs.  Everywhere else the search works in the sifted
@@ -21,19 +19,18 @@ phi affine too.  So each s-slice is a convex set in the (alpha, delta)
 plane: at fixed alpha the linear constraints bound delta and
 phi^2 <= alpha delta is a quadratic in delta, which gives the feasible
 delta-interval in closed form.  Two nested 1-D searches maximize over
-delta and then over alpha.  s is pinned at xi in qubit mode, and in
-realistic mode, for the variants with w0 xi = w1 (1-xi), at the s-bound
-that the symmetric point violates (see "Exact branch").  Only PBS at
-kappa < 1 in realistic mode adds an outer search over the feasible
-s-range.  There the best value g(s) of a slice is unimodal: the slices are
-sections of the convex feasible set by the hyperplanes
-(1-s)(a+b) = s(c+d), so the segment between maximizers at s1 < s3 crosses
-every slice in between, and concavity keeps chi-bar on it above
-min(g(s1), g(s3)).  Each 1-D search is Brent's method (parabolic steps,
-golden-section fallback) that tries both ends of its range first, because
-maxima sit on or next to a boundary of the feasible set.  Every
-evaluation is a call of ``chi_bar_of_params`` at a feasible point, and the
-best point evaluated is the result.
+delta and then over alpha.  For the variants with w0 xi = w1 (1-xi), s is
+pinned at the s-bound that the symmetric point violates (see "Exact
+branch").  Only PBS at kappa < 1 adds an outer search over the feasible
+s-range, which is the single point xi at p_lost = 0.  There the best value
+g(s) of a slice is unimodal: the slices are sections of the convex
+feasible set by the hyperplanes (1-s)(a+b) = s(c+d), so the segment
+between maximizers at s1 < s3 crosses every slice in between, and
+concavity keeps chi-bar on it above min(g(s1), g(s3)).  Each 1-D search is
+Brent's method (parabolic steps, golden-section fallback) that tries both
+ends of its range first, because maxima sit on or next to a boundary of
+the feasible set.  Every evaluation is a call of ``chi_bar_of_params`` at
+a feasible point, and the best point evaluated is the result.
 
 The tests hold the search to an independent lower bound, the grid oracle
 in ``tests/reference.py``, which evaluates chi-bar through explicit sifted
@@ -74,9 +71,9 @@ alpha = 1/2 - Q(1-Q) >= 1/2 - Q = phi.  The reduced-state constraint only
 bounds s = a+b, so if s lies within ``ConstraintSet.s_bounds`` (1e-12
 slack) the point is the maximum over the full feasible set, and
 ``_maximize`` returns it with ``iterations=0``.  Otherwise the search
-runs: in qubit mode at kappa < 1 with Q > 0 (there
-s = xi + 2 Q(1-Q)(1 - 2 xi) misses the pinned s = xi), in realistic mode
-when an s-bound binds (low loss), and for PBS at kappa < 1.  For the
+runs: at p_lost = 0 and kappa < 1 with Q > 0 (there
+s = xi + 2 Q(1-Q)(1 - 2 xi) misses the pinned s = xi), at higher loss
+when an s-bound binds, and for PBS at kappa < 1.  For the
 first two, concavity puts the true maximum on the violated s-bound, where
 the search pins s, and it is at most h(Q).
 """
@@ -96,8 +93,7 @@ __all__ = [
     "InfeasibleError",
     "OptimResult",
     "chi_bar_of_params",
-    "constraint_set_qubit",
-    "constraint_set_realistic",
+    "constraint_set",
     "maximize_holevo_qubit",
     "maximize_holevo_realistic",
     "qubit_keyrate",
@@ -116,21 +112,19 @@ class InfeasibleError(ValueError):
 class ConstraintSet:
     """Feasible-region description for the attack optimization."""
 
-    mode: str  # "qubit" | "realistic"
     xi: float
     q: float
     p_lost: float = 0.0
 
     def s_bounds(self):
-        """Allowed range of s = a+b implied by the reduced-state constraint."""
-        if self.mode == "qubit":
-            return self.xi, self.xi
+        """Allowed range of s = a+b implied by the reduced-state constraint.
+
+        Written so that p_lost = 0 gives exactly (xi, xi).
+        """
         kept = 1.0 - self.p_lost
         if kept <= 1e-15:
             return 0.0, 1.0
-        lo = max(0.0, 1.0 - (1.0 - self.xi) / kept)
-        hi = min(1.0, self.xi / kept)
-        return lo, hi
+        return max(0.0, (self.xi - self.p_lost) / kept), min(1.0, self.xi / kept)
 
 
 @dataclass(frozen=True)
@@ -146,17 +140,13 @@ class OptimResult:
     iterations: int
 
 
-def constraint_set_qubit(cfg: ProtocolConfig, q: float) -> ConstraintSet:
-    if not 0.0 <= q < 0.5:
-        raise ValueError(f"error rate must be in [0, 0.5), got {q!r}")
-    return ConstraintSet(mode="qubit", xi=cfg.xi_effective, q=float(q))
-
-def constraint_set_realistic(cfg: ProtocolConfig, q: float, p_lost: float) -> ConstraintSet:
+def constraint_set(cfg: ProtocolConfig, q: float, p_lost: float = 0.0) -> ConstraintSet:
+    """Validated constraints for error rate q and single-photon loss p_lost."""
     if not 0.0 <= q < 0.5:
         raise ValueError(f"error rate must be in [0, 0.5), got {q!r}")
     if not 0.0 <= p_lost < 1.0 + 1e-12:
         raise ValueError(f"p_lost must be in [0, 1), got {p_lost!r}")
-    return ConstraintSet(mode="realistic", xi=cfg.xi_effective, q=float(q), p_lost=float(p_lost))
+    return ConstraintSet(xi=cfg.xi_effective, q=float(q), p_lost=float(p_lost))
 
 
 def _h_term(x: float) -> float:
@@ -426,8 +416,6 @@ def _maximize(cfg: ProtocolConfig, cs: ConstraintSet) -> OptimResult:
                                argmax=SymmetricState(a=a, b=b, c=c, d=d, f=f),
                                iterations=0)
         lo = hi = min(max(a + b, lo), hi)
-    elif hi - lo < 1e-12:
-        lo = hi = cs.xi
     else:
         lo, hi = _feasible_s(cfg, cs, lo, hi)
     search = _Search(cfg, cs)
@@ -435,7 +423,7 @@ def _maximize(cfg: ProtocolConfig, cs: ConstraintSet) -> OptimResult:
     _brent_max(search.slice_max, lo, hi, 1e-6)
     if search.state is None:
         raise InfeasibleError(
-            f"no feasible attack state found (mode={cs.mode}, q={cs.q}, p_lost={cs.p_lost})"
+            f"no feasible attack state found (q={cs.q}, p_lost={cs.p_lost})"
         )
     a, b, c, d, re = search.state
     total = a + b + c + d
@@ -451,14 +439,14 @@ def maximize_holevo_qubit(cfg: ProtocolConfig, q: float) -> OptimResult:
     """Maximal chi-bar under the exact reduced-state constraint.
 
     Maximizes over symmetric states with a+b = xi, c+d = 1-xi, Re f fixed by
-    the error rate and Im f free.
+    the error rate and Im f free: the loss-relaxed bound at p_lost = 0.
     """
-    return _maximize(cfg, constraint_set_qubit(cfg, q))
+    return _maximize(cfg, constraint_set(cfg, q))
 
 
 def maximize_holevo_realistic(cfg: ProtocolConfig, q: float, p_lost: float) -> OptimResult:
     """Maximal chi-bar under the loss-relaxed reduced-state constraint."""
-    return _maximize(cfg, constraint_set_realistic(cfg, q, p_lost))
+    return _maximize(cfg, constraint_set(cfg, q, p_lost))
 
 
 def qubit_keyrate_raw(cfg: ProtocolConfig, q: float):

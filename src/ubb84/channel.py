@@ -32,7 +32,6 @@ __all__ = [
     "honest_statistics",
     "load_params",
     "parse_params",
-    "photon_number_split",
     "transmittance",
 ]
 
@@ -118,11 +117,9 @@ def load_params(path) -> ChannelParams:
 
 @dataclass(frozen=True)
 class ObservedStats:
-    """Per-signal click and error statistics split by emitted photon number."""
+    """Per-signal click and error statistics; p_click_s is the single-photon share."""
 
-    p_click_v: float
     p_click_s: float
-    p_click_m: float
     p_click_total: float
     q_tot: float
     q_single: float
@@ -145,15 +142,6 @@ class ApparatusModel:
 def transmittance(params: ChannelParams) -> float:
     """Fiber transmission 10^(-alpha L / 10)."""
     return 10.0 ** (-params.alpha_db_per_km * params.distance_km / 10.0)
-
-
-def photon_number_split(mu: float):
-    """Poisson split (vacuum, single, multi) of the source emission."""
-    if mu <= 0.0:
-        raise ValueError(f"mu must be positive, got {mu!r}")
-    p_v = math.exp(-mu)
-    p_s = mu * math.exp(-mu)
-    return p_v, p_s, 1.0 - p_v - p_s
 
 
 def apparatus_transmittance(cfg: ProtocolConfig) -> ApparatusModel:
@@ -193,13 +181,10 @@ def honest_statistics(cfg: ProtocolConfig, params: ChannelParams) -> ObservedSta
     e_d = params.e_d
     mu = params.mu
 
-    p_v, p_s, p_m = photon_number_split(mu)
     no_photon = math.exp(-mu * eta_sys)  # sum_n poisson(n) (1-eta)^n
     p_click_total = (1.0 - no_photon) + 2.0 * y0 * no_photon
     d_1 = eta_sys + 2.0 * y0 * (1.0 - eta_sys)
-    p_click_v = p_v * 2.0 * y0
-    p_click_s = p_s * d_1
-    p_click_m = p_click_total - p_click_v - p_click_s
+    p_click_s = mu * math.exp(-mu) * d_1
 
     err_total = e_d * (1.0 - no_photon) + y0 * no_photon
     q_tot = err_total / p_click_total if p_click_total > 0.0 else 0.5
@@ -207,9 +192,7 @@ def honest_statistics(cfg: ProtocolConfig, params: ChannelParams) -> ObservedSta
 
     p_lost = 1.0 - eta_ch * params.eta_det * apparatus.survival
     return ObservedStats(
-        p_click_v=p_click_v,
         p_click_s=p_click_s,
-        p_click_m=p_click_m,
         p_click_total=p_click_total,
         q_tot=q_tot,
         q_single=q_single,

@@ -22,13 +22,12 @@ from .squash import monte_carlo_check
 
 VARIANT_CHOICES = [v.value for v in Variant]
 DEFAULT_SEED = 11
+# longest accepted scan axis; a longer one is most likely a mistyped step
+MAX_GRID_POINTS = 100_000
 
 
 def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--out", metavar="FILE", help="write CSV here instead of stdout")
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                        help="sampling seed of squash-validate; the rate commands are "
-                             "deterministic and ignore it (default %(default)s)")
     parser.add_argument("--threads", type=int, default=0,
                         help="worker processes for distance-scan and compare; 0 = all "
                              "cores (default); qubit-rate and qubit-scan run serially")
@@ -66,35 +65,16 @@ def _parse_kappas(raw: str):
     return values
 
 
-def _qber_grid(start: float, stop: float, step: float):
+def _grid(start: float, stop: float, step: float, names: str):
+    """start, start + step, ... up to stop, each point computed from its index."""
     if not all(map(math.isfinite, (start, stop, step))):
-        raise ValueError("--qber-start, --qber-stop and --qber-step must be finite")
-    if step <= 0:
-        raise ValueError("--qber-step must be positive")
-    values = []
-    q = start
-    while q <= stop + 1e-12:
-        values.append(round(q, 12))
-        q += step
-    return values
-
-
-def _distances(args):
-    if not all(map(math.isfinite, (args.lmin, args.lmax, args.lstep))):
-        raise ValueError("--lmin, --lmax and --lstep must be finite")
-    if args.lstep <= 0 or args.lmax < args.lmin:
-        raise ValueError("need --lstep > 0 and --lmax >= --lmin")
-    out = []
-    d = args.lmin
-    while d <= args.lmax + 1e-9:
-        out.append(round(d, 9))
-        d += args.lstep
-    return out
-
-
-def _params(args):
-    params = load_params(args.preset) if args.preset else default_params()
-    return params
+        raise ValueError(f"{names} must be finite")
+    if step <= 0 or stop < start:
+        raise ValueError(f"{names}: need step > 0 and stop >= start")
+    intervals = (stop - start) / step + 1e-9
+    if intervals >= MAX_GRID_POINTS:
+        raise ValueError(f"{names} give more than {MAX_GRID_POINTS} grid points")
+    return [round(start + i * step, 12) for i in range(int(intervals) + 1)]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -138,6 +118,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("squash-validate", help="Monte-Carlo check of the click post-processing")
     p.add_argument("--trials", type=int, default=100_000)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                   help="sampling seed (default %(default)s)")
     _add_common(p)
 
     return parser
@@ -152,17 +134,17 @@ def main(argv=None) -> int:
             _emit(format_csv([point]), args.out)
         elif args.command == "qubit-scan":
             cfgs = [make_config(k, args.variant) for k in _parse_kappas(args.kappas)]
-            qs = _qber_grid(args.qber_start, args.qber_stop, args.qber_step)
+            qs = _grid(args.qber_start, args.qber_stop, args.qber_step,
+                       "--qber-start, --qber-stop and --qber-step")
             _emit(format_csv(qubit_scan(cfgs, qs)), args.out)
-        elif args.command == "distance-scan":
-            cfg = make_config(args.kappa, args.variant)
-            points = distance_scan(cfg, _params(args), _distances(args),
-                                   threads=_threads(args))
-            _emit(format_csv(points), args.out)
-            _print_cutoffs(points)
-        elif args.command == "compare":
-            points = compare_variants(args.kappa, _params(args), _distances(args),
-                                      threads=_threads(args))
+        elif args.command in ("distance-scan", "compare"):
+            params = load_params(args.preset) if args.preset else default_params()
+            distances = _grid(args.lmin, args.lmax, args.lstep, "--lmin, --lmax and --lstep")
+            if args.command == "distance-scan":
+                points = distance_scan(make_config(args.kappa, args.variant), params,
+                                       distances, threads=_threads(args))
+            else:
+                points = compare_variants(args.kappa, params, distances, threads=_threads(args))
             _emit(format_csv(points), args.out)
             _print_cutoffs(points)
         elif args.command == "squash-validate":

@@ -132,22 +132,20 @@ def _golden_max(fn, lo: float, hi: float, xtol: float):
     return (lo + hi) / 2.0
 
 
-def optimize_mu(cfg: ProtocolConfig, params: ChannelParams,
-                mu_range=(1e-4, 2.0)):
-    """Golden-section maximization of the realistic rate over mu.
+def optimize_mu(cfg: ProtocolConfig, params: ChannelParams):
+    """Golden-section maximization of the realistic rate over mu in [1e-4, 2].
 
     q_single and p_lost do not depend on mu, so the Holevo maximization runs
     once.  Returns (mu_star, KeyRatePoint); if every rate in the bracket is
     negative the best (floored-to-zero) point is reported.
     """
-    lo, hi = mu_range
-    if not 0.0 < lo < hi <= 2.0:
-        raise ValueError(f"mu_range must satisfy 0 < lo < hi <= 2, got {mu_range!r}")
+    lo, hi = 1e-4, 2.0
     chi = _chi_s_max(cfg, honest_statistics(cfg, params))
 
     def raw_of(mu: float) -> float:
         return _raw_rate(honest_statistics(cfg, params.with_(mu=mu)), chi, params.f_ec)
 
+    # not attack._brent_max: rate(mu) dips just above 1e-4, where its end-first rule stops
     mu_star = _golden_max(raw_of, lo, hi, xtol=1e-4)
     best = max((lo, hi, mu_star), key=raw_of)
     best_params = params.with_(mu=best)

@@ -23,7 +23,7 @@ from reference import (
     symmetrize,
     symmetry_group,
 )
-from ubb84.attack import constraint_set_qubit, maximize_holevo_qubit, qubit_keyrate_raw
+from ubb84.attack import constraint_set, maximize_holevo_qubit, qubit_keyrate_raw
 from ubb84.channel import default_params
 from ubb84.engine import compare_variants, distance_scan, qubit_point
 from ubb84.protocol import make_config
@@ -75,7 +75,7 @@ def test_criterion_2_oracle_equivalence():
         cfg = make_config(kappa)
         for q in (0.01, 0.05, 0.10):
             result = maximize_holevo_qubit(cfg, q)
-            chi_grid, _ = grid_oracle(cfg, constraint_set_qubit(cfg, q), 50)
+            chi_grid, _ = grid_oracle(cfg, constraint_set(cfg, q), 50)
             assert result.chi_max >= chi_grid - 1e-6, (kappa, q)
             assert abs(result.chi_max - chi_grid) <= 2e-3, (kappa, q)
     crit.finish()

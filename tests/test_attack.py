@@ -15,8 +15,7 @@ from reference import (
 from ubb84.attack import (
     InfeasibleError,
     chi_bar_of_params,
-    constraint_set_qubit,
-    constraint_set_realistic,
+    constraint_set,
     maximize_holevo_qubit,
     maximize_holevo_realistic,
     qubit_keyrate,
@@ -87,7 +86,7 @@ class TestQubitOptimizer:
     def test_argmax_feasible(self):
         for kappa in (0.3, 1.0):
             cfg = make_config(kappa)
-            cs = constraint_set_qubit(cfg, 0.06)
+            cs = constraint_set(cfg, 0.06)
             s = maximize_holevo_qubit(cfg, 0.06).argmax
             assert is_feasible(cs, s.a, s.b, s.c, s.d, s.f, tol=1e-8)
 
@@ -120,9 +119,9 @@ class TestQubitOptimizer:
                   (make_config(0.5), 1e-10, None)]
         for cfg, q, p_lost in cases:
             if p_lost is None:
-                cs, result = constraint_set_qubit(cfg, q), maximize_holevo_qubit(cfg, q)
+                cs, result = constraint_set(cfg, q), maximize_holevo_qubit(cfg, q)
             else:
-                cs = constraint_set_realistic(cfg, q, p_lost)
+                cs = constraint_set(cfg, q, p_lost)
                 result = maximize_holevo_realistic(cfg, q, p_lost)
             s = result.argmax
             assert is_feasible(cs, s.a, s.b, s.c, s.d, s.f, tol=1e-8), (cfg, q)
@@ -156,7 +155,7 @@ class TestRealisticOptimizer:
 
     def test_argmax_feasible(self):
         cfg = make_config(0.5)
-        cs = constraint_set_realistic(cfg, 0.03, 0.7)
+        cs = constraint_set(cfg, 0.03, 0.7)
         s = maximize_holevo_realistic(cfg, 0.03, 0.7).argmax
         assert is_feasible(cs, s.a, s.b, s.c, s.d, s.f, tol=1e-8)
 
@@ -168,7 +167,7 @@ class TestRealisticOptimizer:
 
     def test_grid_oracle_agreement(self):
         cfg = make_config(0.5)
-        chi_grid, _ = grid_oracle(cfg, constraint_set_realistic(cfg, 0.02, 0.5), 30)
+        chi_grid, _ = grid_oracle(cfg, constraint_set(cfg, 0.02, 0.5), 30)
         gap = maximize_holevo_realistic(cfg, 0.02, 0.5).chi_max - chi_grid
         assert gap >= -1e-6  # optimizer dominates the grid
         assert abs(gap) <= 2e-3
@@ -184,7 +183,7 @@ class TestExactBranch:
         cfg = make_config(kappa, variant)
         for p_lost in (0.9, 0.99):
             for q in (0.01, 0.05, 0.10):
-                cs = constraint_set_realistic(cfg, q, p_lost)
+                cs = constraint_set(cfg, q, p_lost)
                 result = maximize_holevo_realistic(cfg, q, p_lost)
                 assert result.iterations == 0  # no search ran
                 assert abs(result.chi_max - binary_entropy(q)) <= 1e-12
@@ -198,7 +197,7 @@ class TestExactBranch:
         # s-bound of about 0.815, so the search runs and stays below h(Q)
         cfg = make_config(0.2)
         q, p_lost = 0.05, 0.1
-        cs = constraint_set_realistic(cfg, q, p_lost)
+        cs = constraint_set(cfg, q, p_lost)
         assert cs.s_bounds()[0] > 0.8
         result = maximize_holevo_realistic(cfg, q, p_lost)
         assert result.iterations > 0
@@ -226,9 +225,9 @@ class TestOracleSweep:
         cfg = make_config(kappa, variant)
         for q in self.QS:
             if p_lost is None:
-                cs, result = constraint_set_qubit(cfg, q), maximize_holevo_qubit(cfg, q)
+                cs, result = constraint_set(cfg, q), maximize_holevo_qubit(cfg, q)
             else:
-                cs = constraint_set_realistic(cfg, q, p_lost)
+                cs = constraint_set(cfg, q, p_lost)
                 result = maximize_holevo_realistic(cfg, q, p_lost)
             chi_grid, _ = grid_oracle(cfg, cs, 20)
             assert result.chi_max >= chi_grid - 1e-6, q
@@ -239,13 +238,13 @@ class TestOracleSweep:
 class TestGridOracle:
     def test_balanced_anchor(self):
         cfg = make_config(1.0)
-        chi, _ = grid_oracle(cfg, constraint_set_qubit(cfg, 0.05), 50)
+        chi, _ = grid_oracle(cfg, constraint_set(cfg, 0.05), 50)
         assert chi == pytest.approx(binary_entropy(0.05), abs=2e-3)
 
     def test_never_beats_optimizer(self):
         for kappa in (0.3, 0.8):
             cfg = make_config(kappa)
-            cs = constraint_set_qubit(cfg, 0.05)
+            cs = constraint_set(cfg, 0.05)
             chi_grid, arg = grid_oracle(cfg, cs, 25)
             chi_opt = maximize_holevo_qubit(cfg, 0.05).chi_max
             assert chi_grid <= chi_opt + 1e-6
@@ -256,19 +255,19 @@ class TestGridOracle:
         # uncorrelated state; at kappa < 1 that state evaluates to h(xi)
         # and the maximum lies slightly above it
         cfg = make_config(1.0)
-        chi, _ = grid_oracle(cfg, constraint_set_qubit(cfg, 0.4999999), 25)
+        chi, _ = grid_oracle(cfg, constraint_set(cfg, 0.4999999), 25)
         assert chi == pytest.approx(1.0, abs=1e-5)
         cfg = make_config(0.5)
         xi = cfg.xi
         product_chi = chi_bar_of_params(cfg, xi / 2, xi / 2, (1 - xi) / 2, (1 - xi) / 2, 0.0)
         assert product_chi == pytest.approx(binary_entropy(xi), abs=1e-12)
-        chi_skew, _ = grid_oracle(cfg, constraint_set_qubit(cfg, 0.4999999), 25)
+        chi_skew, _ = grid_oracle(cfg, constraint_set(cfg, 0.4999999), 25)
         assert chi_skew >= product_chi - 1e-9
 
     def test_single_feasible_point_at_zero_error(self):
         # at Q = 0 the qubit feasible set is the honest state alone
         cfg = make_config(0.02)
-        cs = constraint_set_qubit(cfg, 0.0)
+        cs = constraint_set(cfg, 0.0)
         chi, arg = grid_oracle(cfg, cs, 40)
         assert abs(chi) <= 1e-6
         assert is_feasible(cs, arg.a, arg.b, arg.c, arg.d, arg.f, tol=1e-8)
@@ -277,7 +276,7 @@ class TestGridOracle:
     def test_rejects_low_resolution(self):
         cfg = make_config(1.0)
         with pytest.raises(ValueError):
-            grid_oracle(cfg, constraint_set_qubit(cfg, 0.05), 10)
+            grid_oracle(cfg, constraint_set(cfg, 0.05), 10)
 
 
 class TestQubitKeyrate:

@@ -9,7 +9,6 @@ from ubb84.channel import (
     default_params,
     honest_statistics,
     parse_params,
-    photon_number_split,
     transmittance,
 )
 from ubb84.protocol import Variant, make_config
@@ -31,13 +30,9 @@ def stats_by_series(cfg, params, n_max=120):
         d_n = a_n + 2.0 * y0 * (1.0 - a_n)
         click += poisson(n) * d_n
         err += poisson(n) * (e_d * a_n + y0 * (1.0 - a_n))
-    p_v = poisson(0) * 2.0 * y0
-    p_s = poisson(1) * (eta + 2.0 * y0 * (1.0 - eta))
     return {
         "p_click_total": click,
-        "p_click_v": p_v,
-        "p_click_s": p_s,
-        "p_click_m": click - p_v - p_s,
+        "p_click_s": poisson(1) * (eta + 2.0 * y0 * (1.0 - eta)),
         "q_tot": err / click,
         "q_single": (e_d * eta + y0) / (eta + 2.0 * y0),
         "p_lost": 1.0 - eta_ch * params.eta_det * apparatus.survival,
@@ -53,23 +48,6 @@ class TestTransmittance:
 
     def test_fifty_km(self):
         assert transmittance(default_params(distance_km=50.0)) == pytest.approx(0.0891, abs=1e-4)
-
-
-class TestPhotonSplit:
-    def test_small_mu_limit(self):
-        p_v, p_s, p_m = photon_number_split(1e-8)
-        assert p_s / 1e-8 == pytest.approx(1.0, abs=1e-6)
-        assert p_m < 1e-15
-
-    def test_mu_tenth(self):
-        assert photon_number_split(0.1) == pytest.approx((0.9048, 0.0905, 0.0047), abs=1e-4)
-
-    def test_mu_half(self):
-        assert photon_number_split(0.5) == pytest.approx((0.6065, 0.3033, 0.0902), abs=1e-4)
-
-    def test_sums_to_one(self):
-        for mu in (0.05, 0.3, 1.5):
-            assert sum(photon_number_split(mu)) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestApparatus:
@@ -126,11 +104,6 @@ class TestHonestStatistics:
                 oracle = stats_by_series(cfg, params)
                 for field, expected in oracle.items():
                     assert getattr(stats, field) == pytest.approx(expected, abs=1e-12), field
-
-    def test_click_probabilities_sum(self):
-        stats = honest_statistics(make_config(0.5), default_params(distance_km=25.0, mu=0.4))
-        total = stats.p_click_v + stats.p_click_s + stats.p_click_m
-        assert total == pytest.approx(stats.p_click_total, abs=1e-12)
 
     def test_qber_bounds_and_distance_monotonicity(self):
         cfg = make_config(0.7)

@@ -141,6 +141,51 @@ class TestRealisticCommands:
         assert code == 2
         assert "must be finite" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (("qubit-scan", "--kappas", "0.5", "--qber-start", "0.2", "--qber-stop", "0.1"),
+         "stop >= start"),
+        (("compare", "--kappa", "0.5", "--lmin", "1", "--lmax", "2", "--lstep", "1e-20"),
+         "grid points"),
+        (("qubit-rate", "--kappa", "0.5", "--qber", "0.03", "--seed", "3"),
+         "unrecognized arguments"),
+    ])
+    def test_bad_grid_or_flag_exits_2(self, capsys, argv, message):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse rejects unknown flags this way
+            code = exc.code
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert message in captured.err
+
+    @settings(derandomize=True, deadline=None, max_examples=100,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(kappa=st.one_of(st.floats(0.0, 1.0), st.sampled_from([math.nan, 1e-300, -0.5])),
+           variant=st.sampled_from(VARIANT_CHOICES),
+           lmin=st.one_of(st.floats(0.0, 400.0), st.sampled_from([math.nan, 1e-300, -10.0])),
+           lstep=st.one_of(st.floats(0.0, 100.0), st.sampled_from([math.nan, 1e-300, -5.0])),
+           count=st.integers(1, 5))
+    def test_distance_scan_is_finite_or_exits_2(self, capsys, kappa, variant, lmin, lstep, count):
+        lmax = lmin + (count - 1) * lstep
+        code, out, _ = run_cli(capsys, "distance-scan", "--variant", variant,
+                               f"--kappa={kappa!r}", f"--lmin={lmin!r}", f"--lmax={lmax!r}",
+                               f"--lstep={lstep!r}", "--threads", "1")
+        assert code in (0, 2), code
+        if code == 2:
+            return
+        rows = [dict(zip(CSV_HEADER, line.split(","))) for line in out.splitlines()[1:]]
+        assert 1 <= len(rows) <= count
+        values = [{k: float(v) for k, v in row.items() if k != "variant"} for row in rows]
+        for row in values:
+            assert all(map(math.isfinite, row.values())), row
+        # 1e-8: the mu search stops within 1e-4 of the best mu.  Past the cutoff mu
+        # sits at 1e-4, where rate_raw creeps back up towards -y0 f_ec; rate stays 0
+        for near, far in zip(values, values[1:]):
+            assert far["rate"] <= near["rate"] * (1.0 + 1e-8), (near, far)
+            if near["rate_raw"] > 0.0:
+                assert far["rate_raw"] <= near["rate_raw"] * (1.0 + 1e-8), (near, far)
+
     @pytest.mark.parametrize("variant", ["unbalanced", "pbs"])
     def test_past_the_cutoff_reports_zero(self, capsys, variant):
         # eta_sys underflows, q_single rounds to 1/2 and chi_s_max is 1
