@@ -5,8 +5,6 @@ from .attack import (
     InfeasibleError,
     OptimResult,
     maximize_holevo_qubit,
-    maximize_holevo_realistic,
-    qubit_keyrate,
 )
 from .channel import ChannelParams, ObservedStats, default_params, honest_statistics, load_params
 from .engine import (
@@ -16,6 +14,7 @@ from .engine import (
     distance_scan,
     format_csv,
     optimize_mu,
+    qubit_point,
     qubit_scan,
     realistic_keyrate,
 )
@@ -47,9 +46,8 @@ __all__ = [
     "load_params",
     "make_config",
     "maximize_holevo_qubit",
-    "maximize_holevo_realistic",
     "optimize_mu",
-    "qubit_keyrate",
+    "qubit_point",
     "qubit_scan",
     "realistic_keyrate",
     "squash_distribution",

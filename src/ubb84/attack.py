@@ -85,7 +85,6 @@ import sys
 from dataclasses import dataclass
 
 from .protocol import ProtocolConfig
-from .qmath import binary_entropy
 from .sifting import SymmetricState, re_f_from_Q
 
 __all__ = [
@@ -95,9 +94,6 @@ __all__ = [
     "chi_bar_of_params",
     "constraint_set",
     "maximize_holevo_qubit",
-    "maximize_holevo_realistic",
-    "qubit_keyrate",
-    "qubit_keyrate_raw",
 ]
 
 # corner-condition slack of the search, in sifted units; SymmetricState allows 1e-12
@@ -435,32 +431,11 @@ def _maximize(cfg: ProtocolConfig, cs: ConstraintSet) -> OptimResult:
     )
 
 
-def maximize_holevo_qubit(cfg: ProtocolConfig, q: float) -> OptimResult:
-    """Maximal chi-bar under the exact reduced-state constraint.
+def maximize_holevo_qubit(cfg: ProtocolConfig, q: float, p_lost: float = 0.0) -> OptimResult:
+    """Maximal chi-bar at error rate q with a fraction p_lost of single photons lost.
 
-    Maximizes over symmetric states with a+b = xi, c+d = 1-xi, Re f fixed by
-    the error rate and Im f free: the loss-relaxed bound at p_lost = 0.
+    At p_lost = 0 the reduced-state constraint is exact (a+b = xi,
+    c+d = 1-xi), the qubit-level bound; above it the constraint is relaxed
+    by the loss.  Re f is fixed by the error rate and Im f is free.
     """
-    return _maximize(cfg, constraint_set(cfg, q))
-
-
-def maximize_holevo_realistic(cfg: ProtocolConfig, q: float, p_lost: float) -> OptimResult:
-    """Maximal chi-bar under the loss-relaxed reduced-state constraint."""
     return _maximize(cfg, constraint_set(cfg, q, p_lost))
-
-
-def qubit_keyrate_raw(cfg: ProtocolConfig, q: float):
-    """(rate, chi_max) with rate = 1 - h(Q) - chi_max, sign preserved."""
-    result = maximize_holevo_qubit(cfg, q)
-    return 1.0 - binary_entropy(q) - result.chi_max, result.chi_max
-
-
-def qubit_keyrate(cfg: ProtocolConfig, q: float) -> float:
-    """Key rate per postselected signal, floored at zero for reporting.
-
-    For the unbalanced variant at kappa < 1 this is at least the balanced
-    value; times the kept weight p_kept = xi(1-xi) it is the key per signal
-    sent, which is the rate monotone in kappa (see the module docstring).
-    """
-    raw, _ = qubit_keyrate_raw(cfg, q)
-    return max(0.0, raw)

@@ -19,7 +19,7 @@ the package README):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from .protocol import ProtocolConfig, Variant
 
@@ -35,62 +35,51 @@ __all__ = [
     "transmittance",
 ]
 
-PRESET_FIELDS = ("alpha_db_per_km", "distance_km", "eta_det", "y0", "e_d", "f_ec", "mu")
-
-
 @dataclass(frozen=True)
 class ChannelParams:
-    """Fiber, detector, and source parameters of the honest setup."""
+    """Fiber, detector and error-correction parameters of the honest setup.
+
+    The operating point, distance and mean photon number, is not a
+    parameter: scans vary the one and optimize the other.
+    """
 
     alpha_db_per_km: float
-    distance_km: float
     eta_det: float
     y0: float
     e_d: float
     f_ec: float
-    mu: float
 
     def __post_init__(self):
         for name in PRESET_FIELDS:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
-        if self.alpha_db_per_km < 0 or self.distance_km < 0 or self.y0 < 0:
-            raise ValueError("attenuation, distance and dark-count rate must be nonnegative")
+        if self.alpha_db_per_km < 0 or self.y0 < 0:
+            raise ValueError("attenuation and dark-count rate must be nonnegative")
         if not 0.0 < self.eta_det <= 1.0:
             raise ValueError(f"eta_det must be in (0, 1], got {self.eta_det!r}")
         if not 0.0 <= self.e_d < 0.5:
             raise ValueError(f"e_d must be in [0, 0.5), got {self.e_d!r}")
         if self.f_ec < 1.0:
             raise ValueError(f"f_ec must be >= 1, got {self.f_ec!r}")
-        if self.mu <= 0.0:
-            raise ValueError(f"mu must be positive, got {self.mu!r}")
-
-    def with_(self, **kwargs) -> "ChannelParams":
-        return replace(self, **kwargs)
 
 
-def default_params(distance_km: float = 0.0, mu: float = 0.1) -> ChannelParams:
+PRESET_FIELDS = tuple(f.name for f in fields(ChannelParams))
+
+
+def default_params() -> ChannelParams:
     """Named preset with typical fiber-experiment values.
 
     alpha = 0.21 dB/km, eta_det = 0.045, y0 = 1.7e-6, e_d = 0.033,
     f_ec = 1.22.  These are overridable inputs, not asserted constants.
     """
-    return ChannelParams(
-        alpha_db_per_km=0.21,
-        distance_km=distance_km,
-        eta_det=0.045,
-        y0=1.7e-6,
-        e_d=0.033,
-        f_ec=1.22,
-        mu=mu,
-    )
+    return ChannelParams(alpha_db_per_km=0.21, eta_det=0.045, y0=1.7e-6, e_d=0.033, f_ec=1.22)
 
 
 def parse_params(text: str) -> ChannelParams:
     """Parse the flat key=value preset format.
 
-    Recognized keys are the seven ChannelParams fields; unknown keys are
+    Recognized keys are the ChannelParams fields; unknown keys are
     rejected and missing keys fall back to the default preset.
     """
     values = {}
@@ -107,7 +96,7 @@ def parse_params(text: str) -> ChannelParams:
         if key in values:
             raise ValueError(f"preset line {lineno}: duplicate key {key!r}")
         values[key] = float(value.strip())
-    return default_params().with_(**values)
+    return replace(default_params(), **values)
 
 
 def load_params(path) -> ChannelParams:
@@ -139,9 +128,9 @@ class ApparatusModel:
     kept: float
 
 
-def transmittance(params: ChannelParams) -> float:
+def transmittance(params: ChannelParams, distance_km: float) -> float:
     """Fiber transmission 10^(-alpha L / 10)."""
-    return 10.0 ** (-params.alpha_db_per_km * params.distance_km / 10.0)
+    return 10.0 ** (-params.alpha_db_per_km * distance_km / 10.0)
 
 
 def apparatus_transmittance(cfg: ProtocolConfig) -> ApparatusModel:
@@ -164,22 +153,28 @@ def apparatus_transmittance(cfg: ProtocolConfig) -> ApparatusModel:
     return ApparatusModel(survival=2.0 * k / (1.0 + k), kept=k / (1.0 + k))
 
 
-def honest_statistics(cfg: ProtocolConfig, params: ChannelParams) -> ObservedStats:
-    """Observed statistics of the honest (eavesdropper-free) setup.
+def honest_statistics(cfg: ProtocolConfig, params: ChannelParams, distance_km: float,
+                      mu: float) -> ObservedStats:
+    """Observed statistics of the honest (eavesdropper-free) setup at one operating point.
 
     With eta_sys = eta_ch * eta_det * kept fraction, a kept n-photon signal
     fires with D_n = A_n + 2 y0 (1 - A_n), A_n = 1 - (1 - eta_sys)^n, and
     errs with weight e_d A_n + y0 (1 - A_n).  Aggregation over the Poisson
     split has the closed forms used below.  The single-photon error rate is
     q = (e_d eta_sys + y0) / (eta_sys + 2 y0), and the loss fraction uses
-    the survival factor only (outside clicks count as arrived).
+    the survival factor only (outside clicks count as arrived).  Raises
+    ValueError unless the distance is finite and nonnegative and mu is
+    finite and positive.
     """
-    eta_ch = transmittance(params)
+    if not 0.0 <= distance_km < math.inf:
+        raise ValueError(f"distance must be finite and nonnegative, got {distance_km!r}")
+    if not 0.0 < mu < math.inf:
+        raise ValueError(f"mu must be finite and positive, got {mu!r}")
+    eta_ch = transmittance(params, distance_km)
     apparatus = apparatus_transmittance(cfg)
     eta_sys = eta_ch * params.eta_det * apparatus.kept
     y0 = params.y0
     e_d = params.e_d
-    mu = params.mu
 
     no_photon = math.exp(-mu * eta_sys)  # sum_n poisson(n) (1-eta)^n
     p_click_total = (1.0 - no_photon) + 2.0 * y0 * no_photon

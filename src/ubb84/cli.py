@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import math
-import os
 import sys
 
 from .attack import InfeasibleError
@@ -29,12 +28,9 @@ MAX_GRID_POINTS = 100_000
 def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--out", metavar="FILE", help="write CSV here instead of stdout")
     parser.add_argument("--threads", type=int, default=0,
-                        help="worker processes for distance-scan and compare; 0 = all "
-                             "cores (default); qubit-rate and qubit-scan run serially")
-
-
-def _threads(args) -> int:
-    return args.threads if args.threads > 0 else (os.cpu_count() or 1)
+                        help="worker processes for distance-scan and compare, at most one "
+                             "per job and per usable core; 0 = all usable cores (default); "
+                             "qubit-rate and qubit-scan run serially")
 
 
 def _emit(text: str, out: str | None):
@@ -128,6 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.threads < 0:
+            raise ValueError(f"--threads must be >= 0, got {args.threads}")
         if args.command == "qubit-rate":
             cfg = make_config(args.kappa, args.variant)
             point = qubit_point(cfg, args.qber)
@@ -142,9 +140,9 @@ def main(argv=None) -> int:
             distances = _grid(args.lmin, args.lmax, args.lstep, "--lmin, --lmax and --lstep")
             if args.command == "distance-scan":
                 points = distance_scan(make_config(args.kappa, args.variant), params,
-                                       distances, threads=_threads(args))
+                                       distances, threads=args.threads)
             else:
-                points = compare_variants(args.kappa, params, distances, threads=_threads(args))
+                points = compare_variants(args.kappa, params, distances, threads=args.threads)
             _emit(format_csv(points), args.out)
             _print_cutoffs(points)
         elif args.command == "squash-validate":

@@ -16,10 +16,11 @@ threshold detection and for the CSV diagnostic column.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
-from .attack import maximize_holevo_realistic, qubit_keyrate_raw
+from .attack import maximize_holevo_qubit
 from .channel import ChannelParams, honest_statistics
 from .protocol import ProtocolConfig, Variant, make_config
 from .qmath import binary_entropy
@@ -37,12 +38,6 @@ __all__ = [
     "realistic_keyrate",
 ]
 
-CSV_HEADER = (
-    "variant", "kappa", "distance_km", "mu", "qber_total",
-    "q_single", "p_lost", "chi_s_max", "rate_raw", "rate",
-)
-
-
 @dataclass(frozen=True)
 class KeyRatePoint:
     """One evaluated parameter point; realistic scans fill every field."""
@@ -57,6 +52,9 @@ class KeyRatePoint:
     chi_s_max: float
     rate_raw: float
     rate: float
+
+
+CSV_HEADER = tuple(f.name for f in fields(KeyRatePoint))
 
 
 def _fmt(value) -> str:
@@ -90,16 +88,17 @@ def _chi_s_max(cfg: ProtocolConfig, stats) -> float:
     """
     if stats.q_single >= 0.5:
         return 1.0
-    return maximize_holevo_realistic(cfg, stats.q_single, stats.p_lost).chi_max
+    return maximize_holevo_qubit(cfg, stats.q_single, stats.p_lost).chi_max
 
 
-def _point(cfg: ProtocolConfig, params: ChannelParams, stats, chi: float) -> KeyRatePoint:
-    raw = _raw_rate(stats, chi, params.f_ec)
+def _point(cfg: ProtocolConfig, f_ec: float, distance_km: float, mu: float, stats,
+           chi: float) -> KeyRatePoint:
+    raw = _raw_rate(stats, chi, f_ec)
     return KeyRatePoint(
         variant=cfg.variant.value,
         kappa=cfg.kappa,
-        distance_km=params.distance_km,
-        mu=params.mu,
+        distance_km=distance_km,
+        mu=mu,
         qber_total=stats.q_tot,
         q_single=stats.q_single,
         p_lost=stats.p_lost,
@@ -109,10 +108,11 @@ def _point(cfg: ProtocolConfig, params: ChannelParams, stats, chi: float) -> Key
     )
 
 
-def realistic_keyrate(cfg: ProtocolConfig, params: ChannelParams) -> KeyRatePoint:
-    """Tagged key rate per emitted signal for the given channel parameters."""
-    stats = honest_statistics(cfg, params)
-    return _point(cfg, params, stats, _chi_s_max(cfg, stats))
+def realistic_keyrate(cfg: ProtocolConfig, params: ChannelParams, distance_km: float,
+                      mu: float) -> KeyRatePoint:
+    """Tagged key rate per emitted signal at one distance and mean photon number."""
+    stats = honest_statistics(cfg, params, distance_km, mu)
+    return _point(cfg, params.f_ec, distance_km, mu, stats, _chi_s_max(cfg, stats))
 
 
 def _golden_max(fn, lo: float, hi: float, xtol: float):
@@ -132,46 +132,45 @@ def _golden_max(fn, lo: float, hi: float, xtol: float):
     return (lo + hi) / 2.0
 
 
-def optimize_mu(cfg: ProtocolConfig, params: ChannelParams):
+def optimize_mu(cfg: ProtocolConfig, params: ChannelParams, distance_km: float) -> KeyRatePoint:
     """Golden-section maximization of the realistic rate over mu in [1e-4, 2].
 
     q_single and p_lost do not depend on mu, so the Holevo maximization runs
-    once.  Returns (mu_star, KeyRatePoint); if every rate in the bracket is
-    negative the best (floored-to-zero) point is reported.
+    once.  The point's ``mu`` is the best one found; if every rate in the
+    bracket is negative the best (floored-to-zero) point is reported.
     """
     lo, hi = 1e-4, 2.0
-    chi = _chi_s_max(cfg, honest_statistics(cfg, params))
+    chi = _chi_s_max(cfg, honest_statistics(cfg, params, distance_km, lo))
 
     def raw_of(mu: float) -> float:
-        return _raw_rate(honest_statistics(cfg, params.with_(mu=mu)), chi, params.f_ec)
+        return _raw_rate(honest_statistics(cfg, params, distance_km, mu), chi, params.f_ec)
 
     # not attack._brent_max: rate(mu) dips just above 1e-4, where its end-first rule stops
     mu_star = _golden_max(raw_of, lo, hi, xtol=1e-4)
     best = max((lo, hi, mu_star), key=raw_of)
-    best_params = params.with_(mu=best)
-    return best, _point(cfg, best_params, honest_statistics(cfg, best_params), chi)
-
-
-def _scan_point(args):
-    cfg, params, distance = args
-    _, point = optimize_mu(cfg, params.with_(distance_km=distance))
-    return point
+    stats = honest_statistics(cfg, params, distance_km, best)
+    return _point(cfg, params.f_ec, distance_km, best, stats, chi)
 
 
 def _scan(cfgs, params: ChannelParams, distances, threads: int):
     """Mu-optimized points for every (config, distance) pair, row-major in cfgs.
 
-    Runs serially for ``threads <= 1`` and otherwise through one process
-    pool shared by all configs; results keep the job order either way.
+    ``threads`` = 0 asks for one worker per usable core.  The pool never
+    exceeds the job count or the usable cores, and below two workers the
+    jobs run serially; results keep the job order either way.
     """
     distances = list(distances)
     if not distances:
         raise ValueError("distance list is empty")
-    jobs = [(cfg, params, d) for cfg in cfgs for d in distances]
-    if threads > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(_scan_point, jobs))
-    return [_scan_point(job) for job in jobs]
+    cfg_column = [cfg for cfg in cfgs for _ in distances]
+    columns = (cfg_column, [params] * len(cfg_column), distances * len(cfgs))
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    workers = min(threads or cores, len(cfg_column), cores)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(optimize_mu, *columns))
+    return list(map(optimize_mu, *columns))
 
 
 def distance_scan(cfg: ProtocolConfig, params: ChannelParams, distances, *,
@@ -189,8 +188,9 @@ def cutoff_distance(points):
 
 
 def qubit_point(cfg: ProtocolConfig, q: float) -> KeyRatePoint:
-    """Qubit-level rate record; distance and mu do not apply."""
-    raw, chi = qubit_keyrate_raw(cfg, q)
+    """Qubit-level rate 1 - h(Q) - chi_max per postselected signal; no distance or mu."""
+    chi = maximize_holevo_qubit(cfg, q).chi_max
+    raw = 1.0 - binary_entropy(q) - chi
     return KeyRatePoint(
         variant=cfg.variant.value,
         kappa=cfg.kappa,

@@ -45,11 +45,26 @@ class Variant(str, Enum):
 
 @dataclass(frozen=True)
 class ProtocolConfig:
-    """Protocol variant plus the phase-modulator transmissivity ``kappa``."""
+    """Protocol variant plus the phase-modulator transmissivity ``kappa``.
+
+    Requires kappa in (0, 1].  Below about 1.1e-16, xi = 1/(1+kappa) rounds
+    to 1 and the skewed filter weight 1 - xi vanishes, so such a kappa is
+    rejected too.
+    """
 
     kappa: float
     variant: Variant
-    xi: float
+
+    def __post_init__(self):
+        if not 0.0 < self.kappa <= 1.0:
+            raise ValueError(f"kappa must be in (0, 1], got {self.kappa!r}")
+        if self.xi == 1.0:
+            raise ValueError(f"kappa = {self.kappa!r} is too small: xi = 1/(1+kappa) rounds to 1")
+
+    @property
+    def xi(self) -> float:
+        """Beamsplitter transmissivity 1/(1+kappa) that balances the skewed arms."""
+        return 1.0 / (1.0 + self.kappa)
 
     @property
     def xi_effective(self) -> float:
@@ -75,15 +90,7 @@ class ProtocolConfig:
             return 1.0 - self.xi, self.xi
         return 1.0, 1.0
 
-def make_config(kappa: float, variant: Variant | str = Variant.UNBALANCED) -> ProtocolConfig:
-    """Build a configuration; requires kappa in (0, 1].
 
-    Below about 1.1e-16, xi = 1/(1+kappa) rounds to 1 and the skewed
-    filter weight 1 - xi vanishes, so such a kappa is rejected too.
-    """
-    if not 0.0 < kappa <= 1.0:
-        raise ValueError(f"kappa must be in (0, 1], got {kappa!r}")
-    xi = 1.0 / (1.0 + kappa)
-    if xi == 1.0:
-        raise ValueError(f"kappa = {kappa!r} is too small: xi = 1/(1+kappa) rounds to 1")
-    return ProtocolConfig(kappa=float(kappa), variant=Variant(variant), xi=xi)
+def make_config(kappa: float, variant: Variant | str = Variant.UNBALANCED) -> ProtocolConfig:
+    """Build a configuration from a number and a variant or its name."""
+    return ProtocolConfig(kappa=float(kappa), variant=Variant(variant))

@@ -23,7 +23,7 @@ from reference import (
     symmetrize,
     symmetry_group,
 )
-from ubb84.attack import constraint_set, maximize_holevo_qubit, qubit_keyrate_raw
+from ubb84.attack import constraint_set, maximize_holevo_qubit
 from ubb84.channel import default_params
 from ubb84.engine import compare_variants, distance_scan, qubit_point
 from ubb84.protocol import make_config
@@ -52,15 +52,14 @@ def test_criterion_1_bb84_anchor():
     crit = _Criterion(1, "balanced case matches 1 - 2h(Q); threshold near 0.11", 10.0)
     cfg = make_config(1.0)
     for q in np.arange(0.0, 0.101, 0.01):
-        raw, _ = qubit_keyrate_raw(cfg, float(q))
-        rate = max(0.0, raw)
+        rate = qubit_point(cfg, float(q)).rate
         assert rate == pytest.approx(1.0 - 2.0 * binary_entropy(float(q)), abs=1e-3), q
 
     lo, hi = 0.10, 0.12
-    assert qubit_keyrate_raw(cfg, lo)[0] > 0.0 > qubit_keyrate_raw(cfg, hi)[0]
+    assert qubit_point(cfg, lo).rate_raw > 0.0 > qubit_point(cfg, hi).rate_raw
     while hi - lo > 5e-4:
         mid = (lo + hi) / 2.0
-        if qubit_keyrate_raw(cfg, mid)[0] > 0.0:
+        if qubit_point(cfg, mid).rate_raw > 0.0:
             lo = mid
         else:
             hi = mid

@@ -17,11 +17,9 @@ from ubb84.attack import (
     chi_bar_of_params,
     constraint_set,
     maximize_holevo_qubit,
-    maximize_holevo_realistic,
-    qubit_keyrate,
-    qubit_keyrate_raw,
     re_f_from_Q,
 )
+from ubb84.engine import qubit_point
 from ubb84.protocol import Variant, make_config
 from ubb84.qmath import binary_entropy
 from ubb84.sifting import SymmetricState
@@ -122,7 +120,7 @@ class TestQubitOptimizer:
                 cs, result = constraint_set(cfg, q), maximize_holevo_qubit(cfg, q)
             else:
                 cs = constraint_set(cfg, q, p_lost)
-                result = maximize_holevo_realistic(cfg, q, p_lost)
+                result = maximize_holevo_qubit(cfg, q, p_lost)
             s = result.argmax
             assert is_feasible(cs, s.a, s.b, s.c, s.d, s.f, tol=1e-8), (cfg, q)
             assert -1e-9 <= result.chi_max <= 1e-6, (cfg, q)
@@ -139,36 +137,36 @@ class TestRealisticOptimizer:
         for kappa in (0.5, 1.0):
             cfg = make_config(kappa)
             qubit = maximize_holevo_qubit(cfg, 0.04).chi_max
-            realistic = maximize_holevo_realistic(cfg, 0.04, 0.0).chi_max
+            realistic = maximize_holevo_qubit(cfg, 0.04, 0.0).chi_max
             assert realistic == pytest.approx(qubit, abs=1e-6)
 
     def test_nondecreasing_in_loss(self):
         cfg = make_config(1.0)
-        values = [maximize_holevo_realistic(cfg, 0.05, pl).chi_max for pl in (0.0, 0.5, 0.9)]
+        values = [maximize_holevo_qubit(cfg, 0.05, pl).chi_max for pl in (0.0, 0.5, 0.9)]
         for lo, hi in zip(values, values[1:]):
             assert hi >= lo - 1e-7
 
     def test_zero_error_still_zero(self):
-        assert maximize_holevo_realistic(make_config(0.7), 0.0, 0.8).chi_max == pytest.approx(
+        assert maximize_holevo_qubit(make_config(0.7), 0.0, 0.8).chi_max == pytest.approx(
             0.0, abs=1e-9
         )
 
     def test_argmax_feasible(self):
         cfg = make_config(0.5)
         cs = constraint_set(cfg, 0.03, 0.7)
-        s = maximize_holevo_realistic(cfg, 0.03, 0.7).argmax
+        s = maximize_holevo_qubit(cfg, 0.03, 0.7).argmax
         assert is_feasible(cs, s.a, s.b, s.c, s.d, s.f, tol=1e-8)
 
     def test_pbs_reaches_a_known_feasible_state(self):
         # a feasible state with chi-bar 0.36798170 exists; Nelder-Mead
         # stopped at 0.3679734
-        result = maximize_holevo_realistic(make_config(0.2, Variant.PBS), 0.03304, 0.961)
+        result = maximize_holevo_qubit(make_config(0.2, Variant.PBS), 0.03304, 0.961)
         assert result.chi_max >= 0.3679816975 - 1e-9
 
     def test_grid_oracle_agreement(self):
         cfg = make_config(0.5)
         chi_grid, _ = grid_oracle(cfg, constraint_set(cfg, 0.02, 0.5), 30)
-        gap = maximize_holevo_realistic(cfg, 0.02, 0.5).chi_max - chi_grid
+        gap = maximize_holevo_qubit(cfg, 0.02, 0.5).chi_max - chi_grid
         assert gap >= -1e-6  # optimizer dominates the grid
         assert abs(gap) <= 2e-3
 
@@ -184,7 +182,7 @@ class TestExactBranch:
         for p_lost in (0.9, 0.99):
             for q in (0.01, 0.05, 0.10):
                 cs = constraint_set(cfg, q, p_lost)
-                result = maximize_holevo_realistic(cfg, q, p_lost)
+                result = maximize_holevo_qubit(cfg, q, p_lost)
                 assert result.iterations == 0  # no search ran
                 assert abs(result.chi_max - binary_entropy(q)) <= 1e-12
                 s = result.argmax
@@ -199,7 +197,7 @@ class TestExactBranch:
         q, p_lost = 0.05, 0.1
         cs = constraint_set(cfg, q, p_lost)
         assert cs.s_bounds()[0] > 0.8
-        result = maximize_holevo_realistic(cfg, q, p_lost)
+        result = maximize_holevo_qubit(cfg, q, p_lost)
         assert result.iterations > 0
         chi_grid, _ = grid_oracle(cfg, cs, 30)
         assert result.chi_max >= chi_grid - 1e-6
@@ -228,7 +226,7 @@ class TestOracleSweep:
                 cs, result = constraint_set(cfg, q), maximize_holevo_qubit(cfg, q)
             else:
                 cs = constraint_set(cfg, q, p_lost)
-                result = maximize_holevo_realistic(cfg, q, p_lost)
+                result = maximize_holevo_qubit(cfg, q, p_lost)
             chi_grid, _ = grid_oracle(cfg, cs, 20)
             assert result.chi_max >= chi_grid - 1e-6, q
             s = result.argmax
@@ -281,23 +279,23 @@ class TestGridOracle:
 
 class TestQubitKeyrate:
     def test_perfect_correlations(self):
-        assert qubit_keyrate(make_config(1.0), 0.0) == pytest.approx(1.0, abs=1e-9)
+        assert qubit_point(make_config(1.0), 0.0).rate == pytest.approx(1.0, abs=1e-9)
 
     def test_balanced_analytic(self):
-        assert qubit_keyrate(make_config(1.0), 0.05) == pytest.approx(0.4272, abs=1e-3)
+        assert qubit_point(make_config(1.0), 0.05).rate == pytest.approx(0.4272, abs=1e-3)
 
     def test_threshold_region(self):
-        assert qubit_keyrate(make_config(1.0), 0.11) <= 1e-3
+        assert qubit_point(make_config(1.0), 0.11).rate <= 1e-3
 
     def test_raw_sign_preserved(self):
-        raw, _ = qubit_keyrate_raw(make_config(1.0), 0.14)
-        assert raw < 0.0
-        assert qubit_keyrate(make_config(1.0), 0.14) == 0.0
+        point = qubit_point(make_config(1.0), 0.14)
+        assert point.rate_raw < 0.0
+        assert point.rate == 0.0
 
     def test_nondecreasing_in_kappa(self):
         # key per signal sent: the per-postselected rate times the kept weight
         cfgs = [make_config(k) for k in (0.3, 0.6, 1.0)]
         for q in (0.01, 0.05):
-            rates = [signal_kept_weight(cfg) * qubit_keyrate(cfg, q) for cfg in cfgs]
+            rates = [signal_kept_weight(cfg) * qubit_point(cfg, q).rate for cfg in cfgs]
             for lo, hi in zip(rates, rates[1:]):
                 assert hi >= lo - 1e-6

@@ -1,4 +1,6 @@
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -8,18 +10,19 @@ from ubb84.channel import (
     apparatus_transmittance,
     default_params,
     honest_statistics,
+    load_params,
     parse_params,
     transmittance,
 )
 from ubb84.protocol import Variant, make_config
 
 
-def stats_by_series(cfg, params, n_max=120):
+def stats_by_series(cfg, params, distance_km, mu, n_max=120):
     """Independent re-evaluation of the honest model by direct series summation."""
-    eta_ch = 10.0 ** (-params.alpha_db_per_km * params.distance_km / 10.0)
+    eta_ch = 10.0 ** (-params.alpha_db_per_km * distance_km / 10.0)
     apparatus = apparatus_transmittance(cfg)
     eta = eta_ch * params.eta_det * apparatus.kept
-    mu, y0, e_d = params.mu, params.y0, params.e_d
+    y0, e_d = params.y0, params.e_d
 
     def poisson(n):
         return math.exp(-mu) * mu**n / math.factorial(n)
@@ -41,13 +44,13 @@ def stats_by_series(cfg, params, n_max=120):
 
 class TestTransmittance:
     def test_zero_distance(self):
-        assert transmittance(default_params(distance_km=0.0)) == 1.0
+        assert transmittance(default_params(), 0.0) == 1.0
 
     def test_twenty_km(self):
-        assert transmittance(default_params(distance_km=20.0)) == pytest.approx(0.3802, abs=1e-4)
+        assert transmittance(default_params(), 20.0) == pytest.approx(0.3802, abs=1e-4)
 
     def test_fifty_km(self):
-        assert transmittance(default_params(distance_km=50.0)) == pytest.approx(0.0891, abs=1e-4)
+        assert transmittance(default_params(), 50.0) == pytest.approx(0.0891, abs=1e-4)
 
 
 class TestApparatus:
@@ -84,14 +87,13 @@ class TestApparatus:
 
 class TestHonestStatistics:
     def test_noiseless_limit(self):
-        params = default_params(distance_km=10.0).with_(y0=0.0, e_d=0.0)
-        stats = honest_statistics(make_config(1.0), params)
+        params = replace(default_params(), y0=0.0, e_d=0.0)
+        stats = honest_statistics(make_config(1.0), params, 10.0, 0.1)
         assert stats.q_single == 0.0
         assert stats.q_tot == 0.0
 
     def test_dark_count_dominated_limit(self):
-        params = default_params(distance_km=500.0)
-        stats = honest_statistics(make_config(1.0), params)
+        stats = honest_statistics(make_config(1.0), default_params(), 500.0, 0.1)
         assert stats.q_single == pytest.approx(0.5, abs=1e-3)
         assert stats.q_tot == pytest.approx(0.5, abs=1e-3)
 
@@ -99,9 +101,8 @@ class TestHonestStatistics:
         for variant in Variant:
             for distance in (0.0, 20.0, 45.0):
                 cfg = make_config(0.8, variant)
-                params = default_params(distance_km=distance, mu=0.1)
-                stats = honest_statistics(cfg, params)
-                oracle = stats_by_series(cfg, params)
+                stats = honest_statistics(cfg, default_params(), distance, 0.1)
+                oracle = stats_by_series(cfg, default_params(), distance, 0.1)
                 for field, expected in oracle.items():
                     assert getattr(stats, field) == pytest.approx(expected, abs=1e-12), field
 
@@ -110,7 +111,7 @@ class TestHonestStatistics:
         params = default_params()
         prev_click, prev_q = None, None
         for distance in (0.0, 10.0, 20.0, 40.0, 80.0, 120.0):
-            stats = honest_statistics(cfg, params.with_(distance_km=distance))
+            stats = honest_statistics(cfg, params, distance, 0.1)
             assert params.e_d - 1e-12 <= stats.q_tot <= 0.5 + 1e-12
             if prev_click is not None:
                 assert stats.p_click_total <= prev_click + 1e-15
@@ -120,43 +121,54 @@ class TestHonestStatistics:
     def test_single_photon_accounting(self):
         for variant in Variant:
             cfg = make_config(0.45, variant)
-            params = default_params(distance_km=15.0)
-            stats = honest_statistics(cfg, params)
-            arrived = apparatus_transmittance(cfg).survival * transmittance(params) * params.eta_det
+            params = default_params()
+            stats = honest_statistics(cfg, params, 15.0, 0.1)
+            arrived = (apparatus_transmittance(cfg).survival * transmittance(params, 15.0)
+                       * params.eta_det)
             assert stats.p_lost + arrived == pytest.approx(1.0, abs=1e-12)
+
+    # the operating point is an argument, checked where it is used
+    @pytest.mark.parametrize("distance_km", [-1.0, math.nan, math.inf, -math.inf])
+    def test_rejects_bad_distance(self, distance_km):
+        with pytest.raises(ValueError, match="distance must be finite and nonnegative"):
+            honest_statistics(make_config(0.5), default_params(), distance_km, 0.1)
+
+    @pytest.mark.parametrize("mu", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_rejects_bad_mu(self, mu):
+        with pytest.raises(ValueError, match="mu must be finite and positive"):
+            honest_statistics(make_config(0.5), default_params(), 0.0, mu)
 
 
 class TestParams:
     def test_validation(self):
         with pytest.raises(ValueError):
-            default_params().with_(eta_det=0.0)
+            replace(default_params(), eta_det=0.0)
         with pytest.raises(ValueError):
-            default_params().with_(e_d=0.5)
+            replace(default_params(), e_d=0.5)
         with pytest.raises(ValueError):
-            default_params().with_(mu=0.0)
-        with pytest.raises(ValueError):
-            default_params().with_(f_ec=0.9)
+            replace(default_params(), f_ec=0.9)
 
-    @pytest.mark.parametrize("field", ["alpha_db_per_km", "distance_km", "eta_det", "y0",
-                                       "e_d", "f_ec", "mu"])
+    @pytest.mark.parametrize("field", ["alpha_db_per_km", "eta_det", "y0", "e_d", "f_ec"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
-            default_params().with_(**{field: value})
+            replace(default_params(), **{field: value})
 
     def test_parse_round_trip(self):
         text = """
         # fiber
         alpha_db_per_km = 0.18
-        distance_km = 12.5
         eta_det = 0.1
         y0 = 1e-6
         e_d = 0.02
         f_ec = 1.1
-        mu = 0.25
         """
         params = parse_params(text)
-        assert params == ChannelParams(0.18, 12.5, 0.1, 1e-6, 0.02, 1.1, 0.25)
+        assert params == ChannelParams(0.18, 0.1, 1e-6, 0.02, 1.1)
+
+    def test_shipped_example_is_the_default_preset(self):
+        example = Path(__file__).resolve().parents[1] / "presets" / "example.preset"
+        assert load_params(example) == default_params()
 
     def test_parse_partial_uses_defaults(self):
         params = parse_params("e_d = 0.01\n")
@@ -166,9 +178,13 @@ class TestParams:
     def test_parse_rejects_unknown_key(self):
         with pytest.raises(ValueError, match="unknown key"):
             parse_params("dark_rate = 1e-6\n")
+        # distance and mu are the operating point, not channel parameters
+        for key in ("distance_km", "mu"):
+            with pytest.raises(ValueError, match="unknown key"):
+                parse_params(f"{key} = 1\n")
 
     def test_parse_rejects_duplicates_and_garbage(self):
         with pytest.raises(ValueError, match="duplicate"):
-            parse_params("mu = 0.1\nmu = 0.2\n")
+            parse_params("y0 = 1e-6\ny0 = 2e-6\n")
         with pytest.raises(ValueError, match="key=value"):
             parse_params("just words\n")

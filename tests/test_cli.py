@@ -99,7 +99,7 @@ class TestRealisticCommands:
 
     def test_preset_file(self, capsys, tmp_path):
         preset = tmp_path / "channel.preset"
-        preset.write_text("e_d = 0.01\nmu = 0.2\n")
+        preset.write_text("e_d = 0.01\ny0 = 1e-6\n")
         code, out, _ = run_cli(
             capsys, "distance-scan", "--variant", "unbalanced", "--kappa", "0.5",
             "--lmax", "0", "--lstep", "5", "--preset", str(preset), "--threads", "1",
@@ -117,8 +117,7 @@ class TestRealisticCommands:
         assert code == 2
         assert "unknown key" in err
 
-    @pytest.mark.parametrize("line, field", [("y0 = nan", "y0"), ("mu = nan", "mu"),
-                                             ("distance_km = inf", "distance_km")])
+    @pytest.mark.parametrize("line, field", [("y0 = nan", "y0")])
     def test_non_finite_preset_exits_2(self, capsys, tmp_path, line, field):
         preset = tmp_path / "nan.preset"
         preset.write_text(line + "\n")
@@ -129,6 +128,20 @@ class TestRealisticCommands:
         assert code == 2
         assert out == ""
         assert f"{field} must be finite" in err
+
+    # distance and mu are the scan axis and the optimized variable; a preset
+    # that sets them used to be accepted and ignored
+    @pytest.mark.parametrize("line", ["mu = 0.2", "distance_km = 5"])
+    def test_operating_point_preset_exits_2(self, capsys, tmp_path, line):
+        preset = tmp_path / "point.preset"
+        preset.write_text(line + "\n")
+        code, out, err = run_cli(
+            capsys, "compare", "--kappa", "0.5", "--lmax", "0", "--preset", str(preset),
+            "--threads", "1",
+        )
+        assert code == 2
+        assert out == ""
+        assert "unknown key" in err
 
     # NaN, not inf: without the check an infinite bound never ends the grid loop
     @pytest.mark.parametrize("argv", [
@@ -148,6 +161,7 @@ class TestRealisticCommands:
          "grid points"),
         (("qubit-rate", "--kappa", "0.5", "--qber", "0.03", "--seed", "3"),
          "unrecognized arguments"),
+        (("compare", "--kappa", "0.5", "--lmax", "0", "--threads", "-1"), "--threads"),
     ])
     def test_bad_grid_or_flag_exits_2(self, capsys, argv, message):
         try:

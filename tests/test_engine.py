@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import signal_kept_weight
+from ubb84 import engine
 from ubb84.attack import maximize_holevo_qubit
 from ubb84.channel import default_params, honest_statistics
 from ubb84.engine import (
@@ -26,28 +28,27 @@ class TestRealisticKeyrate:
         # perfect detectors, no dark counts, no misalignment: everything but
         # the single-photon term vanishes and chi = 0 at q = 0
         cfg = make_config(1.0, Variant.PBS)
-        params = default_params(mu=0.1).with_(y0=0.0, e_d=0.0, eta_det=1.0)
-        point = realistic_keyrate(cfg, params)
+        params = replace(default_params(), y0=0.0, e_d=0.0, eta_det=1.0)
+        point = realistic_keyrate(cfg, params, 0.0, 0.1)
         assert point.chi_s_max == pytest.approx(0.0, abs=1e-9)
         assert point.rate == pytest.approx(0.0452, abs=1e-4)
         assert point.rate == pytest.approx(0.5 * 0.1 * math.exp(-0.1), abs=1e-9)
 
     def test_vanishing_source(self):
         cfg = make_config(1.0, Variant.PBS)
-        params = default_params(mu=1e-6).with_(y0=0.0, e_d=0.0, eta_det=1.0)
-        assert realistic_keyrate(cfg, params).rate < 1e-6
+        params = replace(default_params(), y0=0.0, e_d=0.0, eta_det=1.0)
+        assert realistic_keyrate(cfg, params, 0.0, 1e-6).rate < 1e-6
 
     def test_rate_bounded_by_single_photon_share(self):
-        point = realistic_keyrate(make_config(0.5), default_params(distance_km=20.0, mu=0.2))
-        stats = honest_statistics(make_config(0.5), default_params(distance_km=20.0, mu=0.2))
+        point = realistic_keyrate(make_config(0.5), default_params(), 20.0, 0.2)
+        stats = honest_statistics(make_config(0.5), default_params(), 20.0, 0.2)
         assert point.rate <= 0.5 * stats.p_click_s + 1e-15
         assert point.rate <= 1.0
 
     def test_fields_propagate(self):
         cfg = make_config(0.5, Variant.PBS)
-        params = default_params(distance_km=15.0, mu=0.3)
-        point = realistic_keyrate(cfg, params)
-        stats = honest_statistics(cfg, params)
+        point = realistic_keyrate(cfg, default_params(), 15.0, 0.3)
+        stats = honest_statistics(cfg, default_params(), 15.0, 0.3)
         assert point.variant == "pbs"
         assert point.kappa == 0.5
         assert point.distance_km == 15.0
@@ -61,11 +62,11 @@ class TestRealisticKeyrate:
         # kernel reduces to the qubit rate formula
         q = 0.05
         cfg = make_config(1.0)
-        params = default_params(mu=0.1).with_(y0=0.0, e_d=q, eta_det=1.0, f_ec=1.0)
-        stats = honest_statistics(cfg, params)
+        params = replace(default_params(), y0=0.0, e_d=q, eta_det=1.0, f_ec=1.0)
+        stats = honest_statistics(cfg, params, 0.0, 0.1)
         assert stats.q_single == pytest.approx(q, abs=1e-12)
         assert stats.p_lost == pytest.approx(0.0, abs=1e-12)
-        point = realistic_keyrate(cfg, params)
+        point = realistic_keyrate(cfg, params, 0.0, 0.1)
         chi_qubit = maximize_holevo_qubit(cfg, q).chi_max
         assert point.chi_s_max == pytest.approx(chi_qubit, abs=1e-6)
         kernel = (2.0 * point.rate_raw
@@ -80,9 +81,9 @@ class TestOptimizeMu:
     def test_noiseless_interior_optimum(self):
         # R = mu exp(-mu) / 2 peaks exactly at mu = 1
         cfg = make_config(1.0, Variant.PBS)
-        params = default_params().with_(y0=0.0, e_d=0.0, eta_det=1.0)
-        mu_star, point = optimize_mu(cfg, params)
-        assert mu_star == pytest.approx(1.0, abs=2e-3)
+        params = replace(default_params(), y0=0.0, e_d=0.0, eta_det=1.0)
+        point = optimize_mu(cfg, params, 0.0)
+        assert point.mu == pytest.approx(1.0, abs=2e-3)
         assert point.rate == pytest.approx(0.5 * math.exp(-1.0), abs=1e-5)
 
     def test_matches_dense_grid(self):
@@ -92,31 +93,30 @@ class TestOptimizeMu:
         for kappa, variant, distance in ((0.5, Variant.UNBALANCED, 20.0),
                                          (0.05, Variant.PBS, 0.0), (0.05, Variant.PBS, 10.0)):
             cfg = make_config(kappa, variant)
-            params = default_params(distance_km=distance)
-            mu_star, point = optimize_mu(cfg, params)
+            params = default_params()
+            point = optimize_mu(cfg, params, distance)
             # q_single and p_lost do not depend on mu, so one solve serves the grid
-            chi = realistic_keyrate(cfg, params).chi_s_max
+            chi = realistic_keyrate(cfg, params, distance, 0.1).chi_s_max
             rates = []
             for m in grid:
-                stats = honest_statistics(cfg, params.with_(mu=m))
+                stats = honest_statistics(cfg, params, distance, m)
                 rates.append(0.5 * (stats.p_click_s * (1.0 - chi) - stats.p_click_total
                                     * params.f_ec * binary_entropy(stats.q_tot)))
             case = (kappa, variant, distance)
-            assert mu_star == pytest.approx(grid[int(np.argmax(rates))], abs=2e-3), case
+            assert point.mu == pytest.approx(grid[int(np.argmax(rates))], abs=2e-3), case
             assert point.rate_raw >= max(rates) - 1e-9, case
 
     def test_beats_bracket_ends(self):
         cfg = make_config(1.0)
-        params = default_params(distance_km=10.0)
-        mu_star, point = optimize_mu(cfg, params)
+        point = optimize_mu(cfg, default_params(), 10.0)
         for mu_end in (1e-4, 2.0):
-            end = realistic_keyrate(cfg, params.with_(mu=mu_end))
+            end = realistic_keyrate(cfg, default_params(), 10.0, mu_end)
             assert point.rate_raw >= end.rate_raw - 1e-12
 
     def test_all_negative_reports_floored_zero(self):
         cfg = make_config(0.5)
-        params = default_params(distance_km=60.0).with_(y0=1e-4, e_d=0.05)
-        _, point = optimize_mu(cfg, params)
+        params = replace(default_params(), y0=1e-4, e_d=0.05)
+        point = optimize_mu(cfg, params, 60.0)
         assert point.rate_raw < 0.0
         assert point.rate == 0.0
 
@@ -132,7 +132,7 @@ class TestScans:
 
     def test_cutoff_detection(self):
         cfg = make_config(0.5)
-        params = default_params().with_(y0=1e-4, e_d=0.05)
+        params = replace(default_params(), y0=1e-4, e_d=0.05)
         points = distance_scan(cfg, params, [0.0, 10.0, 20.0])
         assert cutoff_distance(points) == 10.0
         assert cutoff_distance(points[:1]) is None
@@ -142,6 +142,34 @@ class TestScans:
         serial = distance_scan(cfg, default_params(), [0.0, 20.0], threads=1)
         parallel = distance_scan(cfg, default_params(), [0.0, 20.0], threads=2)
         assert serial == parallel
+
+    def test_pool_capped_at_jobs_and_usable_cores(self, monkeypatch):
+        # a fork pool starts all max_workers processes at once, so size it
+        # without starting any: record the request and map serially
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *columns):
+                return map(fn, *columns)
+
+        monkeypatch.setattr(engine, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                            raising=False)
+        cfg = make_config(1.0)
+        serial = distance_scan(cfg, default_params(), [0.0, 20.0], threads=1)
+        assert distance_scan(cfg, default_params(), [0.0, 20.0], threads=10**6) == serial
+        compare_variants(1.0, default_params(), [0.0], threads=10**6)
+        compare_variants(1.0, default_params(), [0.0], threads=0)
+        assert sizes == [2, 3, 3]
 
     def test_empty_distance_list_rejected(self):
         with pytest.raises(ValueError):

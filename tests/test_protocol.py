@@ -14,7 +14,7 @@ from reference import (
     source_state,
     symmetry_group,
 )
-from ubb84.protocol import Variant, make_config
+from ubb84.protocol import ProtocolConfig, Variant, make_config
 
 
 class TestConfig:
@@ -29,6 +29,12 @@ class TestConfig:
             make_config(0.0)
         with pytest.raises(ValueError):
             make_config(1.5)
+
+    def test_direct_construction_validates(self):
+        # xi is derived from kappa, so a directly built config cannot disagree with it
+        with pytest.raises(ValueError, match="kappa"):
+            ProtocolConfig(kappa=2.0, variant=Variant.PBS)
+        assert ProtocolConfig(kappa=0.5, variant=Variant.PBS) == make_config(0.5, "pbs")
 
     def test_xi_range(self):
         for kappa in np.linspace(0.01, 1.0, 25):
