@@ -20,7 +20,7 @@ from .engine import (
 )
 from .protocol import ProtocolConfig, Variant, make_config
 from .sifting import SymmetricState
-from .squash import ClickPattern, EffectiveOutcome, classify, squash_distribution, squash_sample
+from .squash import ClickPattern, EffectiveOutcome, squash_distribution, squash_sample
 
 __version__ = "0.1.0"
 
@@ -36,7 +36,6 @@ __all__ = [
     "ProtocolConfig",
     "SymmetricState",
     "Variant",
-    "classify",
     "compare_variants",
     "cutoff_distance",
     "default_params",

@@ -20,7 +20,11 @@ to the lower label of the pair.  Table probabilities are exact rationals.
 
 from __future__ import annotations
 
+import bisect
+import functools
+import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -28,7 +32,6 @@ from fractions import Fraction
 __all__ = [
     "ClickPattern",
     "EffectiveOutcome",
-    "classify",
     "monte_carlo_check",
     "squash_distribution",
     "squash_sample",
@@ -79,44 +82,24 @@ class ClickPattern:
         return int(self.c1) + int(self.c3) + int(self.d1) + int(self.d3)
 
 
-def classify(pattern: ClickPattern) -> str:
-    """Pattern category driving the post-processing table."""
-    mid, out = pattern.middle_clicks, pattern.outside_clicks
-    if mid == 0 and out == 0:
-        return "no-click"
-    if mid > 0 and out > 0:
-        return "cross"
-    if mid == 1:
-        return "single-middle"
-    if mid == 2:
-        return "double-middle"
-    if out == 1:
-        return "single-outside"
-    return "multi-outside-only"
-
-
-def _single_middle_outcome(pattern: ClickPattern) -> EffectiveOutcome:
-    bit = 0 if pattern.c2 else 1
-    label = 2 * bit if pattern.basis == "even" else 2 * bit + 1
-    return _RESULTS[label]
-
-
 def squash_distribution(pattern: ClickPattern) -> dict:
     """Exact outcome distribution of the post-processing for a pattern."""
-    category = classify(pattern)
-    one = Fraction(1)
-    if category == "no-click":
-        return {EffectiveOutcome.NO_CLICK: one}
-    if category == "single-middle":
-        return {_single_middle_outcome(pattern): one}
-    if category in ("single-outside", "multi-outside-only"):
-        return {EffectiveOutcome.OUT: one}
-    if category == "double-middle":
-        pair = (0, 2) if pattern.basis == "even" else (1, 3)
-        return {_RESULTS[pair[0]]: Fraction(1, 2), _RESULTS[pair[1]]: Fraction(1, 2)}
-    dist = {r: Fraction(1, 8) for r in _RESULTS}
-    dist[EffectiveOutcome.OUT] = Fraction(1, 2)
-    return dist
+    mid, out = pattern.middle_clicks, pattern.outside_clicks
+    pair = _RESULTS[0::2] if pattern.basis == "even" else _RESULTS[1::2]
+    if mid and out:
+        return {**dict.fromkeys(_RESULTS, Fraction(1, 8)), EffectiveOutcome.OUT: Fraction(1, 2)}
+    if mid == 2:
+        return dict.fromkeys(pair, Fraction(1, 2))
+    if mid == 1:
+        return {pair[0] if pattern.c2 else pair[1]: Fraction(1)}
+    return {EffectiveOutcome.OUT if out else EffectiveOutcome.NO_CLICK: Fraction(1)}
+
+
+@functools.cache
+def _table(pattern: ClickPattern) -> tuple:
+    """(outcomes, running float sums) of the pattern's distribution."""
+    dist = squash_distribution(pattern)
+    return tuple(dist), tuple(itertools.accumulate(map(float, dist.values())))
 
 
 def squash_sample(pattern: ClickPattern, seed) -> EffectiveOutcome:
@@ -124,16 +107,12 @@ def squash_sample(pattern: ClickPattern, seed) -> EffectiveOutcome:
 
     ``seed`` may also be a ``random.Random`` instance for repeated draws
     from one generator (one independent generator per task, never shared).
+    Every table probability is dyadic, so the last running sum is exactly
+    1.0 and ``random()``, which is below 1, always lands inside the table.
     """
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    u = rng.random()
-    acc = 0.0
-    dist = squash_distribution(pattern)
-    for outcome, p in dist.items():
-        acc += float(p)
-        if u < acc:
-            return outcome
-    return outcome  # u == 1.0 edge
+    outcomes, cumulative = _table(pattern)
+    return outcomes[bisect.bisect_right(cumulative, rng.random())]
 
 
 _VALIDATION_PATTERNS = (
@@ -160,13 +139,10 @@ def monte_carlo_check(trials: int, seed: int):
     ok = True
     for index, (name, pattern) in enumerate(_VALIDATION_PATTERNS):
         rng = random.Random((seed << 8) + index)
-        counts = {}
-        for _ in range(trials):
-            outcome = squash_sample(pattern, rng)
-            counts[outcome] = counts.get(outcome, 0) + 1
+        counts = Counter(squash_sample(pattern, rng) for _ in range(trials))
         for outcome, p in sorted(squash_distribution(pattern).items(), key=lambda kv: kv[0].value):
             expected = float(p)
-            observed = counts.get(outcome, 0) / trials
+            observed = counts[outcome] / trials
             bound = 3.0 * (expected * (1.0 - expected) / trials) ** 0.5
             within = abs(observed - expected) <= bound
             ok = ok and within

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,8 +8,8 @@ from hypothesis import strategies as st
 
 from ubb84.squash import (
     ClickPattern,
+    _VALIDATION_PATTERNS,
     EffectiveOutcome,
-    classify,
     monte_carlo_check,
     squash_distribution,
     squash_sample,
@@ -28,32 +29,13 @@ patterns = st.builds(
     d1=st.booleans(), d2=st.booleans(), d3=st.booleans(),
     basis=st.sampled_from(["even", "odd"]),
 )
-
-
-class TestClassify:
-    def test_single_middle(self):
-        assert classify(ClickPattern(c2=True, basis="even")) == "single-middle"
-
-    def test_multi_outside(self):
-        assert classify(ClickPattern(c1=True, d3=True)) == "multi-outside-only"
-
-    def test_cross(self):
-        assert classify(ClickPattern(c2=True, d1=True)) == "cross"
-
-    def test_double_middle(self):
-        assert classify(ClickPattern(c2=True, d2=True)) == "double-middle"
-
-    def test_no_click_and_single_outside(self):
-        assert classify(ClickPattern()) == "no-click"
-        assert classify(ClickPattern(d1=True)) == "single-outside"
-
-    def test_any_middle_with_any_outside_is_cross(self):
-        assert classify(ClickPattern(c2=True, d2=True, c1=True)) == "cross"
-        assert classify(ClickPattern(d2=True, c3=True, d1=True)) == "cross"
-
-    def test_rejects_bad_basis(self):
-        with pytest.raises(ValueError):
-            ClickPattern(c2=True, basis="diagonal")
+ALL_PATTERNS = [
+    ClickPattern(*clicks, basis=basis)
+    for clicks in itertools.product((False, True), repeat=6)
+    for basis in ("even", "odd")
+]
+CROSS = {R0: Fraction(1, 8), R1: Fraction(1, 8), R2: Fraction(1, 8), R3: Fraction(1, 8),
+         OUT: Fraction(1, 2)}
 
 
 class TestDistribution:
@@ -68,24 +50,43 @@ class TestDistribution:
         assert even == {R0: Fraction(1, 2), R2: Fraction(1, 2)}
         odd = squash_distribution(ClickPattern(c2=True, d2=True, basis="odd"))
         assert odd == {R1: Fraction(1, 2), R3: Fraction(1, 2)}
+        assert squash_distribution(ClickPattern(c2=True, d2=True)) == even
 
     def test_outside_rows(self):
         assert squash_distribution(ClickPattern(c1=True)) == {OUT: Fraction(1)}
+        assert squash_distribution(ClickPattern(d1=True)) == {OUT: Fraction(1)}
+        assert squash_distribution(ClickPattern(c1=True, d3=True)) == {OUT: Fraction(1)}
         assert squash_distribution(ClickPattern(c1=True, d3=True, c3=True)) == {OUT: Fraction(1)}
 
     def test_cross_row(self):
-        dist = squash_distribution(ClickPattern(c2=True, d1=True))
-        assert dist[OUT] == Fraction(1, 2)
-        for r in (R0, R1, R2, R3):
-            assert dist[r] == Fraction(1, 8)
+        # any middle click with any outside click is cross, in either basis
+        for pattern in (ClickPattern(c2=True, d1=True), ClickPattern(c2=True, d2=True, c1=True),
+                        ClickPattern(d2=True, c3=True, d1=True, basis="odd")):
+            assert list(squash_distribution(pattern).items()) == list(CROSS.items()), pattern
 
     def test_no_click(self):
         assert squash_distribution(ClickPattern()) == {NONE: Fraction(1)}
 
-    @given(patterns)
-    @settings(max_examples=300)
-    def test_sums_to_one_exactly(self, pattern):
-        assert sum(squash_distribution(pattern).values()) == Fraction(1)
+    def test_rejects_bad_basis(self):
+        with pytest.raises(ValueError):
+            ClickPattern(c2=True, basis="diagonal")
+
+    def test_sums_to_one_exactly(self):
+        # power-of-two denominators make every float running sum exact, so
+        # the sampler's last running sum is 1.0 and no draw falls past it
+        assert len(set(ALL_PATTERNS)) == 128
+        for pattern in ALL_PATTERNS:
+            dist = squash_distribution(pattern)
+            assert sum(dist.values()) == Fraction(1), pattern
+            for p in dist.values():
+                assert p.denominator & (p.denominator - 1) == 0, (pattern, p)
+
+    def test_returns_a_fresh_dict(self):
+        pattern = ClickPattern(c2=True, d2=True, basis="odd")
+        squash_distribution(pattern)[R1] = Fraction(1)
+        assert squash_distribution(pattern) == {R1: Fraction(1, 2), R3: Fraction(1, 2)}
+        draws = {squash_sample(pattern, s) for s in range(50)}
+        assert draws == {R1, R3}
 
     @given(patterns)
     @settings(max_examples=300)
@@ -136,3 +137,30 @@ class TestSampling:
 
     def test_monte_carlo_check_reproducible(self):
         assert monte_carlo_check(5_000, seed=4) == monte_carlo_check(5_000, seed=4)
+
+
+class TestStreamPinned:
+    # literals recorded with the sampler that built a Fraction table per draw
+    # and scanned it in order; a sampler that moves one draw fails here
+    OBSERVED_2000_11 = [1.0, 1.0, 0.4825, 0.5175, 0.5045, 0.4955, 1.0, 1.0,
+                        0.122, 0.1245, 0.122, 0.118, 0.5135]
+    FIRST_DRAWS_11 = [
+        "0" * 32,
+        "3" * 32,
+        "00000200200200200202222202022000",
+        "11313331331311111333113113313133",
+        ["out"] * 32,
+        ["out"] * 32,
+        ["3", "out", "0", "3", "0", "0", "out", "out", "0", "1", "out", "out", "out", "0", "1",
+         "out", "2", "out", "2", "1", "0", "out", "out", "out", "1", "out", "out", "out", "3",
+         "0", "1", "out"],
+    ]
+
+    def test_matches_recorded_stream(self):
+        rows, ok = monte_carlo_check(2000, 11)
+        assert ok
+        assert [observed for _, _, _, observed, _, _ in rows] == self.OBSERVED_2000_11
+        for index, (_, pattern) in enumerate(_VALIDATION_PATTERNS):
+            rng = random.Random((11 << 8) + index)
+            draws = [squash_sample(pattern, rng).value for _ in range(32)]
+            assert draws == list(self.FIRST_DRAWS_11[index]), index
