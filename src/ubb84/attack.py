@@ -6,22 +6,22 @@ p_lost of the single photons lost, xi - (1-p_lost)(a+b) >= 0 and
 (1-xi) - (1-p_lost)(c+d) >= 0: the lost photons must account for the
 remainder with a valid density matrix.  The qubit-level bound is the case
 p_lost = 0, where the constraint pins a+b = xi, c+d = 1-xi.  Re[f] is
-eliminated by the observed error rate and the corner block must stay PSD
-(|f|^2 <= a d).
+eliminated by the observed error rate (the relation of "Normalization"
+below) and the corner block must stay PSD (|f|^2 <= a d).
 
 Where the exact branch below applies, the maximum is returned in closed
 form and no search runs.  Everywhere else the search works in the sifted
 coordinates of "Normalization" below.  chi-bar is concave and even in
 Im phi, and the feasible set is symmetric under phi -> conj(phi), so the
 maximum has Im phi = 0.  At fixed s = a+b the trace and the s-constraint
-make beta and gamma affine in (alpha, delta), and ``re_f_from_Q`` makes
-phi affine too.  So each s-slice is a convex set in the (alpha, delta)
+make beta and gamma affine in (alpha, delta), and the error-rate relation
+makes phi affine too.  So each s-slice is a convex set in the (alpha, delta)
 plane: at fixed alpha the linear constraints bound delta and
 phi^2 <= alpha delta is a quadratic in delta, which gives the feasible
 delta-interval in closed form.  Two nested 1-D searches maximize over
-delta and then over alpha.  For the variants with w0 xi = w1 (1-xi), s is
-pinned at the s-bound that the symmetric point violates (see "Exact
-branch").  Only PBS at kappa < 1 adds an outer search over the feasible
+delta and then over alpha.  For the variants with u = v, s is pinned at
+the s-bound that the symmetric point violates (see "Exact branch").  Only
+PBS at kappa < 1 adds an outer search over the feasible
 s-range, which is the single point xi at p_lost = 0.  There the best value
 g(s) of a slice is unimodal: the slices are sections of the convex
 feasible set by the hyperplanes (1-s)(a+b) = s(c+d), so the segment
@@ -39,34 +39,38 @@ matrices instead of the closed form ``chi_bar_of_params``.
 Normalization.  The qubit rate 1 - h(Q) - chi_max is per postselected
 signal.  Write the sifted state in normalized coordinates: diagonal
 (alpha, beta, gamma, delta) = (w0 a, w1 b, w0 c, w1 d)/T and corner
-phi = sqrt(w0 w1) f / T.  For the unbalanced variant the qubit constraint
-becomes the hyperplane L_kappa: alpha + kappa beta = gamma/kappa + delta,
-and Q fixes Re phi = 1/2 - Q.  chi-bar depends on these coordinates alone,
-is concave (spot-checked by acceptance criterion 3) and is invariant under
-the swap alpha<->delta, beta<->gamma, phi -> conj(phi), which maps L_kappa
-onto L_(1/kappa).  Averaging a feasible point with its swap gives a point
-on L_1 with at least the same chi, so chi_max(kappa, Q) <= chi_max(1, Q)
-= h(Q): per postselected signal the unbalanced rate is never below BB84's.
-The modulator's loss enters through the kept weight instead: the noiseless
-source state |Phi> survives sifting with p_kept = xi(1-xi), and the key per
-signal sent is p_kept (1 - h(Q) - chi_max).  That product, not the rate
-per postselected signal, is the one that is nondecreasing in kappa.  How
-an honest noisy channel changes p_kept is not modelled here.
+phi = sqrt(w0 w1) f / T, where T is the trace; the solver works in these
+coordinates alone, and ``_state`` maps a point back to a state.  With
+xi = xi_effective, the error rate Q fixes
+Re phi = u (alpha+gamma) + v (beta+delta), where u = k (1-xi)/w0,
+v = k xi/w1 and k = sqrt(w0 w1) (1-2Q) / (2 sqrt(xi(1-xi))).  For the
+unbalanced variant u = v = 1/2 - Q, and the qubit constraint becomes the
+hyperplane L_kappa: alpha + kappa beta = gamma/kappa + delta.  chi-bar
+depends on these coordinates alone, is concave (spot-checked by
+acceptance criterion 3) and is invariant under the swap alpha<->delta,
+beta<->gamma, phi -> conj(phi), which maps L_kappa onto L_(1/kappa).
+Averaging a feasible point with its swap gives a point on L_1 with at
+least the same chi, so chi_max(kappa, Q) <= chi_max(1, Q) = h(Q): per
+postselected signal the unbalanced rate is never below BB84's.  The
+modulator's loss enters through the kept weight instead: the noiseless
+source state |Phi> survives sifting with p_kept = xi(1-xi), and the key
+per signal sent is p_kept (1 - h(Q) - chi_max).  That product, not the
+rate per postselected signal, is the one that is nondecreasing in kappa.
+How an honest noisy channel changes p_kept is not modelled here.
 
-Exact branch.  When the filter weights satisfy w0 xi = w1 (1-xi) (within
-1e-12), the error rate fixes Re phi = 1/2 - Q for every state.  That holds
-for the unbalanced variant, for both hardware fixes (xi_effective = 1/2)
-and for PBS at kappa = 1, but not for PBS at kappa < 1.  Leave out the
-reduced-state constraint: the remaining feasible set is invariant under
-the swap alpha<->delta, beta<->gamma and under phi -> conj(phi), and
-chi-bar is concave (relative entropy is jointly convex), so the maximum
-lies at alpha = delta, beta = gamma, Im phi = 0.  On that line chi-bar is
-S(sigma) - h(Q), and S(sigma) is stationary at beta = Q(1-Q),
-alpha = 1/2 - Q(1-Q), where sigma has spectrum
+Exact branch.  When u = v (within 1e-12), Re phi = u is the same for
+every state of trace 1, and there u = 1/2 - Q.  That holds for the
+unbalanced variant, for both hardware fixes (xi_effective = 1/2) and for
+PBS at kappa = 1, but not for PBS at kappa < 1 (u - v = k (1 - 2 xi) < 0).
+Leave out the reduced-state constraint: the remaining feasible set is
+invariant under the swap alpha<->delta, beta<->gamma and under
+phi -> conj(phi), and chi-bar is concave (relative entropy is jointly
+convex), so the maximum lies at alpha = delta, beta = gamma, Im phi = 0.
+On that line chi-bar is S(sigma) - h(Q), and S(sigma) is stationary at
+beta = Q(1-Q), alpha = 1/2 - Q(1-Q), where sigma has spectrum
 {(1-Q)^2, Q(1-Q), Q(1-Q), Q^2} and entropy 2 h(Q); so chi = h(Q), the
-BB84 bound of Shor and Preskill.  Mapped back, (a, b, c, d) is
-proportional to (alpha/w0, beta/w1, beta/w0, alpha/w1), Re f follows from
-``re_f_from_Q`` and Im f = 0.  The point is PSD, since
+BB84 bound of Shor and Preskill.  ``_state`` maps the point
+(alpha, beta, beta, alpha, 1/2 - Q) back to a state.  It is PSD, since
 alpha = 1/2 - Q(1-Q) >= 1/2 - Q = phi.  The reduced-state constraint only
 bounds s = a+b, so if s lies within ``ConstraintSet.s_bounds`` (1e-12
 slack) the point is the maximum over the full feasible set, and
@@ -85,7 +89,7 @@ import sys
 from dataclasses import dataclass
 
 from .protocol import ProtocolConfig
-from .sifting import SymmetricState, re_f_from_Q
+from .sifting import SymmetricState
 
 __all__ = [
     "ConstraintSet",
@@ -149,29 +153,41 @@ def _h_term(x: float) -> float:
     return 0.0 if x <= 1e-18 else -x * math.log2(x)
 
 
-def chi_bar_of_params(cfg: ProtocolConfig, a, b, c, d, f) -> float:
-    """Closed-form chi-bar of a symmetric state (optimizer fast path).
+def chi_bar_of_params(alpha, beta, gamma, delta, phi) -> float:
+    """Closed-form chi-bar of a sifted symmetric state (optimizer fast path).
 
-    Sifting maps the state to sigma with diagonal (w0 a, w1 b, w0 c, w1 d)/T
-    and corner sqrt(w0 w1) f / T, where (w0, w1) come from the receiver
-    filter and T normalizes the trace.  All four postselected conditional
-    states share one spectrum, so chi-bar = S(sigma) - S(conditional).
-    Agrees with the matrix route (``overall_holevo`` in ``tests/reference.py``)
-    to machine precision.
+    (alpha, beta, gamma, delta) is the diagonal of the normalized sifted
+    state sigma and phi its corner (see "Normalization" above).  All four
+    postselected conditional states share one spectrum, so
+    chi-bar = S(sigma) - S(conditional).  Agrees with the matrix route
+    (``overall_holevo`` in ``tests/reference.py``) to machine precision.
     """
-    w0, w1 = cfg.filter_weights
-    f = complex(f)
-    t = w0 * (a + c) + w1 * (b + d)
-    aa, bb, cc, dd = w0 * a / t, w1 * b / t, w0 * c / t, w1 * d / t
-    f2 = w0 * w1 * (f.real * f.real + f.imag * f.imag) / (t * t)
-    half = 0.5 * (aa - dd)
+    phi = complex(phi)
+    f2 = phi.real * phi.real + phi.imag * phi.imag
+    half = 0.5 * (alpha - delta)
     disc = math.sqrt(half * half + f2)
-    mid = 0.5 * (aa + dd)
-    s4 = _h_term(bb) + _h_term(cc) + _h_term(mid + disc) + _h_term(max(mid - disc, 0.0))
-    gap = aa + cc - bb - dd
+    mid = 0.5 * (alpha + delta)
+    s4 = _h_term(beta) + _h_term(gamma) + _h_term(mid + disc) + _h_term(max(mid - disc, 0.0))
+    gap = alpha + gamma - beta - delta
     r = min(1.0, math.sqrt(gap * gap + 4.0 * f2))
     s2 = _h_term(0.5 * (1.0 + r)) + _h_term(0.5 * (1.0 - r))
     return s4 - s2
+
+
+def _error_relation(cfg: ProtocolConfig, cs: ConstraintSet):
+    """(u, v) of the error-rate relation phi = u (alpha+gamma) + v (beta+delta)."""
+    w0, w1 = cfg.filter_weights
+    k = math.sqrt(w0 * w1) * (1.0 - 2.0 * cs.q) / (2.0 * math.sqrt(cs.xi * (1.0 - cs.xi)))
+    return k * (1.0 - cs.xi) / w0, k * cs.xi / w1
+
+
+def _state(cfg: ProtocolConfig, alpha, beta, gamma, delta, phi) -> SymmetricState:
+    """The state of trace 1 whose sifted point is (alpha, beta, gamma, delta, phi)."""
+    w0, w1 = cfg.filter_weights
+    a, b, c, d = alpha / w0, beta / w1, gamma / w0, delta / w1
+    total = a + b + c + d
+    return SymmetricState(a=a / total, b=b / total, c=c / total, d=d / total,
+                          f=complex(phi / math.sqrt(w0 * w1) / total, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -269,28 +285,24 @@ class _Slice:
 
     The trace alpha+beta+gamma+delta = 1 and the s-constraint
     (1-s)(alpha/w0 + beta/w1) = s(gamma/w0 + delta/w1) make beta and gamma
-    affine in (alpha, delta), and ``re_f_from_Q`` makes phi (real) affine
-    too; each is stored as (constant, alpha and delta coefficients).
+    affine in (alpha, delta), and the error-rate relation (u, v) makes phi
+    (real) affine too; each is stored as (constant, alpha and delta
+    coefficients).
     """
 
-    def __init__(self, cfg: ProtocolConfig, cs: ConstraintSet, s: float):
-        self.weights = w0, w1 = cfg.filter_weights
+    def __init__(self, cfg: ProtocolConfig, uv, s: float):
+        w0, w1 = cfg.filter_weights
+        u, v = uv
         den = (1.0 - s) * w0 + s * w1
         self.beta = b0, ba, bd = w1 * s / den, -w1 / den, s * (w0 - w1) / den
         self.gamma = g0, ga, gd = w0 * (1.0 - s) / den, (1.0 - s) * (w1 - w0) / den, -w0 / den
-        # phi = u (alpha + gamma) + v (beta + delta): re_f_from_Q is linear in the diagonal
-        root = math.sqrt(w0 * w1)
-        u = root * re_f_from_Q(1.0 / w0, 0.0, 0.0, 0.0, cs.q, cs.xi)
-        v = root * re_f_from_Q(0.0, 1.0 / w1, 0.0, 0.0, cs.q, cs.xi)
         self.phi = (u * g0 + v * b0, u * (1.0 + ga) + v * ba, u * gd + v * (1.0 + bd))
 
-    def raw(self, alpha: float, delta: float):
-        """(a, b, c, d, Re f) up to a common factor: the filter weights undone."""
-        w0, w1 = self.weights
+    def point(self, alpha: float, delta: float):
+        """The sifted point (alpha, beta, gamma, delta, phi)."""
         (b0, ba, bd), (g0, ga, gd), (p0, pa, pd) = self.beta, self.gamma, self.phi
-        return (alpha / w0, (b0 + ba * alpha + bd * delta) / w1,
-                (g0 + ga * alpha + gd * delta) / w0, delta / w1,
-                (p0 + pa * alpha + pd * delta) / math.sqrt(w0 * w1))
+        return (alpha, b0 + ba * alpha + bd * delta, g0 + ga * alpha + gd * delta, delta,
+                p0 + pa * alpha + pd * delta)
 
     def delta_range(self, alpha: float):
         """Feasible delta at fixed alpha as (lo, hi); lo > hi when empty.
@@ -363,21 +375,21 @@ class _Slice:
 class _Search:
     """Nested Brent searches that count evaluations and keep the best point."""
 
-    def __init__(self, cfg: ProtocolConfig, cs: ConstraintSet):
-        self.cfg, self.cs = cfg, cs
-        self.evals, self.chi, self.state = 0, -math.inf, None
+    def __init__(self, cfg: ProtocolConfig, uv):
+        self.cfg, self.uv = cfg, uv
+        self.evals, self.chi, self.point = 0, -math.inf, None
 
     def _chi(self, sl: _Slice, alpha: float, delta: float) -> float:
-        raw = sl.raw(alpha, delta)
-        chi = chi_bar_of_params(self.cfg, *raw)
+        point = sl.point(alpha, delta)
+        chi = chi_bar_of_params(*point)
         self.evals += 1
         if chi > self.chi:
-            self.chi, self.state = chi, raw
+            self.chi, self.point = chi, point
         return chi
 
     def slice_max(self, s: float) -> float:
         """Best chi-bar of the slice at s: Brent over alpha of Brent over delta."""
-        sl = _Slice(self.cfg, self.cs, s)
+        sl = _Slice(self.cfg, self.uv, s)
         alphas = sl.alpha_range()
         if alphas is None:
             return -math.inf
@@ -389,46 +401,37 @@ class _Search:
         return _brent_max(over_delta, *alphas)[1]
 
 
-def _feasible_s(cfg: ProtocolConfig, cs: ConstraintSet, lo: float, hi: float):
+def _feasible_s(cfg: ProtocolConfig, cs: ConstraintSet, uv, lo: float, hi: float):
     """The s-interval within [lo, hi] with nonempty slices.
 
     The feasible set is convex and holds the honest state, at s = xi.
     """
-    feasible = lambda s: _Slice(cfg, cs, s).alpha_peak() is not None  # noqa: E731
+    feasible = lambda s: _Slice(cfg, uv, s).alpha_peak() is not None  # noqa: E731
     return _edge(feasible, cs.xi, lo), _edge(feasible, cs.xi, hi)
 
 
 def _maximize(cfg: ProtocolConfig, cs: ConstraintSet) -> OptimResult:
-    w0, w1 = cfg.filter_weights
+    u, v = uv = _error_relation(cfg, cs)
     lo, hi = cs.s_bounds()
-    if abs(w0 * cs.xi - w1 * (1.0 - cs.xi)) <= 1e-12:
+    if abs(u - v) <= 1e-12:
         beta = cs.q * (1.0 - cs.q)
-        raw = ((0.5 - beta) / w0, beta / w1, beta / w0, (0.5 - beta) / w1)
-        total = sum(raw)
-        a, b, c, d = (x / total for x in raw)
-        if lo - 1e-12 <= a + b <= hi + 1e-12:
-            f = complex(re_f_from_Q(a, b, c, d, cs.q, cs.xi), 0.0)
-            return OptimResult(chi_max=chi_bar_of_params(cfg, a, b, c, d, f),
-                               argmax=SymmetricState(a=a, b=b, c=c, d=d, f=f),
-                               iterations=0)
-        lo = hi = min(max(a + b, lo), hi)
+        # alpha+gamma = beta+delta = 1/2, so the relation gives phi = (u+v)/2
+        point = (0.5 - beta, beta, beta, 0.5 - beta, 0.5 * (u + v))
+        state = _state(cfg, *point)
+        if lo - 1e-12 <= state.a + state.b <= hi + 1e-12:
+            return OptimResult(chi_max=chi_bar_of_params(*point), argmax=state, iterations=0)
+        lo = hi = min(max(state.a + state.b, lo), hi)
     else:
-        lo, hi = _feasible_s(cfg, cs, lo, hi)
-    search = _Search(cfg, cs)
+        lo, hi = _feasible_s(cfg, cs, uv, lo, hi)
+    search = _Search(cfg, uv)
     # the s-level tolerance is looser: g(s) is smooth and flat at its maximum
     _brent_max(search.slice_max, lo, hi, 1e-6)
-    if search.state is None:
+    if search.point is None:
         raise InfeasibleError(
             f"no feasible attack state found (q={cs.q}, p_lost={cs.p_lost})"
         )
-    a, b, c, d, re = search.state
-    total = a + b + c + d
-    return OptimResult(
-        chi_max=search.chi,
-        argmax=SymmetricState(a=a / total, b=b / total, c=c / total, d=d / total,
-                              f=complex(re / total, 0.0)),
-        iterations=search.evals,
-    )
+    return OptimResult(chi_max=search.chi, argmax=_state(cfg, *search.point),
+                       iterations=search.evals)
 
 
 def maximize_holevo_qubit(cfg: ProtocolConfig, q: float, p_lost: float = 0.0) -> OptimResult:

@@ -54,8 +54,10 @@ class ChannelParams:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
-        if self.alpha_db_per_km < 0 or self.y0 < 0:
-            raise ValueError("attenuation and dark-count rate must be nonnegative")
+        if self.alpha_db_per_km < 0:
+            raise ValueError(f"alpha_db_per_km must be nonnegative, got {self.alpha_db_per_km!r}")
+        if not 0.0 <= self.y0 <= 0.5:  # empty slots click with probability 2 y0
+            raise ValueError(f"y0 must be in [0, 0.5], got {self.y0!r}")
         if not 0.0 < self.eta_det <= 1.0:
             raise ValueError(f"eta_det must be in (0, 1], got {self.eta_det!r}")
         if not 0.0 <= self.e_d < 0.5:

@@ -1,8 +1,8 @@
 """Reference check paths that only the tests use.
 
-The package computes every rate from the closed forms in ``ubb84.attack``
-and ``ubb84.sifting``.  This module holds the independent routes the tests
-hold those closed forms to:
+The package computes every rate from the closed forms in ``ubb84.attack``,
+which work in sifted coordinates.  This module holds the independent routes
+the tests hold those closed forms to:
 
 * a small Hermitian-matrix toolkit (eigenvalues, von Neumann entropy,
   partial trace, Kronecker product) for 2x2 and 4x4 operators;
@@ -12,6 +12,9 @@ hold those closed forms to:
 * the matrix route: the filter map on 4x4 states, the Holevo quantities
   chi and chi-bar, group averaging and the error rate read back from a
   symmetric state;
+* the raw state's side of the solver's coordinates: the error-rate
+  relation ``re_f_from_Q`` on (a, b, c, d) and ``sifted``, the map from a
+  raw state to the sifted point that ``chi_bar_of_params`` takes;
 * predicates on package objects that only the tests ask for (the 4x4
   matrix of a ``SymmetricState``, the constraint violation of a point, the
   receiver's middle-click fraction);
@@ -35,7 +38,7 @@ import numpy as np
 from ubb84.attack import ConstraintSet, InfeasibleError
 from ubb84.channel import ApparatusModel
 from ubb84.protocol import ProtocolConfig, Variant
-from ubb84.sifting import SymmetricState, re_f_from_Q
+from ubb84.sifting import SymmetricState
 
 # ---------------------------------------------------------------------------
 # Hermitian-matrix toolkit
@@ -412,6 +415,30 @@ def symmetrize(rho_ab: np.ndarray) -> SymmetricState:
         d=float(acc[3, 3].real),
         f=complex(acc[3, 0]),
     )
+
+
+def re_f_from_Q(a, b, c, d, q, xi):
+    """The error-rate relation: Re[f] of a symmetric state with error rate Q.
+
+    Re[f] = 2 p_tilde (1 - 2Q) / sqrt(xi(1-xi)) with the kept weight
+    p_tilde = ((1-xi)(a+c) + xi(b+d)) / 4, elementwise on arrays; for a
+    normalized state and 1/2 <= xi < 1, p_tilde >= (1-xi)/4 > 0.  It is
+    affine in Q, and ``error_rate_Q`` inverts it.  A result with
+    |Re f| > sqrt(a d) signals an infeasible point.
+    """
+    p_tilde = ((1.0 - xi) * (a + c) + xi * (b + d)) / 4.0
+    return 2.0 * p_tilde * (1.0 - 2.0 * q) / math.sqrt(xi * (1.0 - xi))
+
+
+def sifted(cfg: ProtocolConfig, a, b, c, d, f):
+    """The sifted point (alpha, beta, gamma, delta, phi) of a raw symmetric state.
+
+    Diagonal (w0 a, w1 b, w0 c, w1 d)/T and corner sqrt(w0 w1) f / T, where
+    (w0, w1) are the filter weights and T normalizes the trace.
+    """
+    w0, w1 = cfg.filter_weights
+    t = w0 * (a + c) + w1 * (b + d)
+    return w0 * a / t, w1 * b / t, w0 * c / t, w1 * d / t, math.sqrt(w0 * w1) * complex(f) / t
 
 
 def error_rate_Q(s: SymmetricState, cfg: ProtocolConfig):

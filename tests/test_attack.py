@@ -9,6 +9,8 @@ from reference import (
     grid_oracle,
     is_feasible,
     overall_holevo,
+    re_f_from_Q,
+    sifted,
     state_matrix,
     symmetrize,
 )
@@ -17,7 +19,6 @@ from ubb84.attack import (
     chi_bar_of_params,
     constraint_set,
     maximize_holevo_qubit,
-    re_f_from_Q,
 )
 from ubb84.engine import qubit_point
 from ubb84.protocol import Variant, make_config
@@ -53,14 +54,14 @@ class TestChiBarFastPath:
             for _ in range(12):
                 cfg = make_config(rng.uniform(0.2, 1.0), variant)
                 s = symmetrize(random_density(rng))
-                fast = chi_bar_of_params(cfg, s.a, s.b, s.c, s.d, s.f)
+                fast = chi_bar_of_params(*sifted(cfg, s.a, s.b, s.c, s.d, s.f))
                 generic = overall_holevo(state_matrix(s), cfg)
                 assert fast == pytest.approx(generic, abs=1e-10)
 
     def test_even_in_im_f(self):
         cfg = make_config(0.7)
-        up = chi_bar_of_params(cfg, 0.4, 0.15, 0.1, 0.35, 0.2 + 0.1j)
-        down = chi_bar_of_params(cfg, 0.4, 0.15, 0.1, 0.35, 0.2 - 0.1j)
+        up = chi_bar_of_params(*sifted(cfg, 0.4, 0.15, 0.1, 0.35, 0.2 + 0.1j))
+        down = chi_bar_of_params(*sifted(cfg, 0.4, 0.15, 0.1, 0.35, 0.2 - 0.1j))
         assert up == pytest.approx(down, abs=1e-14)
 
 
@@ -107,7 +108,7 @@ class TestQubitOptimizer:
         d = (1 - mix) * (1 - xi) + mix * (1 - xi) / 2
         re = re_f_from_Q(a, b, c, d, q, xi)
         if re * re <= a * d:
-            assert result.chi_max >= chi_bar_of_params(cfg, a, b, c, d, re) - 1e-9
+            assert result.chi_max >= chi_bar_of_params(*sifted(cfg, a, b, c, d, re)) - 1e-9
 
     def test_feasible_set_shrunk_to_a_point(self):
         # as Q -> 0 the feasible set shrinks to the honest state; rounding
@@ -218,6 +219,24 @@ class TestOracleSweep:
             assert is_feasible(cs, s.a, s.b, s.c, s.d, s.f, tol=1e-8), q
 
 
+class TestArgmaxReadBack:
+    # the solver's sifted error-rate relation and state map against the
+    # tests' raw relation (error_rate_Q) and weighting (sifted)
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_error_rate_and_chi_bar(self, variant):
+        for kappa in (1e-8, 0.01, 0.2, 0.5, 1.0):
+            cfg = make_config(kappa, variant)
+            for q in (0.0, 0.01, 0.05, 0.2):
+                for p_lost in (0.0, 0.5, 0.95):
+                    result = maximize_holevo_qubit(cfg, q, p_lost)
+                    s = result.argmax
+                    # a skewed xi = 1/(1+kappa) has ~1e-16 of rounding, which 1/(1-xi) amplifies
+                    tol = 1e-14 / (1.0 - cfg.xi_effective)
+                    assert error_rate_Q(s, cfg)[0] == pytest.approx(q, abs=tol), (kappa, q, p_lost)
+                    chi = chi_bar_of_params(*sifted(cfg, s.a, s.b, s.c, s.d, s.f))
+                    assert chi == pytest.approx(result.chi_max, abs=1e-12), (kappa, q, p_lost)
+
+
 class TestGridOracle:
     def test_balanced_anchor(self):
         cfg = make_config(1.0)
@@ -242,7 +261,8 @@ class TestGridOracle:
         assert chi == pytest.approx(1.0, abs=1e-5)
         cfg = make_config(0.5)
         xi = cfg.xi
-        product_chi = chi_bar_of_params(cfg, xi / 2, xi / 2, (1 - xi) / 2, (1 - xi) / 2, 0.0)
+        product_chi = chi_bar_of_params(*sifted(cfg, xi / 2, xi / 2, (1 - xi) / 2, (1 - xi) / 2,
+                                                0.0))
         assert product_chi == pytest.approx(binary_entropy(xi), abs=1e-12)
         chi_skew, _ = grid_oracle(cfg, constraint_set(cfg, 0.4999999), 25)
         assert chi_skew >= product_chi - 1e-9

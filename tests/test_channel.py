@@ -147,6 +147,8 @@ class TestParams:
             replace(default_params(), e_d=0.5)
         with pytest.raises(ValueError):
             replace(default_params(), f_ec=0.9)
+        with pytest.raises(ValueError, match="y0"):
+            replace(default_params(), y0=0.9)
 
     @pytest.mark.parametrize("field", ["alpha_db_per_km", "eta_det", "y0", "e_d", "f_ec"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
