@@ -1,0 +1,45 @@
+"""Golden CSV: three CLI runs checked against their committed stdout.
+
+Header, row order and text fields must match exactly; numbers to 1e-9
+relative, since the CSV prints 10 significant digits.  A change that moves
+a reported value updates the file under ``tests/golden/`` on purpose.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from ubb84.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+CASES = [
+    ("compare_kappa0.5.csv", ["compare", "--kappa", "0.5", "--threads", "2"]),
+    ("qubit-scan_unbalanced.csv", ["qubit-scan", "--kappas", "0.3,0.5,0.8,1.0"]),
+    ("qubit-scan_pbs.csv", ["qubit-scan", "--kappas", "0.3,0.5,0.8,1.0", "--variant", "pbs"]),
+]
+
+
+def _number(field: str):
+    try:
+        return float(field)
+    except ValueError:
+        return None
+
+
+@pytest.mark.parametrize("name, argv", CASES, ids=[name for name, _ in CASES])
+def test_cli_matches_golden(capsys, name, argv):
+    assert main(argv) == 0
+    got = capsys.readouterr().out.splitlines()
+    want = (GOLDEN / name).read_text(encoding="utf-8").splitlines()
+    assert got[0] == want[0]
+    assert len(got) == len(want)
+    for row, (got_line, want_line) in enumerate(zip(got[1:], want[1:]), start=1):
+        got_fields, want_fields = got_line.split(","), want_line.split(",")
+        assert len(got_fields) == len(want_fields), row
+        for column, g, w in zip(want[0].split(","), got_fields, want_fields):
+            expected = _number(w)
+            if expected is None:
+                assert g == w, (row, column)
+            else:
+                assert float(g) == pytest.approx(expected, rel=1e-9, abs=0.0), (row, column)
