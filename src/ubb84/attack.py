@@ -37,11 +37,12 @@ in ``tests/reference.py``, which evaluates chi-bar through explicit sifted
 matrices instead of the closed form ``chi_bar_of_params``.
 
 Normalization.  The qubit rate 1 - h(Q) - chi_max is per postselected
-signal.  Write the sifted state in normalized coordinates: diagonal
-(alpha, beta, gamma, delta) = (w0 a, w1 b, w0 c, w1 d)/T and corner
-phi = sqrt(w0 w1) f / T, where T is the trace; the solver works in these
-coordinates alone, and ``_state`` maps a point back to a state.  With
-xi = xi_effective, the error rate Q fixes
+signal.  The receiver's row ``cfg.receiver`` supplies the filter weights
+(w0, w1) and xi = xi_effective.  Write the sifted state in normalized
+coordinates: diagonal (alpha, beta, gamma, delta) = (w0 a, w1 b, w0 c, w1 d)/T
+and corner phi = sqrt(w0 w1) f / T, where T is the trace; the solver works
+in these coordinates alone, and ``_state`` maps a point back to a state.
+The error rate Q fixes
 Re phi = u (alpha+gamma) + v (beta+delta), where u = k (1-xi)/w0,
 v = k xi/w1 and k = sqrt(w0 w1) (1-2Q) / (2 sqrt(xi(1-xi))).  For the
 unbalanced variant u = v = 1/2 - Q, and the qubit constraint becomes the
@@ -60,8 +61,9 @@ How an honest noisy channel changes p_kept is not modelled here.
 
 Exact branch.  When u = v (within 1e-12), Re phi = u is the same for
 every state of trace 1, and there u = 1/2 - Q.  That holds for the
-unbalanced variant, for both hardware fixes (xi_effective = 1/2) and for
-PBS at kappa = 1, but not for PBS at kappa < 1 (u - v = k (1 - 2 xi) < 0).
+unbalanced variant, for both hardware fixes (xi_effective = 1/2, balanced
+weights) and for PBS at kappa = 1, but not for PBS at kappa < 1
+(u - v = k (1 - 2 xi) < 0).
 Leave out the reduced-state constraint: the remaining feasible set is
 invariant under the swap alpha<->delta, beta<->gamma and under
 phi -> conj(phi), and chi-bar is concave (relative entropy is jointly
@@ -146,7 +148,7 @@ def constraint_set(cfg: ProtocolConfig, q: float, p_lost: float = 0.0) -> Constr
         raise ValueError(f"error rate must be in [0, 0.5), got {q!r}")
     if not 0.0 <= p_lost < 1.0 + 1e-12:
         raise ValueError(f"p_lost must be in [0, 1), got {p_lost!r}")
-    return ConstraintSet(xi=cfg.xi_effective, q=float(q), p_lost=float(p_lost))
+    return ConstraintSet(xi=cfg.receiver.xi_effective, q=float(q), p_lost=float(p_lost))
 
 
 def _h_term(x: float) -> float:
@@ -176,14 +178,14 @@ def chi_bar_of_params(alpha, beta, gamma, delta, phi) -> float:
 
 def _error_relation(cfg: ProtocolConfig, cs: ConstraintSet):
     """(u, v) of the error-rate relation phi = u (alpha+gamma) + v (beta+delta)."""
-    w0, w1 = cfg.filter_weights
+    w0, w1 = cfg.receiver.weights
     k = math.sqrt(w0 * w1) * (1.0 - 2.0 * cs.q) / (2.0 * math.sqrt(cs.xi * (1.0 - cs.xi)))
     return k * (1.0 - cs.xi) / w0, k * cs.xi / w1
 
 
 def _state(cfg: ProtocolConfig, alpha, beta, gamma, delta, phi) -> SymmetricState:
     """The state of trace 1 whose sifted point is (alpha, beta, gamma, delta, phi)."""
-    w0, w1 = cfg.filter_weights
+    w0, w1 = cfg.receiver.weights
     a, b, c, d = alpha / w0, beta / w1, gamma / w0, delta / w1
     total = a + b + c + d
     return SymmetricState(a=a / total, b=b / total, c=c / total, d=d / total,
@@ -291,7 +293,7 @@ class _Slice:
     """
 
     def __init__(self, cfg: ProtocolConfig, uv, s: float):
-        w0, w1 = cfg.filter_weights
+        w0, w1 = cfg.receiver.weights
         u, v = uv
         den = (1.0 - s) * w0 + s * w1
         self.beta = b0, ba, bd = w1 * s / den, -w1 / den, s * (w0 - w1) / den

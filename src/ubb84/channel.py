@@ -1,9 +1,11 @@
 """Honest source / fiber / detector model producing the observed statistics.
 
-The model assembles, per protocol variant, the probabilities that a signal
-emitted with Poissonian photon number ends up as a kept detection event,
-the total and single-photon error rates, and the single-photon loss
-fraction that feeds the relaxed reduced-state constraint.
+The model assembles the probabilities that a signal emitted with
+Poissonian photon number ends up as a kept detection event, the total and
+single-photon error rates, and the single-photon loss fraction that feeds
+the relaxed reduced-state constraint.  The variant enters only through its
+row of the receiver table, ``ProtocolConfig.receiver``: the shares of the
+light that reach a detector and land in a kept slot.
 
 Conventions (one defensible reading of an under-specified simulation; see
 the package README):
@@ -21,13 +23,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 
-from .protocol import ProtocolConfig, Variant
+from .protocol import ProtocolConfig
 
 __all__ = [
-    "ApparatusModel",
     "ChannelParams",
     "ObservedStats",
-    "apparatus_transmittance",
     "default_params",
     "honest_statistics",
     "load_params",
@@ -117,42 +117,9 @@ class ObservedStats:
     p_lost: float
 
 
-@dataclass(frozen=True)
-class ApparatusModel:
-    """Receiver-side transmission bookkeeping.
-
-    ``survival`` is the probability that a photon reaches a detector at all
-    (outside slots included); ``kept`` the probability that it lands in a
-    kept slot.
-    """
-
-    survival: float
-    kept: float
-
-
 def transmittance(params: ChannelParams, distance_km: float) -> float:
     """Fiber transmission 10^(-alpha L / 10)."""
     return 10.0 ** (-params.alpha_db_per_km * distance_km / 10.0)
-
-
-def apparatus_transmittance(cfg: ProtocolConfig) -> ApparatusModel:
-    """Survival and kept fractions of the receiver apparatus per variant.
-
-    unbalanced: survival 1/(2 xi), kept (1-xi) = kappa/(1+kappa) (middle
-    fraction 2 xi (1-xi));  pbs: survival = kept = xi + (1-xi) kappa, all
-    clicks kept;  fix-loss: survival kappa, kept kappa/2;  fix-uneven-bs:
-    survival 2 kappa/(1+kappa), kept kappa/(1+kappa).
-    """
-    k = cfg.kappa
-    xi = cfg.xi
-    if cfg.variant is Variant.UNBALANCED:
-        return ApparatusModel(survival=1.0 / (2.0 * xi), kept=1.0 - xi)
-    if cfg.variant is Variant.PBS:
-        t = xi + (1.0 - xi) * k
-        return ApparatusModel(survival=t, kept=t)
-    if cfg.variant is Variant.FIX_LOSS:
-        return ApparatusModel(survival=k, kept=k / 2.0)
-    return ApparatusModel(survival=2.0 * k / (1.0 + k), kept=k / (1.0 + k))
 
 
 def honest_statistics(cfg: ProtocolConfig, params: ChannelParams, distance_km: float,
@@ -173,8 +140,8 @@ def honest_statistics(cfg: ProtocolConfig, params: ChannelParams, distance_km: f
     if not 0.0 < mu < math.inf:
         raise ValueError(f"mu must be finite and positive, got {mu!r}")
     eta_ch = transmittance(params, distance_km)
-    apparatus = apparatus_transmittance(cfg)
-    eta_sys = eta_ch * params.eta_det * apparatus.kept
+    receiver = cfg.receiver
+    eta_sys = eta_ch * params.eta_det * receiver.kept
     y0 = params.y0
     e_d = params.e_d
 
@@ -187,7 +154,7 @@ def honest_statistics(cfg: ProtocolConfig, params: ChannelParams, distance_km: f
     q_tot = err_total / p_click_total if p_click_total > 0.0 else 0.5
     q_single = (e_d * eta_sys + y0) / (eta_sys + 2.0 * y0) if eta_sys + y0 > 0.0 else 0.5
 
-    p_lost = 1.0 - eta_ch * params.eta_det * apparatus.survival
+    p_lost = 1.0 - eta_ch * params.eta_det * receiver.survival
     return ObservedStats(
         p_click_s=p_click_s,
         p_click_total=p_click_total,

@@ -62,7 +62,7 @@ def _fmt(value) -> str:
         return ""
     if isinstance(value, str):
         return value
-    return format(value, ".10g")
+    return format(value + 0.0, ".10g")  # + 0.0 turns -0.0 into 0
 
 
 def format_csv(points) -> str:

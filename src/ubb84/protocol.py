@@ -10,14 +10,15 @@ transmissivity ``xi = 1/(1+kappa)``.  Four protocol variants are supported:
 * ``pbs`` - pulses polarization-multiplexed so everything interferes; the
   receiver's measurement is balanced BB84 on the incoming qubit.
 * ``fix-loss`` / ``fix-uneven-bs`` - hardware rebalancing fixes.  At the
-  qubit level both behave as ideal balanced BB84 (xi_effective = 1/2); the
-  extra apparatus loss is handled by the channel model.
+  qubit level both behave as ideal balanced BB84 (xi_effective = 1/2); only
+  their extra apparatus loss sets them apart.
 
-The analysis needs one fact about each variant's measurement: the receiver
-sifting filter F_B, whose square 2 F_B^2 = diag(w0, w1) weighs the sifted
-state (``ProtocolConfig.filter_weights``).  The explicit signal states,
-POVMs, filters and symmetry group it summarizes live in
-``tests/reference.py``, where the tests check the closed form against them.
+The variants differ only in their receivers, and each receiver is one row
+of one table, ``ProtocolConfig.receiver``: the qubit-level xi, the weights
+2 F_B^2 = diag(w0, w1) of the sifting filter F_B, and the shares of the
+light that reach a detector and land in a kept slot.  The explicit signal
+states, POVMs, filters and symmetry group the row summarizes live in
+``tests/reference.py``, where the tests check the table against them.
 
 Everything here is an immutable value object; construction and queries are
 pure.
@@ -31,6 +32,7 @@ from functools import cached_property
 
 __all__ = [
     "ProtocolConfig",
+    "Receiver",
     "Variant",
     "make_config",
 ]
@@ -41,6 +43,26 @@ class Variant(str, Enum):
     PBS = "pbs"
     FIX_LOSS = "fix-loss"
     FIX_UNEVEN_BS = "fix-uneven-bs"
+
+
+@dataclass(frozen=True)
+class Receiver:
+    """What a variant's receiver makes of the light it is sent.
+
+    ``xi_effective`` is the xi of the qubit-level structure, the constraints
+    and the error rate: the hardware fixes restore balanced BB84, so theirs
+    is 1/2 regardless of kappa.  ``weights`` is the diagonal (w0, w1) of
+    2 F_B^2: the unbalanced receiver keeps its same-basis middle clicks,
+    B_0 + B_2 = diag(1-xi, xi) / 2, and the others measure balanced BB84,
+    B_0 + B_2 = I / 2.  ``survival`` is the probability that a photon
+    reaches a detector at all (outside slots included); ``kept`` the
+    probability that it lands in a kept slot.
+    """
+
+    xi_effective: float
+    weights: tuple[float, float]
+    survival: float
+    kept: float
 
 
 @dataclass(frozen=True)
@@ -66,29 +88,24 @@ class ProtocolConfig:
         """Beamsplitter transmissivity 1/(1+kappa) that balances the skewed arms."""
         return 1.0 / (1.0 + self.kappa)
 
-    @property
-    def xi_effective(self) -> float:
-        """xi of the qubit-level structure: the constraints and the error rate.
-
-        The hardware fixes restore balanced BB84 structure, so they build
-        their qubit objects at xi = 1/2 regardless of kappa.
-        """
-        if self.variant in (Variant.FIX_LOSS, Variant.FIX_UNEVEN_BS):
-            return 0.5
-        return self.xi
-
     @cached_property
-    def filter_weights(self) -> tuple[float, float]:
-        """Diagonal (w0, w1) of 2 F_B^2: (1-xi, xi) unbalanced, (1, 1) otherwise.
+    def receiver(self) -> Receiver:
+        """The variant's row of the receiver table.
 
-        The unbalanced receiver keeps its same-basis middle clicks,
-        B_0 + B_2 = diag(1-xi, xi) / 2; the PBS protocol and the hardware
-        fixes measure balanced BB84, B_0 + B_2 = I / 2.  The sifted-state
-        formulas read the weights on every chi-bar evaluation.
+        This is the one place that reads the variant.  The unbalanced
+        receiver keeps a middle fraction 2 xi (1-xi) of the photons that
+        reach it; the PBS receiver keeps every click.
         """
+        k = self.kappa
+        xi = self.xi
         if self.variant is Variant.UNBALANCED:
-            return 1.0 - self.xi, self.xi
-        return 1.0, 1.0
+            return Receiver(xi, (1.0 - xi, xi), survival=1.0 / (2.0 * xi), kept=1.0 - xi)
+        if self.variant is Variant.PBS:
+            t = xi + (1.0 - xi) * k
+            return Receiver(xi, (1.0, 1.0), survival=t, kept=t)
+        if self.variant is Variant.FIX_LOSS:
+            return Receiver(0.5, (1.0, 1.0), survival=k, kept=k / 2.0)
+        return Receiver(0.5, (1.0, 1.0), survival=2.0 * k / (1.0 + k), kept=k / (1.0 + k))
 
 
 def make_config(kappa: float, variant: Variant | str = Variant.UNBALANCED) -> ProtocolConfig:

@@ -20,7 +20,6 @@ to the lower label of the pair.  Table probabilities are exact rationals.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import random
@@ -108,11 +107,12 @@ def squash_sample(pattern: ClickPattern, seed) -> EffectiveOutcome:
     ``seed`` may also be a ``random.Random`` instance for repeated draws
     from one generator (one independent generator per task, never shared).
     Every table probability is dyadic, so the last running sum is exactly
-    1.0 and ``random()``, which is below 1, always lands inside the table.
+    1.0 and ``choices`` bisects the sums at ``random()`` itself, which is
+    below 1 and so always lands inside the table.
     """
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     outcomes, cumulative = _table(pattern)
-    return outcomes[bisect.bisect_right(cumulative, rng.random())]
+    return rng.choices(outcomes, cum_weights=cumulative)[0]
 
 
 _VALIDATION_PATTERNS = (
@@ -124,6 +124,7 @@ _VALIDATION_PATTERNS = (
     ("multi-outside c1+d3", ClickPattern(c1=True, d3=True)),
     ("cross c2+d1", ClickPattern(c2=True, d1=True)),
 )
+_BATCH = 10_000  # draws per list: the same stream as squash_sample, in bounded memory
 
 
 def monte_carlo_check(trials: int, seed: int):
@@ -139,7 +140,11 @@ def monte_carlo_check(trials: int, seed: int):
     ok = True
     for index, (name, pattern) in enumerate(_VALIDATION_PATTERNS):
         rng = random.Random((seed << 8) + index)
-        counts = Counter(squash_sample(pattern, rng) for _ in range(trials))
+        outcomes, cumulative = _table(pattern)
+        counts = Counter()
+        for done in range(0, trials, _BATCH):
+            batch = min(_BATCH, trials - done)
+            counts.update(rng.choices(outcomes, cum_weights=cumulative, k=batch))
         for outcome, p in sorted(squash_distribution(pattern).items(), key=lambda kv: kv[0].value):
             expected = float(p)
             observed = counts[outcome] / trials

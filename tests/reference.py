@@ -36,8 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ubb84.attack import ConstraintSet, InfeasibleError
-from ubb84.channel import ApparatusModel
-from ubb84.protocol import ProtocolConfig, Variant
+from ubb84.protocol import ProtocolConfig, Receiver, Variant
 from ubb84.sifting import SymmetricState
 
 # ---------------------------------------------------------------------------
@@ -193,7 +192,7 @@ def signal_state(cfg: ProtocolConfig, x: int) -> np.ndarray:
     """Signal ket sqrt(xi)|0> + sqrt(1-xi) e^{i pi x/2} |1> for x in 0..3."""
     if x not in (0, 1, 2, 3):
         raise ValueError(f"signal index must be in 0..3, got {x!r}")
-    xi = cfg.xi_effective
+    xi = cfg.receiver.xi_effective
     return np.array([math.sqrt(xi), math.sqrt(1.0 - xi) * np.exp(1j * math.pi * x / 2)])
 
 
@@ -203,7 +202,7 @@ def source_state(cfg: ProtocolConfig):
     Returns the ket on A (x) S and the fixed reduced state
     rho_A = diag(xi, 1-xi).
     """
-    xi = cfg.xi_effective
+    xi = cfg.receiver.xi_effective
     ket = np.zeros(4, dtype=complex)
     ket[0] = math.sqrt(xi)
     ket[3] = math.sqrt(1.0 - xi)
@@ -436,7 +435,7 @@ def sifted(cfg: ProtocolConfig, a, b, c, d, f):
     Diagonal (w0 a, w1 b, w0 c, w1 d)/T and corner sqrt(w0 w1) f / T, where
     (w0, w1) are the filter weights and T normalizes the trace.
     """
-    w0, w1 = cfg.filter_weights
+    w0, w1 = cfg.receiver.weights
     t = w0 * (a + c) + w1 * (b + d)
     return w0 * a / t, w1 * b / t, w0 * c / t, w1 * d / t, math.sqrt(w0 * w1) * complex(f) / t
 
@@ -451,7 +450,7 @@ def error_rate_Q(s: SymmetricState, cfg: ProtocolConfig):
     coarse-grained estimator used for parameter estimation by every variant
     (the hardware fixes evaluate it at their balanced xi).
     """
-    xi = cfg.xi_effective
+    xi = cfg.receiver.xi_effective
     r0 = re_f_from_Q(s.a, s.b, s.c, s.d, 0.0, xi)
     p_tilde = 0.5 * r0 * math.sqrt(xi * (1.0 - xi))
     if p_tilde < 1e-15:
@@ -478,9 +477,9 @@ def is_feasible(cs: ConstraintSet, a, b, c, d, f, tol=1e-8) -> bool:
     return violation(cs, a, b, c, d, f) <= tol
 
 
-def middle_fraction(model: ApparatusModel) -> float:
+def middle_fraction(receiver: Receiver) -> float:
     """Share of the photons reaching a detector that land in a kept slot."""
-    return model.kept / model.survival
+    return receiver.kept / receiver.survival
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +496,7 @@ def _chi_bar_batch(cfg: ProtocolConfig, a, b, c, d, f):
     postselected conditional state through the partial inner products with
     the sender directions.
     """
-    w0, w1 = cfg.filter_weights
+    w0, w1 = cfg.receiver.weights
     t = w0 * (a + c) + w1 * (b + d)
     n = a.shape[0]
     sig = np.zeros((n, 4, 4), dtype=complex)

@@ -231,7 +231,7 @@ class TestArgmaxReadBack:
                     result = maximize_holevo_qubit(cfg, q, p_lost)
                     s = result.argmax
                     # a skewed xi = 1/(1+kappa) has ~1e-16 of rounding, which 1/(1-xi) amplifies
-                    tol = 1e-14 / (1.0 - cfg.xi_effective)
+                    tol = 1e-14 / (1.0 - cfg.receiver.xi_effective)
                     assert error_rate_Q(s, cfg)[0] == pytest.approx(q, abs=tol), (kappa, q, p_lost)
                     chi = chi_bar_of_params(*sifted(cfg, s.a, s.b, s.c, s.d, s.f))
                     assert chi == pytest.approx(result.chi_max, abs=1e-12), (kappa, q, p_lost)

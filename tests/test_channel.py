@@ -7,7 +7,6 @@ import pytest
 from reference import middle_fraction
 from ubb84.channel import (
     ChannelParams,
-    apparatus_transmittance,
     default_params,
     honest_statistics,
     load_params,
@@ -20,8 +19,8 @@ from ubb84.protocol import Variant, make_config
 def stats_by_series(cfg, params, distance_km, mu, n_max=120):
     """Independent re-evaluation of the honest model by direct series summation."""
     eta_ch = 10.0 ** (-params.alpha_db_per_km * distance_km / 10.0)
-    apparatus = apparatus_transmittance(cfg)
-    eta = eta_ch * params.eta_det * apparatus.kept
+    receiver = cfg.receiver
+    eta = eta_ch * params.eta_det * receiver.kept
     y0, e_d = params.y0, params.e_d
 
     def poisson(n):
@@ -38,7 +37,7 @@ def stats_by_series(cfg, params, distance_km, mu, n_max=120):
         "p_click_s": poisson(1) * (eta + 2.0 * y0 * (1.0 - eta)),
         "q_tot": err / click,
         "q_single": (e_d * eta + y0) / (eta + 2.0 * y0),
-        "p_lost": 1.0 - eta_ch * params.eta_det * apparatus.survival,
+        "p_lost": 1.0 - eta_ch * params.eta_det * receiver.survival,
     }
 
 
@@ -53,35 +52,45 @@ class TestTransmittance:
         assert transmittance(default_params(), 50.0) == pytest.approx(0.0891, abs=1e-4)
 
 
+# (survival, kept, xi_effective, weights) at kappa = 1/2, where xi = 2/3
+HALF_KAPPA_RECEIVERS = {
+    Variant.UNBALANCED: (3 / 4, 1 / 3, 2 / 3, (1 / 3, 2 / 3)),
+    Variant.PBS: (5 / 6, 5 / 6, 2 / 3, (1.0, 1.0)),
+    Variant.FIX_LOSS: (1 / 2, 1 / 4, 1 / 2, (1.0, 1.0)),
+    Variant.FIX_UNEVEN_BS: (2 / 3, 1 / 3, 1 / 2, (1.0, 1.0)),
+}
+
+
 class TestApparatus:
     def test_balanced_unbalanced(self):
-        model = apparatus_transmittance(make_config(1.0))
-        assert model.kept == pytest.approx(0.5)
-        assert model.survival == pytest.approx(1.0)
+        receiver = make_config(1.0).receiver
+        assert receiver.kept == pytest.approx(0.5)
+        assert receiver.survival == pytest.approx(1.0)
 
     def test_pbs_lossless_limit(self):
-        assert apparatus_transmittance(make_config(1.0, Variant.PBS)).survival == pytest.approx(1.0)
+        assert make_config(1.0, Variant.PBS).receiver.survival == pytest.approx(1.0)
 
     def test_half_kappa_table(self):
-        assert apparatus_transmittance(make_config(0.5)).kept == pytest.approx(1 / 3)
-        assert apparatus_transmittance(make_config(0.5, Variant.FIX_LOSS)).kept == pytest.approx(1 / 4)
-        assert apparatus_transmittance(make_config(0.5, Variant.PBS)).kept == pytest.approx(5 / 6)
-        assert apparatus_transmittance(make_config(0.5, Variant.FIX_UNEVEN_BS)).kept == pytest.approx(1 / 3)
+        for variant, (survival, kept, xi_effective, weights) in HALF_KAPPA_RECEIVERS.items():
+            receiver = make_config(0.5, variant).receiver
+            assert receiver.survival == pytest.approx(survival), variant
+            assert receiver.kept == pytest.approx(kept), variant
+            assert receiver.xi_effective == pytest.approx(xi_effective), variant
+            assert receiver.weights == pytest.approx(weights), variant
 
     def test_unbalanced_middle_fraction(self):
         cfg = make_config(0.5)
-        model = apparatus_transmittance(cfg)
         xi = cfg.xi
-        assert model.survival == pytest.approx(1 / (2 * xi))
-        assert middle_fraction(model) == pytest.approx(2 * xi * (1 - xi))
+        assert cfg.receiver.survival == pytest.approx(1 / (2 * xi))
+        assert middle_fraction(cfg.receiver) == pytest.approx(2 * xi * (1 - xi))
 
     def test_unbalanced_beats_fix_loss(self):
         for kappa in (0.1, 0.4, 0.7, 0.99):
-            unb = apparatus_transmittance(make_config(kappa)).kept
-            fix = apparatus_transmittance(make_config(kappa, Variant.FIX_LOSS)).kept
+            unb = make_config(kappa).receiver.kept
+            fix = make_config(kappa, Variant.FIX_LOSS).receiver.kept
             assert unb >= fix
-        assert apparatus_transmittance(make_config(1.0)).kept == pytest.approx(
-            apparatus_transmittance(make_config(1.0, Variant.FIX_LOSS)).kept
+        assert make_config(1.0).receiver.kept == pytest.approx(
+            make_config(1.0, Variant.FIX_LOSS).receiver.kept
         )
 
 
@@ -123,8 +132,7 @@ class TestHonestStatistics:
             cfg = make_config(0.45, variant)
             params = default_params()
             stats = honest_statistics(cfg, params, 15.0, 0.1)
-            arrived = (apparatus_transmittance(cfg).survival * transmittance(params, 15.0)
-                       * params.eta_det)
+            arrived = cfg.receiver.survival * transmittance(params, 15.0) * params.eta_det
             assert stats.p_lost + arrived == pytest.approx(1.0, abs=1e-12)
 
     # the operating point is an argument, checked where it is used

@@ -74,6 +74,7 @@ class TestQubitCommands:
     @given(kappa=st.one_of(st.floats(), st.floats(0.0, 1.0)),
            qber=st.one_of(st.floats(), st.floats(0.0, 0.5)))
     @example(kappa=1e-17, qber=0.05)
+    @example(kappa=0.5, qber=-0.0)  # printed -0 in qber_total and q_single
     def test_qubit_rate_is_finite_or_exits_2(self, capsys, kappa, qber):
         for variant in VARIANT_CHOICES:
             code, out, _ = run_cli(capsys, "qubit-rate", f"--kappa={kappa!r}",
@@ -84,6 +85,7 @@ class TestQubitCommands:
                 for field in ("kappa", "qber_total", "q_single", "p_lost",
                               "chi_s_max", "rate_raw", "rate"):
                     assert math.isfinite(float(row[field])), (variant, row)
+                assert "-0" not in row.values(), (variant, row)
 
 
 class TestRealisticCommands:

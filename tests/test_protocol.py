@@ -45,7 +45,7 @@ class TestConfig:
         for variant in (Variant.FIX_LOSS, Variant.FIX_UNEVEN_BS):
             cfg = make_config(0.4, variant)
             assert cfg.xi == pytest.approx(1 / 1.4)
-            assert cfg.xi_effective == 0.5
+            assert cfg.receiver.xi_effective == 0.5
             assert np.allclose(source_state(cfg)[1], np.eye(2) / 2)
 
 
@@ -229,7 +229,7 @@ class TestFilters:
         basis_sum = 2.0 * (b.element(0) + b.element(2))
         assert np.abs(basis_sum - np.diag(np.diag(basis_sum))).max() <= 1e-15
         expected = tuple(np.diag(basis_sum).real)
-        assert cfg.filter_weights == pytest.approx(expected, rel=0.0, abs=1e-15)
+        assert cfg.receiver.weights == pytest.approx(expected, rel=0.0, abs=1e-15)
 
 
 class TestPostselectedPovms:

@@ -218,7 +218,7 @@ class TestErrorRate:
                 cfg = make_config(kappa, variant)
                 s = symmetrize(random_density(rng))
                 q, p_tilde = error_rate_Q(s, cfg)
-                est_cfg = make_config(1.0 / cfg.xi_effective - 1.0, Variant.UNBALANCED)
+                est_cfg = make_config(1.0 / cfg.receiver.xi_effective - 1.0, Variant.UNBALANCED)
                 a_pov, b_pov = alice_povm(est_cfg), bob_povm(est_cfg)
                 total = sum(
                     joint_probability(state_matrix(s), a_pov.element(x), b_pov.element((x + 2) % 4))
