@@ -1,8 +1,10 @@
-"""Golden CSV: three CLI runs checked against their committed stdout.
+"""Golden output: CLI runs checked against their committed stdout.
 
-Header, row order and text fields must match exactly; numbers to 1e-9
-relative, since the CSV prints 10 significant digits.  A change that moves
-a reported value updates the file under ``tests/golden/`` on purpose.
+CSV: header, row order and text fields must match exactly; numbers to 1e-9
+relative, since the CSV prints 10 significant digits.  The squash-validate
+table prints fixed decimals, so its text must match byte for byte.  A
+change that moves a reported value updates the file under ``tests/golden/``
+on purpose.
 """
 
 from pathlib import Path
@@ -17,6 +19,13 @@ CASES = [
     ("compare_kappa0.5.csv", ["compare", "--kappa", "0.5", "--threads", "2"]),
     ("qubit-scan_unbalanced.csv", ["qubit-scan", "--kappas", "0.3,0.5,0.8,1.0"]),
     ("qubit-scan_pbs.csv", ["qubit-scan", "--kappas", "0.3,0.5,0.8,1.0", "--variant", "pbs"]),
+]
+
+SQUASH_CASES = [
+    ("squash-validate_seed11.txt", ["squash-validate", "--trials", "100000", "--seed", "11"]),
+    # not a multiple of the sampler's 10,000-draw batch
+    ("squash-validate_trials12345_seed3.txt",
+     ["squash-validate", "--trials", "12345", "--seed", "3"]),
 ]
 
 
@@ -43,3 +52,9 @@ def test_cli_matches_golden(capsys, name, argv):
                 assert g == w, (row, column)
             else:
                 assert float(g) == pytest.approx(expected, rel=1e-9, abs=0.0), (row, column)
+
+
+@pytest.mark.parametrize("name, argv", SQUASH_CASES, ids=[name for name, _ in SQUASH_CASES])
+def test_squash_validate_matches_golden(capsys, name, argv):
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (GOLDEN / name).read_text(encoding="utf-8")
