@@ -30,7 +30,7 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--threads", type=int, default=0,
                         help="worker processes for distance-scan and compare, at most one "
                              "per job and per usable core; 0 = all usable cores (default); "
-                             "qubit-rate and qubit-scan run serially")
+                             "qubit-rate, qubit-scan and squash-validate run serially")
 
 
 def _emit(text: str, out: str | None):

@@ -15,15 +15,20 @@ statistics are preserved and multi-clicks are turned into random noise:
     nothing                       -> no-click
 
 Basis joins: even -> results {0, 2}, odd -> {1, 3}; c-detector clicks map
-to the lower label of the pair.  Table probabilities are exact rationals.
+to the lower label of the pair.  Table probabilities are exact rationals, so
+each running sum is a multiple of 1/8.  CPython's ``random()`` is
+``((w1 >> 5) * 2**26 + (w2 >> 6)) / 2**53`` for two Mersenne-Twister words,
+so the top byte of w1 fixes the row ``choices`` picks.  The Monte-Carlo check
+counts those bytes of ``getrandbits`` (the same words, in order) in C, so its
+stream and every printed table are those of ``choices``.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import random
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -124,7 +129,20 @@ _VALIDATION_PATTERNS = (
     ("multi-outside c1+d3", ClickPattern(c1=True, d3=True)),
     ("cross c2+d1", ClickPattern(c2=True, d1=True)),
 )
-_BATCH = 10_000  # draws per list: the same stream as squash_sample, in bounded memory
+_BATCH = 10_000  # draws per getrandbits call: 80 kB of bits, however many trials
+
+
+def _count_draws(rng, cumulative, trials: int) -> list:
+    """Per-row counts of ``rng.choices(..., cum_weights=cumulative, k=trials)``, same stream."""
+    if cumulative[-1] != 1.0 or any(c * 256 % 1 for c in cumulative):
+        raise ValueError(f"running sums {cumulative} must be multiples of 1/256 ending at 1")
+    rows = bytes(bisect.bisect(cumulative, t / 256, 0, len(cumulative) - 1) for t in range(256))
+    counts = [0] * len(cumulative)
+    for done in range(0, trials, _BATCH):
+        batch = min(_BATCH, trials - done)
+        picked = rng.getrandbits(64 * batch).to_bytes(8 * batch, "little")[3::8].translate(rows)
+        counts = [n + picked.count(row) for row, n in enumerate(counts)]
+    return counts
 
 
 def monte_carlo_check(trials: int, seed: int):
@@ -141,10 +159,7 @@ def monte_carlo_check(trials: int, seed: int):
     for index, (name, pattern) in enumerate(_VALIDATION_PATTERNS):
         rng = random.Random((seed << 8) + index)
         outcomes, cumulative = _table(pattern)
-        counts = Counter()
-        for done in range(0, trials, _BATCH):
-            batch = min(_BATCH, trials - done)
-            counts.update(rng.choices(outcomes, cum_weights=cumulative, k=batch))
+        counts = dict(zip(outcomes, _count_draws(rng, cumulative, trials)))
         for outcome, p in sorted(squash_distribution(pattern).items(), key=lambda kv: kv[0].value):
             expected = float(p)
             observed = counts[outcome] / trials

@@ -1,15 +1,18 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ubb84.squash import (
     ClickPattern,
     _VALIDATION_PATTERNS,
     EffectiveOutcome,
+    _count_draws,
+    _table,
     monte_carlo_check,
     squash_distribution,
     squash_sample,
@@ -159,6 +162,34 @@ class TestSampling:
 
     def test_monte_carlo_check_reproducible(self):
         assert monte_carlo_check(5_000, seed=4) == monte_carlo_check(5_000, seed=4)
+
+
+class TestByteCounts:
+    # monte_carlo_check counts rows from the top byte of each draw's first
+    # generator word; choices, which squash_sample uses, is the reference
+    @given(seed=st.integers(min_value=-(2**80), max_value=2**80),
+           trials=st.integers(min_value=1, max_value=25_000),
+           index=st.integers(min_value=0, max_value=len(_VALIDATION_PATTERNS) - 1))
+    @example(seed=-7, trials=10_000, index=6)
+    @example(seed=2**64 + 3, trials=20_001, index=2)
+    @settings(max_examples=60, deadline=None)
+    def test_counts_and_state_match_choices(self, seed, trials, index):
+        outcomes, cumulative = _table(_VALIDATION_PATTERNS[index][1])
+        rng, twin = random.Random(seed), random.Random(seed)
+        counts = _count_draws(rng, cumulative, trials)
+        reference = Counter(twin.choices(outcomes, cum_weights=cumulative, k=trials))
+        assert counts == [reference[outcome] for outcome in outcomes]
+        assert rng.getstate() == twin.getstate()
+
+    def test_rejects_sums_off_the_byte_grid(self):
+        # a running sum of 1/3 falls between byte boundaries, so the top
+        # byte would not fix the row
+        with pytest.raises(ValueError):
+            _count_draws(random.Random(1), (1 / 3, 2 / 3, 1.0), 10)
+
+    def test_rejects_sums_not_ending_at_one(self):
+        with pytest.raises(ValueError):
+            _count_draws(random.Random(1), (0.25, 0.5), 10)
 
 
 class TestStreamPinned:
