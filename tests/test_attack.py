@@ -1,4 +1,6 @@
+import csv
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -217,6 +219,38 @@ class TestOracleSweep:
             assert result.chi_max >= chi_grid - 1e-6, q
             s = result.argmax
             assert is_feasible(cs, s.a, s.b, s.c, s.d, s.f, tol=1e-8), q
+
+
+def _pbs_grid():
+    """Rows (kappa, q, p_lost, chi_s_max) of ``golden/pbs_chi_grid.csv``, by kappa.
+
+    Recorded from the nested s-search solver over kappa x Q x p_lost,
+    7 x 7 x 7 points, values printed with ``repr``.
+    """
+    path = Path(__file__).resolve().parent / "golden" / "pbs_chi_grid.csv"
+    with path.open(encoding="utf-8") as fh:
+        rows = [tuple(map(float, row)) for row in csv.reader(fh) if row[0] != "kappa"]
+    kappas = sorted({row[0] for row in rows})
+    return [(kappa, [row[1:] for row in rows if row[0] == kappa]) for kappa in kappas]
+
+
+class TestPbsChiGrid:
+    # PBS is the one variant with u != v; the grid runs from kappa = 1e-12
+    # (where the corner slack of the search is a sizeable part of the set)
+    # through single-point sets (Q = 0) to no loss constraint (p_lost = 1)
+    GRID = _pbs_grid()
+
+    @pytest.mark.parametrize("kappa, rows", GRID, ids=[repr(kappa) for kappa, _ in GRID])
+    def test_never_below_recorded(self, kappa, rows):
+        cfg = make_config(kappa, Variant.PBS)
+        assert len(rows) == 49
+        for q, p_lost, recorded in rows:
+            result = maximize_holevo_qubit(cfg, q, p_lost)
+            assert math.isfinite(result.chi_max), (q, p_lost)
+            assert result.chi_max >= recorded - 1e-10, (q, p_lost)
+            s = result.argmax
+            assert is_feasible(constraint_set(cfg, q, p_lost), s.a, s.b, s.c, s.d, s.f,
+                               tol=1e-8), (q, p_lost)
 
 
 class TestArgmaxReadBack:
