@@ -13,24 +13,21 @@ Where the exact branch below applies, the maximum is returned in closed
 form and no search runs.  Everywhere else the search works in the sifted
 coordinates of "Normalization" below.  chi-bar is concave and even in
 Im phi, and the feasible set is symmetric under phi -> conj(phi), so the
-maximum has Im phi = 0.  At fixed s = a+b the trace and the s-constraint
+maximum has Im phi = 0.  The reduced-state constraint only bounds
+s = a+b.  As on the exact branch, the search first leaves it out (see
+"Free maximum"); if the free maximum's s lies within the s-bounds it is
+the answer, and otherwise concavity puts the maximum on the s-bound it
+violates, where s is pinned.  At fixed s the trace and the s-constraint
 make beta and gamma affine in (alpha, delta), and the error-rate relation
-makes phi affine too.  So each s-slice is a convex set in the (alpha, delta)
-plane: at fixed alpha the linear constraints bound delta and
-phi^2 <= alpha delta is a quadratic in delta, which gives the feasible
-delta-interval in closed form.  Two nested 1-D searches maximize over
-delta and then over alpha.  For the variants with u = v, s is pinned at
-the s-bound that the symmetric point violates (see "Exact branch").  Only
-PBS at kappa < 1 adds an outer search over the feasible
-s-range, which is the single point xi at p_lost = 0.  There the best value
-g(s) of a slice is unimodal: the slices are sections of the convex
-feasible set by the hyperplanes (1-s)(a+b) = s(c+d), so the segment
-between maximizers at s1 < s3 crosses every slice in between, and
-concavity keeps chi-bar on it above min(g(s1), g(s3)).  Each 1-D search is
-Brent's method (parabolic steps, golden-section fallback) that tries both
-ends of its range first, because maxima sit on or next to a boundary of
-the feasible set.  Every evaluation is a call of ``chi_bar_of_params`` at
-a feasible point, and the best point evaluated is the result.
+makes phi affine too.  So each s-slice is a convex set in the
+(alpha, delta) plane: at fixed alpha the linear constraints bound delta
+and phi^2 <= alpha delta is a quadratic in delta, which gives the
+feasible delta-interval in closed form.  Two nested 1-D searches maximize
+over delta and then over alpha.  Each 1-D search is Brent's method
+(parabolic steps, golden-section fallback) that tries both ends of its
+range first, because maxima sit on or next to a boundary of the feasible
+set.  Every evaluation is a call of ``chi_bar_of_params`` at a feasible
+point, and the best point evaluated is the result.
 
 The tests hold the search to an independent lower bound, the grid oracle
 in ``tests/reference.py``, which evaluates chi-bar through explicit sifted
@@ -73,15 +70,40 @@ beta = Q(1-Q), alpha = 1/2 - Q(1-Q), where sigma has spectrum
 {(1-Q)^2, Q(1-Q), Q(1-Q), Q^2} and entropy 2 h(Q); so chi = h(Q), the
 BB84 bound of Shor and Preskill.  ``_state`` maps the point
 (alpha, beta, beta, alpha, 1/2 - Q) back to a state.  It is PSD, since
-alpha = 1/2 - Q(1-Q) >= 1/2 - Q = phi.  The reduced-state constraint only
-bounds s = a+b, so if s lies within ``ConstraintSet.s_bounds`` (1e-12
-slack) the point is the maximum over the full feasible set, and
-``_maximize`` returns it with ``iterations=0``.  Otherwise the search
-runs: at p_lost = 0 and kappa < 1 with Q > 0 (there
-s = xi + 2 Q(1-Q)(1 - 2 xi) misses the pinned s = xi), at higher loss
-when an s-bound binds, and for PBS at kappa < 1.  For the
-first two, concavity puts the true maximum on the violated s-bound, where
-the search pins s, and it is at most h(Q).
+alpha = 1/2 - Q(1-Q) >= 1/2 - Q = phi.  If its s lies within
+``ConstraintSet.s_bounds`` (1e-12 slack) the point is the maximum over the
+full feasible set, and ``_maximize`` returns it with ``iterations=0``.
+Otherwise (at p_lost = 0 and kappa < 1 with Q > 0, where
+s = xi + 2 Q(1-Q)(1 - 2 xi) misses the pinned s = xi, and at higher loss
+when an s-bound binds) the pinned search runs, and its maximum is at
+most h(Q).
+
+Free maximum (u != v, PBS at kappa < 1).  Write A = alpha+gamma, so
+beta+delta = 1-A.  The relation makes phi = u A + v (1-A) a function of
+A alone, and so is S(conditional) = h((1+r)/2) with
+r = sqrt((2A-1)^2 + 4 phi^2).  At fixed A, chi-bar is therefore
+S(sigma) - h((1+r)/2), and its maximizer is the state of largest entropy
+with the three linear constraints trace 1, alpha+gamma = A and corner
+phi(A): sigma = exp(m1 P + m3 X) / Z with P = |00><00| + |10><10| and
+X = |00><11| + |11><00|, that is beta = 1/Z, gamma = e^m1 / Z and
+[[alpha, phi], [phi, delta]] = exp([[m1, m3], [m3, 0]]) / Z.  The
+multipliers minimize the convex dual log Z - m1 A - 2 m3 phi(A) (the
+primal side of the dual formulation of Coles, Metodiev and Lutkenhaus,
+Nat. Commun. 7, 11712 (2016)); ``_max_entropy`` finds them by Newton's
+method with backtracking, warm-started from the previous A.  The best
+value g(A) of an A-slice is concave in A, because the slices are sections
+of the convex feasible set by the hyperplanes alpha+gamma = A and chi-bar
+is concave, so one Brent search over A finds the free maximum.  A ranges
+over the closed-form interval where phi(A)^2 <= A(1-A), the largest
+alpha delta of the slice; at its ends the slice is the pure point
+beta = gamma = 0, evaluated directly.  The corner condition keeps the
+search's slack: the interval allows phi^2 <= A(1-A) + _SLACK and the
+largest-entropy state takes the corner sqrt(phi^2 - _SLACK), so the point
+evaluated, with phi recomputed from the relation, meets
+phi^2 <= alpha delta + _SLACK as the nested search's points do.  At
+u = v, phi is constant and the free maximum is the exact branch's point,
+beta = Q(1-Q).  At p_lost = 0 the s-bounds coincide and the pinned search
+runs at once.
 """
 
 from __future__ import annotations
@@ -374,15 +396,124 @@ class _Slice:
         return _edge(feasible, peak, lo), _edge(feasible, peak, hi)
 
 
+def _a_range(cfg: ProtocolConfig, cs: ConstraintSet):
+    """The interval of A = alpha+gamma with phi(A)^2 <= A(1-A) + _SLACK.
+
+    A(1-A) is the largest alpha delta at trace 1, reached at beta = gamma = 0.
+    With x = (1-xi) A / w0 and y = xi (1-A) / w1 the relation reads
+    phi = k (x+y), and phi^2 - A(1-A) = K ((1-2Q)^2 (x-y)^2 - 16 Q(1-Q) x y)
+    with K = w0 w1 / (4 xi (1-xi)).  In t = A - A0, where A0 is the A of
+    x = y, that is a quadratic a2 t^2 + a1 t + a0 <= 0 with a0 < 0, whose
+    roots need no cancelling discriminant.
+    """
+    w0, w1 = cfg.receiver.weights
+    xi, q = cs.xi, cs.q
+    p, r = (1.0 - xi) / w0, xi / w1
+    a_mid, b_mid = r / (p + r), p / (p + r)
+    c2 = 16.0 * q * (1.0 - q) * p * r
+    a2 = (1.0 - 2.0 * q) ** 2 * (p + r) ** 2 + c2
+    a1 = c2 * (a_mid - b_mid)
+    a0 = -(c2 * a_mid * b_mid + _SLACK * 4.0 * xi * (1.0 - xi) / (w0 * w1))
+    t = -0.5 * (a1 + math.copysign(math.sqrt(a1 * a1 - 4.0 * a2 * a0), a1))
+    t1, t2 = sorted((t / a2, a0 / t))
+    return max(0.0, a_mid + t1), min(1.0, a_mid + t2)
+
+
+def _gibbs(m1: float, m3: float, a_sum: float, b_sum: float, corner: float):
+    """The state exp(m1 P + m3 X) / Z: its dual value, sifted point and dual Hessian.
+
+    P = |00><00| + |10><10| and X = |00><11| + |11><00|, so beta = 1/Z,
+    gamma = e^m1 / Z and the (alpha, delta) block is exp([[m1, m3], [m3, 0]]) / Z,
+    with eigenvalues e^(m1/2 +- rho) / Z, rho = hypot(m1/2, m3).  The
+    multipliers grow without bound as the state nears a face of the slice
+    (about 5e4 at kappa = 1e-4), so every weight is taken relative to the
+    largest one, e^(m1/2 + rho), through rho - |m1|/2 = m3^2 / (rho + |m1|/2),
+    and so is the dual value log Z - m1 a_sum - 2 m3 corner.  The Hessian of
+    log Z is the Kubo-Mori covariance of (P, X): their spread over the four
+    eigenstates, in pairwise form, plus the coherent term of the block.
+    Returns (dual, point, (h11, h13, h33)).
+    """
+    rho = math.hypot(0.5 * m1, m3)
+    near = m3 * m3 / (rho + 0.5 * abs(m1)) if rho > 0.0 else 0.0  # rho - |m1|/2
+    if m1 >= 0.0:
+        d_beta, d_gamma, offset = -(m1 + near), -near, m1 * b_sum
+    else:
+        d_beta, d_gamma, offset = -near, m1 - near, -m1 * a_sum
+    low, gap = math.exp(-2.0 * rho), -math.expm1(-2.0 * rho)  # e^(-2 rho) and 1 - e^(-2 rho)
+    zrel = 1.0 + low + math.exp(d_beta) + math.exp(d_gamma)
+    wp = 1.0 / zrel
+    wb, wg, wm = wp * math.exp(d_beta), wp * math.exp(d_gamma), wp * low
+    if rho > 0.0:
+        sc, c = 0.5 * m3 / rho, 0.5 * m1 / rho  # sin(theta)/2, cos(theta)
+        half = near / (2.0 * rho)  # sin^2 or cos^2 of theta/2, whichever is smaller
+        cp, cm = (1.0 - half, half) if m1 >= 0.0 else (half, 1.0 - half)
+        coh = wp * gap / (2.0 * rho)
+    else:
+        sc, c, cp, cm, coh = 0.0, 1.0, 1.0, 0.0, wp
+    dual = offset + near - 2.0 * m3 * corner + math.log(zrel)
+    point = (wp * cp + wm * cm, wb, wg, wp * cm + wm * cp, wp * gap * sc)
+    h11 = (wb * wg + wb * wp * cp * cp + wb * wm * cm * cm + wg * wp * cm * cm
+           + wg * wm * cp * cp + wp * wm * c * c + 2.0 * coh * sc * sc)
+    h13 = 2.0 * sc * (wb * wp * cp - wb * wm * cm - wg * wp * cm + wg * wm * cp
+                      + 2.0 * wp * wm * c - coh * c)
+    h33 = 4.0 * sc * sc * ((wb + wg) * (wp + wm) + 4.0 * wp * wm) + 2.0 * coh * c * c
+    return dual, point, (h11, h13, h33)
+
+
+def _max_entropy(a_sum: float, b_sum: float, corner: float, mu=None):
+    """The largest-entropy sifted point with alpha+gamma = a_sum, beta+delta = b_sum
+    and corner ``corner``, where 0 < corner^2 < a_sum b_sum.
+
+    It is exp(m1 P + m3 X) / Z (see ``_gibbs``), whose multipliers
+    minimize the convex dual log Z - m1 a_sum - 2 m3 corner.  Newton's
+    method on the dual, with backtracking, starts from ``mu`` (the
+    multipliers of a previous solve) or from the diagonal solution.
+    Returns (point, multipliers).
+    """
+    m1, m3 = math.log(a_sum / b_sum), 0.0
+    dual, point, hess = _gibbs(m1, m3, a_sum, b_sum, corner)
+    if mu is not None:
+        warm = _gibbs(*mu, a_sum, b_sum, corner)
+        if warm[0] < dual:
+            (m1, m3), (dual, point, hess) = mu, warm
+    for _ in range(60):
+        alpha, beta, gamma, delta, phi = point
+        # the residual of the smaller side keeps its relative precision
+        g1 = alpha + gamma - a_sum if a_sum <= b_sum else b_sum - beta - delta
+        g3 = 2.0 * (phi - corner)
+        if abs(g1) <= 1e-14 * min(a_sum, b_sum) and abs(g3) <= 1e-14 * corner:
+            break
+        h11, h13, h33 = hess
+        det = h11 * h33 - h13 * h13
+        if not det > 0.0:
+            break
+        d1, d3 = (h13 * g3 - h33 * g1) / det, (h13 * g1 - h11 * g3) / det
+        slope = g1 * d1 + g3 * d3
+        # a near-singular Hessian can ask for any length; at most double the multipliers
+        step = min(1.0, max(16.0, abs(m1), abs(m3)) / max(abs(d1), abs(d3)))
+        noise = 1e-14 * (1.0 + abs(m1) + abs(m3))  # rounding of the dual's terms
+        for _ in range(40):
+            n1, n3 = m1 + step * d1, m3 + step * d3
+            trial = _gibbs(n1, n3, a_sum, b_sum, corner)
+            if trial[0] <= dual + 1e-4 * step * slope + noise:
+                break
+            step *= 0.5
+        else:
+            break
+        m1, m3 = n1, n3
+        dual, point, hess = trial
+    return point, (m1, m3)
+
+
 class _Search:
-    """Nested Brent searches that count evaluations and keep the best point."""
+    """Brent searches that count evaluations and keep the best point."""
 
     def __init__(self, cfg: ProtocolConfig, uv):
         self.cfg, self.uv = cfg, uv
         self.evals, self.chi, self.point = 0, -math.inf, None
+        self.mu = None
 
-    def _chi(self, sl: _Slice, alpha: float, delta: float) -> float:
-        point = sl.point(alpha, delta)
+    def _chi(self, point) -> float:
         chi = chi_bar_of_params(*point)
         self.evals += 1
         if chi > self.chi:
@@ -398,36 +529,57 @@ class _Search:
 
         def over_delta(alpha):
             lo, hi = sl.delta_range(alpha)
-            return _brent_max(lambda delta: self._chi(sl, alpha, delta), lo, max(lo, hi))[1]
+            return _brent_max(lambda delta: self._chi(sl.point(alpha, delta)), lo, max(lo, hi))[1]
 
         return _brent_max(over_delta, *alphas)[1]
 
+    def _a_slice(self, a_sum: float) -> float:
+        """chi-bar of the largest-entropy point with alpha+gamma = a_sum.
 
-def _feasible_s(cfg: ProtocolConfig, cs: ConstraintSet, uv, lo: float, hi: float):
-    """The s-interval within [lo, hi] with nonempty slices.
+        S2 depends on a_sum alone there.  The corner condition keeps the
+        search's slack; at the ends of the A-range the slice is the pure
+        point beta = gamma = 0, and a corner within the slack leaves the
+        diagonal point.
+        """
+        u, v = self.uv
+        b_sum = 1.0 - a_sum
+        corner2 = (u * a_sum + v * b_sum) ** 2 - _SLACK
+        if corner2 <= 0.0:
+            point = (0.5 * a_sum, 0.5 * b_sum, 0.5 * a_sum, 0.5 * b_sum)
+        elif corner2 >= a_sum * b_sum:
+            point = (a_sum, 0.0, 0.0, b_sum)
+        else:
+            point, self.mu = _max_entropy(a_sum, b_sum, math.sqrt(corner2), self.mu)
+        alpha, beta, gamma, delta = point[:4]
+        return self._chi((alpha, beta, gamma, delta, u * (alpha + gamma) + v * (beta + delta)))
 
-    The feasible set is convex and holds the honest state, at s = xi.
-    """
-    feasible = lambda s: _Slice(cfg, uv, s).alpha_peak() is not None  # noqa: E731
-    return _edge(feasible, cs.xi, lo), _edge(feasible, cs.xi, hi)
+    def free_max(self, cs: ConstraintSet) -> float:
+        """Best chi-bar without the s-bounds: Brent over A of the A-slices."""
+        return _brent_max(self._a_slice, *_a_range(self.cfg, cs))[1]
 
 
 def _maximize(cfg: ProtocolConfig, cs: ConstraintSet) -> OptimResult:
     u, v = uv = _error_relation(cfg, cs)
     lo, hi = cs.s_bounds()
+    search = _Search(cfg, uv)
     if abs(u - v) <= 1e-12:
         beta = cs.q * (1.0 - cs.q)
         # alpha+gamma = beta+delta = 1/2, so the relation gives phi = (u+v)/2
         point = (0.5 - beta, beta, beta, 0.5 - beta, 0.5 * (u + v))
+        chi = chi_bar_of_params(*point)
+    elif lo < hi:
+        chi = search.free_max(cs)
+        point = search.point
+    else:
+        point = None
+    if point is not None:
         state = _state(cfg, *point)
         if lo - 1e-12 <= state.a + state.b <= hi + 1e-12:
-            return OptimResult(chi_max=chi_bar_of_params(*point), argmax=state, iterations=0)
+            return OptimResult(chi_max=chi, argmax=state, iterations=search.evals)
+        # concavity puts the maximum on the s-bound that the free maximum violates
         lo = hi = min(max(state.a + state.b, lo), hi)
-    else:
-        lo, hi = _feasible_s(cfg, cs, uv, lo, hi)
-    search = _Search(cfg, uv)
-    # the s-level tolerance is looser: g(s) is smooth and flat at its maximum
-    _brent_max(search.slice_max, lo, hi, 1e-6)
+        search.chi, search.point = -math.inf, None
+    search.slice_max(lo)
     if search.point is None:
         raise InfeasibleError(
             f"no feasible attack state found (q={cs.q}, p_lost={cs.p_lost})"

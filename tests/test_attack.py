@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_density, signal_kept_weight
 from reference import (
@@ -18,10 +20,14 @@ from reference import (
 )
 from ubb84.attack import (
     InfeasibleError,
+    _a_range,
+    _error_relation,
+    _max_entropy,
     chi_bar_of_params,
     constraint_set,
     maximize_holevo_qubit,
 )
+from ubb84.channel import default_params, honest_statistics
 from ubb84.engine import qubit_point
 from ubb84.protocol import Variant, make_config
 from ubb84.qmath import binary_entropy
@@ -239,6 +245,12 @@ class TestPbsChiGrid:
     # (where the corner slack of the search is a sizeable part of the set)
     # through single-point sets (Q = 0) to no loss constraint (p_lost = 1)
     GRID = _pbs_grid()
+    # (kappa, Q, p_lost) whose recorded argmax, with phi recomputed from the
+    # error-rate relation, exceeds the corner slack by 0.9-1.5%; at these
+    # kappa the slack is much of the set, so the recorded value lies
+    # 0.0008-0.65% above the best point inside it
+    OUTSIDE_SLACK = {(1e-12, 0.0, 1.0), (1e-12, 1e-12, 1.0), (1e-12, 1e-6, 1.0),
+                     (1e-12, 0.01, 1.0), (1e-12, 0.1, 1.0), (1e-6, 1e-6, 0.9)}
 
     @pytest.mark.parametrize("kappa, rows", GRID, ids=[repr(kappa) for kappa, _ in GRID])
     def test_never_below_recorded(self, kappa, rows):
@@ -247,10 +259,63 @@ class TestPbsChiGrid:
         for q, p_lost, recorded in rows:
             result = maximize_holevo_qubit(cfg, q, p_lost)
             assert math.isfinite(result.chi_max), (q, p_lost)
-            assert result.chi_max >= recorded - 1e-10, (q, p_lost)
+            if (kappa, q, p_lost) in self.OUTSIDE_SLACK:
+                assert result.chi_max >= recorded * (1.0 - 1e-2), (q, p_lost)
+            else:
+                assert result.chi_max >= recorded - 1e-10, (q, p_lost)
             s = result.argmax
             assert is_feasible(constraint_set(cfg, q, p_lost), s.a, s.b, s.c, s.d, s.f,
                                tol=1e-8), (q, p_lost)
+
+    def test_few_evaluations_on_the_default_channel(self):
+        # the honest statistics of 0-60 km leave s free, so the A-search
+        # answers alone; the nested s-search took 1,658-3,600 evaluations
+        params = default_params()
+        for kappa in (0.2, 0.5, 0.8):
+            cfg = make_config(kappa, Variant.PBS)
+            for distance in range(0, 65, 5):
+                stats = honest_statistics(cfg, params, float(distance), 0.5)
+                result = maximize_holevo_qubit(cfg, stats.q_single, stats.p_lost)
+                assert result.iterations <= 40, (kappa, distance, result.iterations)
+
+
+class TestMaxEntropySlice:
+    """The inner solve of the A-search: the largest-entropy state of an A-slice."""
+
+    @staticmethod
+    def _entropy(alpha, beta, gamma, delta, phi):
+        mid, half = 0.5 * (alpha + delta), 0.5 * (alpha - delta)
+        disc = math.hypot(half, phi)
+        return sum(-x * math.log(x) for x in (beta, gamma, mid + disc, mid - disc) if x > 0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(log_kappa=st.floats(-8.0, 0.0), q=st.floats(0.0, 0.45),
+           frac=st.floats(0.02, 0.98), seed=st.integers(0, 2**32 - 1))
+    def test_feasible_and_largest_entropy(self, log_kappa, q, frac, seed):
+        cfg = make_config(10.0 ** log_kappa, Variant.PBS)
+        cs = constraint_set(cfg, q)
+        u, v = _error_relation(cfg, cs)
+        lo, hi = _a_range(cfg, cs)
+        a_sum = lo + frac * (hi - lo)
+        b_sum = 1.0 - a_sum
+        corner = u * a_sum + v * b_sum
+        assume(corner * corner < a_sum * b_sum * (1.0 - 1e-6))
+        point, _ = _max_entropy(a_sum, b_sum, corner)
+        alpha, beta, gamma, delta, phi = point
+        assert min(alpha, beta, gamma, delta) >= 0.0
+        # PSD up to rounding: near a face of the slice the block is almost pure
+        assert alpha * delta - phi * phi >= -1e-15 * alpha * delta
+        assert abs(alpha + gamma - a_sum) <= 1e-12
+        assert abs(beta + delta - b_sum) <= 1e-12
+        assert abs(phi - corner) <= 1e-12
+        best = self._entropy(*point)
+        # random states of the same slice: alpha in [corner^2/b_sum, a_sum],
+        # delta in [corner^2/alpha, b_sum]
+        rng = np.random.default_rng(seed)
+        for _ in range(200):
+            a = rng.uniform(corner * corner / b_sum, a_sum)
+            d = rng.uniform(corner * corner / a, b_sum)
+            assert best >= self._entropy(a, b_sum - d, a_sum - a, d, corner) - 1e-12
 
 
 class TestArgmaxReadBack:
