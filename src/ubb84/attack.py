@@ -461,14 +461,16 @@ def _gibbs(m1: float, m3: float, a_sum: float, b_sum: float, corner: float):
 
 
 def _max_entropy(a_sum: float, b_sum: float, corner: float, mu=None):
-    """The largest-entropy sifted point with alpha+gamma = a_sum, beta+delta = b_sum
-    and corner ``corner``, where 0 < corner^2 < a_sum b_sum.
+    """The largest-entropy sifted point of an A-slice, and its multipliers.
 
-    It is exp(m1 P + m3 X) / Z (see ``_gibbs``), whose multipliers
+    The slice holds the points with alpha+gamma = a_sum, beta+delta = b_sum
+    and corner ``corner``, where 0 < corner^2 < a_sum b_sum.  The point
+    is exp(m1 P + m3 X) / Z (see ``_gibbs``), whose multipliers
     minimize the convex dual log Z - m1 a_sum - 2 m3 corner.  Newton's
     method on the dual, with backtracking, starts from ``mu`` (the
-    multipliers of a previous solve) or from the diagonal solution.
-    Returns (point, multipliers).
+    multipliers of a previous solve) or from the diagonal solution m3 = 0,
+    whichever has the lower dual value, and stops once the constraints
+    hold to 1e-14 relative.
     """
     m1, m3 = math.log(a_sum / b_sum), 0.0
     dual, point, hess = _gibbs(m1, m3, a_sum, b_sum, corner)
@@ -506,7 +508,11 @@ def _max_entropy(a_sum: float, b_sum: float, corner: float, mu=None):
 
 
 class _Search:
-    """Brent searches that count evaluations and keep the best point."""
+    """Brent searches that count evaluations and keep the best point.
+
+    ``mu`` holds the multipliers of the last A-slice solved, the warm
+    start of the next.
+    """
 
     def __init__(self, cfg: ProtocolConfig, uv):
         self.cfg, self.uv = cfg, uv
@@ -566,15 +572,15 @@ def _maximize(cfg: ProtocolConfig, cs: ConstraintSet) -> OptimResult:
         beta = cs.q * (1.0 - cs.q)
         # alpha+gamma = beta+delta = 1/2, so the relation gives phi = (u+v)/2
         point = (0.5 - beta, beta, beta, 0.5 - beta, 0.5 * (u + v))
-        chi = chi_bar_of_params(*point)
     elif lo < hi:
-        chi = search.free_max(cs)
+        search.free_max(cs)
         point = search.point
     else:
         point = None
     if point is not None:
         state = _state(cfg, *point)
         if lo - 1e-12 <= state.a + state.b <= hi + 1e-12:
+            chi = search.chi if search.evals else chi_bar_of_params(*point)
             return OptimResult(chi_max=chi, argmax=state, iterations=search.evals)
         # concavity puts the maximum on the s-bound that the free maximum violates
         lo = hi = min(max(state.a + state.b, lo), hi)
