@@ -580,6 +580,7 @@ def _maximize(cfg: ProtocolConfig, cs: ConstraintSet) -> OptimResult:
     if point is not None:
         state = _state(cfg, *point)
         if lo - 1e-12 <= state.a + state.b <= hi + 1e-12:
+            # the exact branch's point is evaluated only here, outside the count
             chi = search.chi if search.evals else chi_bar_of_params(*point)
             return OptimResult(chi_max=chi, argmax=state, iterations=search.evals)
         # concavity puts the maximum on the s-bound that the free maximum violates
