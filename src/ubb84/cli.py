@@ -13,11 +13,7 @@ import itertools
 import math
 import sys
 
-from .attack import InfeasibleError
-from .channel import default_params, load_params
-from .engine import compare_variants, cutoff_distance, distance_scan, format_csv, qubit_point, qubit_scan
 from .protocol import Variant, make_config
-from .squash import monte_carlo_check
 
 VARIANT_CHOICES = [v.value for v in Variant]
 DEFAULT_SEED = 11
@@ -29,8 +25,10 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--out", metavar="FILE", help="write CSV here instead of stdout")
     parser.add_argument("--threads", type=int, default=0,
                         help="worker processes for distance-scan and compare, at most one "
-                             "per job and per usable core; 0 = all usable cores (default); "
-                             "qubit-rate, qubit-scan and squash-validate run serially")
+                             "per job and per usable core; 0 = all usable cores (default). "
+                             "Jobs run in-process until the work outlasts a pool's start-up, "
+                             "then the rest fans out in chunks; qubit-rate, qubit-scan and "
+                             "squash-validate run serially")
 
 
 def _emit(text: str, out: str | None):
@@ -43,6 +41,8 @@ def _emit(text: str, out: str | None):
 
 def _print_cutoffs(points):
     """One stderr line per (variant, kappa) curve: where its rate first fails."""
+    from .engine import cutoff_distance
+
     for (variant, kappa), curve in itertools.groupby(points, key=lambda p: (p.variant, p.kappa)):
         curve = list(curve)
         cutoff = cutoff_distance(curve)
@@ -127,15 +127,22 @@ def main(argv=None) -> int:
         if args.threads < 0:
             raise ValueError(f"--threads must be >= 0, got {args.threads}")
         if args.command == "qubit-rate":
+            from .engine import format_csv, qubit_point
+
             cfg = make_config(args.kappa, args.variant)
             point = qubit_point(cfg, args.qber)
             _emit(format_csv([point]), args.out)
         elif args.command == "qubit-scan":
+            from .engine import format_csv, qubit_scan
+
             cfgs = [make_config(k, args.variant) for k in _parse_kappas(args.kappas)]
             qs = _grid(args.qber_start, args.qber_stop, args.qber_step,
                        "--qber-start, --qber-stop and --qber-step")
             _emit(format_csv(qubit_scan(cfgs, qs)), args.out)
         elif args.command in ("distance-scan", "compare"):
+            from .channel import default_params, load_params
+            from .engine import compare_variants, distance_scan, format_csv
+
             params = load_params(args.preset) if args.preset else default_params()
             distances = _grid(args.lmin, args.lmax, args.lstep, "--lmin, --lmax and --lstep")
             if args.command == "distance-scan":
@@ -146,6 +153,8 @@ def main(argv=None) -> int:
             _emit(format_csv(points), args.out)
             _print_cutoffs(points)
         elif args.command == "squash-validate":
+            from .squash import monte_carlo_check
+
             rows, ok = monte_carlo_check(args.trials, args.seed)
             lines = [f"{'pattern':24s} {'outcome':8s} {'expected':>9s} {'observed':>9s} "
                      f"{'3sigma':>9s} status"]
@@ -157,7 +166,7 @@ def main(argv=None) -> int:
             _emit("\n".join(lines) + "\n", args.out)
             if not ok:
                 return 1
-    except (ValueError, InfeasibleError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # attack.InfeasibleError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

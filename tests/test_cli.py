@@ -284,3 +284,22 @@ def test_cli_import_leaves_module_unloaded(module):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("argv, unloaded", [
+    (["qubit-rate", "--kappa", "0.5", "--qber", "0.03"],
+     ["ubb84.squash", "concurrent.futures.process"]),
+    (["squash-validate", "--trials", "1000"], ["ubb84.attack", "ubb84.engine"]),
+    (["compare", "--kappa", "0.5", "--lmax", "10"], ["concurrent.futures.process"]),
+])
+def test_command_imports_only_what_it_runs(argv, unloaded):
+    # a fresh interpreter, so that no other test has imported the modules
+    code = ("import contextlib, io, sys\n"
+            "from ubb84.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = main({argv!r})\n"
+            f"print(code, [m for m in {unloaded!r} if m in sys.modules])\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0 []"

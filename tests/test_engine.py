@@ -1,5 +1,7 @@
+import concurrent.futures
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -137,20 +139,25 @@ class TestScans:
         assert cutoff_distance(points) == 10.0
         assert cutoff_distance(points[:1]) is None
 
-    def test_parallel_matches_serial(self):
+    def test_parallel_matches_serial(self, monkeypatch):
+        monkeypatch.setattr(engine, "POOL_START_S", 0.0)  # open the pool at once
         cfg = make_config(0.8, Variant.PBS)
         serial = distance_scan(cfg, default_params(), [0.0, 20.0], threads=1)
         parallel = distance_scan(cfg, default_params(), [0.0, 20.0], threads=2)
         assert serial == parallel
 
-    def test_pool_capped_at_jobs_and_usable_cores(self, monkeypatch):
-        # a fork pool starts all max_workers processes at once, so size it
-        # without starting any: record the request and map serially
-        sizes = []
+    @staticmethod
+    def fake_pool(monkeypatch):
+        """Record each pool's (max_workers, job count, chunksize) and map serially.
+
+        A fork pool starts all max_workers processes at once, so it is sized
+        without starting any; the scan sees three usable cores.
+        """
+        opened = []
 
         class FakePool:
             def __init__(self, max_workers):
-                sizes.append(max_workers)
+                self.max_workers = max_workers
 
             def __enter__(self):
                 return self
@@ -158,18 +165,49 @@ class TestScans:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, *columns):
+            def map(self, fn, *columns, chunksize=1):
+                opened.append((self.max_workers, len(columns[0]), chunksize))
                 return map(fn, *columns)
 
-        monkeypatch.setattr(engine, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: {0, 1, 2},
                             raising=False)
+        return opened
+
+    def test_pool_capped_at_jobs_and_usable_cores(self, monkeypatch):
+        opened = self.fake_pool(monkeypatch)
+        monkeypatch.setattr(engine, "POOL_START_S", 0.0)
         cfg = make_config(1.0)
         serial = distance_scan(cfg, default_params(), [0.0, 20.0], threads=1)
         assert distance_scan(cfg, default_params(), [0.0, 20.0], threads=10**6) == serial
         compare_variants(1.0, default_params(), [0.0], threads=10**6)
         compare_variants(1.0, default_params(), [0.0], threads=0)
+        sizes = [workers for workers, _, _ in opened]
         assert sizes == [2, 3, 3]
+
+    def test_pool_takes_the_rest_in_chunks(self, monkeypatch):
+        # a clock that ticks once per reading: two jobs run in-process, then
+        # the other 50 go to three workers in four chunks each, 5 jobs a chunk
+        opened = self.fake_pool(monkeypatch)
+        ticks = iter(range(10**6))
+        monkeypatch.setattr(engine, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))
+        monkeypatch.setattr(engine, "POOL_START_S", 2.5)
+        distances = [5.0 * i for i in range(13)]
+        points = compare_variants(0.5, default_params(), distances, threads=0)
+        assert opened == [(3, 50, 5)]
+        assert points == compare_variants(0.5, default_params(), distances, threads=1)
+
+    def test_default_compare_runs_in_process(self, monkeypatch):
+        # 52 solves take about 15 ms, less than a pool costs to start
+        from concurrent.futures.process import ProcessPoolExecutor
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("a 52-job scan opened a process pool")
+
+        monkeypatch.setattr(ProcessPoolExecutor, "__init__", refuse)
+        monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                            raising=False)
+        compare_variants(0.5, default_params(), [5.0 * i for i in range(13)], threads=0)
 
     def test_empty_distance_list_rejected(self):
         with pytest.raises(ValueError):
