@@ -279,6 +279,36 @@ class TestPbsChiGrid:
                 assert result.iterations <= 40, (kappa, distance, result.iterations)
 
 
+def _pinned_grid():
+    """Rows (variant, kappa, q, p_lost, chi_s_max) of ``golden/pinned_chi_grid.csv``.
+
+    Recorded from the nested alpha/delta search over kappa x Q x p_lost,
+    8 x 8 x 4 points for the unbalanced and fix-loss variants, keeping the
+    rows that searched (every fix-loss row takes the exact branch), values
+    printed with ``repr``.
+    """
+    path = Path(__file__).resolve().parent / "golden" / "pinned_chi_grid.csv"
+    with path.open(encoding="utf-8") as fh:
+        return [(row[0], *map(float, row[1:])) for row in csv.reader(fh) if row[0] != "variant"]
+
+
+class TestPinnedChiGrid:
+    # the u = v variants search only with s pinned; the grid runs from
+    # kappa = 1e-12 through Q = 1e-12 to a binding s-bound at p_lost = 0.99
+    GRID = _pinned_grid()
+
+    def test_never_below_recorded(self):
+        assert len(self.GRID) == 152
+        for variant, kappa, q, p_lost, recorded in self.GRID:
+            cfg = make_config(kappa, variant)
+            result = maximize_holevo_qubit(cfg, q, p_lost)
+            assert result.iterations > 0, (variant, kappa, q, p_lost)
+            assert result.chi_max >= recorded - 1e-10, (variant, kappa, q, p_lost)
+            s = result.argmax
+            assert is_feasible(constraint_set(cfg, q, p_lost), s.a, s.b, s.c, s.d, s.f,
+                               tol=1e-8), (variant, kappa, q, p_lost)
+
+
 class TestMaxEntropySlice:
     """The inner solve of the A-search: the largest-entropy state of an A-slice."""
 
