@@ -294,106 +294,20 @@ def _brent_max(fn, lo: float, hi: float, rtol: float = 1.5e-8):
     return (end, f_end) if f_end > fx else (x, fx)
 
 
-def _edge(feasible, inside: float, outside: float) -> float:
-    """The last feasible point from ``inside`` towards ``outside``, by bisection."""
-    if feasible(outside):
-        return outside
-    for _ in range(60):
-        mid = 0.5 * (inside + outside)
-        inside, outside = (mid, outside) if feasible(mid) else (inside, mid)
-    return inside
+def _reach(c2: float, c1: float, c0: float, length: float) -> float:
+    """How far t >= 0 keeps c2 t^2 + c1 t + c0 <= 0, from c0 <= 0, at most ``length``.
 
-
-class _Slice:
-    """The search at fixed s = a+b, in sifted coordinates (alpha, delta).
-
-    The trace alpha+beta+gamma+delta = 1 and the s-constraint
-    (1-s)(alpha/w0 + beta/w1) = s(gamma/w0 + delta/w1) make beta and gamma
-    affine in (alpha, delta), and the error-rate relation (u, v) makes phi
-    (real) affine too; each is stored as (constant, alpha and delta
-    coefficients).
+    The roots come from t = -(c1 + sign(c1) sqrt(c1^2 - 4 c2 c0)) / 2,
+    which does not cancel.
     """
-
-    def __init__(self, cfg: ProtocolConfig, uv, s: float):
-        w0, w1 = cfg.receiver.weights
-        u, v = uv
-        den = (1.0 - s) * w0 + s * w1
-        self.beta = b0, ba, bd = w1 * s / den, -w1 / den, s * (w0 - w1) / den
-        self.gamma = g0, ga, gd = w0 * (1.0 - s) / den, (1.0 - s) * (w1 - w0) / den, -w0 / den
-        self.phi = (u * g0 + v * b0, u * (1.0 + ga) + v * ba, u * gd + v * (1.0 + bd))
-
-    def point(self, alpha: float, delta: float):
-        """The sifted point (alpha, beta, gamma, delta, phi)."""
-        (b0, ba, bd), (g0, ga, gd), (p0, pa, pd) = self.beta, self.gamma, self.phi
-        return (alpha, b0 + ba * alpha + bd * delta, g0 + ga * alpha + gd * delta, delta,
-                p0 + pa * alpha + pd * delta)
-
-    def delta_range(self, alpha: float):
-        """Feasible delta at fixed alpha as (lo, hi); lo > hi when empty.
-
-        beta >= 0 and gamma >= 0 are linear in delta (one free of delta
-        bounds alpha instead, in ``alpha_range``).  With phi = p0 + p1 delta
-        the corner condition phi^2 <= alpha delta + _SLACK is the convex
-        quadratic p1^2 delta^2 + (2 p0 p1 - alpha) delta + p0^2 - _SLACK <= 0,
-        with discriminant alpha (alpha - 4 p0 p1) + 4 p1^2 _SLACK.  The slack
-        keeps a feasible set that shrinks to a point (Q -> 0) from being
-        emptied by rounding in a double root.
-        """
-        lo, hi = 0.0, math.inf
-        for c0, ca, cd in (self.beta, self.gamma):
-            if cd > 0.0:
-                lo = max(lo, -(c0 + ca * alpha) / cd)
-            elif cd < 0.0:
-                hi = min(hi, (c0 + ca * alpha) / -cd)
-        p0, p1 = self.phi[0] + self.phi[1] * alpha, self.phi[2]
-        qa, qb, qc = p1 * p1, 2.0 * p0 * p1 - alpha, p0 * p0 - _SLACK
-        disc = alpha * (alpha - 4.0 * p0 * p1) + 4.0 * qa * _SLACK
-        if qa == 0.0:
-            return (max(lo, qc / -qb) if qb < 0.0 else lo if qc <= 0.0 else math.inf), hi
-        if disc < 0.0:
-            return math.inf, hi
-        t = -0.5 * (qb + math.copysign(math.sqrt(disc), qb))  # cancellation-free roots
-        r1, r2 = sorted((t / qa, qc / t)) if t != 0.0 else (0.0, 0.0)
-        return max(lo, r1), min(hi, r2)
-
-    def _width(self, alpha: float) -> float:
-        lo, hi = self.delta_range(alpha)
-        return hi - lo
-
-    def alpha_peak(self):
-        """(peak, lo, hi): a feasible alpha in the bracket [lo, hi], or None.
-
-        A linear constraint free of delta and the sign of the (unrelaxed)
-        discriminant, linear in alpha, bound alpha in closed form.  Inside,
-        the width of ``delta_range`` is concave (an upper envelope of the
-        convex slice minus a lower one), so Brent's method finds its peak,
-        to near machine precision because a thin slice (small Q) is
-        feasible only there; bisection then finds where it crosses 0.
-        """
-        lo, hi = 0.0, 1.0
-        for c0, ca, cd in (self.beta, self.gamma):
-            if cd == 0.0:  # c0 + ca alpha >= 0 with ca = -w1/den < 0
-                hi = min(hi, c0 / -ca)
-        p0, pa, p1 = self.phi
-        k1, k0 = 1.0 - 4.0 * pa * p1, 4.0 * p0 * p1
-        if k1 > 0.0:
-            lo = max(lo, k0 / k1)
-        elif k1 < 0.0:
-            hi = min(hi, k0 / k1)
-        elif k0 > 0.0:
-            return None
-        lo = min(lo, hi)  # a slice shrunk to a point may round to lo > hi
-        peak, width = _brent_max(self._width, lo, hi, 1e-13)
-        return (peak, lo, hi) if width >= 0.0 else None
-
-    def alpha_range(self):
-        """The feasible alpha-interval (lo, hi), or None when it is empty."""
-        found = self.alpha_peak()
-        if found is None:
-            return None
-        peak, lo, hi = found
-        feasible = lambda alpha: self._width(alpha) >= 0.0  # noqa: E731
-        return _edge(feasible, peak, lo), _edge(feasible, peak, hi)
+    roots = []
+    disc = c1 * c1 - 4.0 * c2 * c0
+    if c2 == 0.0:
+        roots = [-c0 / c1] if c1 else []
+    elif disc >= 0.0:
+        t = -0.5 * (c1 + math.copysign(math.sqrt(disc), c1))
+        roots = [t / c2, c0 / t] if t else []
+    return min([r for r in roots if r > 0.0] + [length])
 
 
 def _a_range(cfg: ProtocolConfig, cs: ConstraintSet):
@@ -414,110 +328,239 @@ def _a_range(cfg: ProtocolConfig, cs: ConstraintSet):
     a2 = (1.0 - 2.0 * q) ** 2 * (p + r) ** 2 + c2
     a1 = c2 * (a_mid - b_mid)
     a0 = -(c2 * a_mid * b_mid + _SLACK * 4.0 * xi * (1.0 - xi) / (w0 * w1))
-    t = -0.5 * (a1 + math.copysign(math.sqrt(a1 * a1 - 4.0 * a2 * a0), a1))
-    t1, t2 = sorted((t / a2, a0 / t))
-    return max(0.0, a_mid + t1), min(1.0, a_mid + t2)
+    return max(0.0, a_mid - _reach(a2, -a1, a0, a_mid)), min(1.0, a_mid + _reach(a2, a1, a0, b_mid))
 
 
-def _gibbs(m1: float, m3: float, a_sum: float, b_sum: float, corner: float):
-    """The state exp(m1 P + m3 X) / Z: its dual value, sifted point and dual Hessian.
+def _gibbs(m, a_sum: float, b_sum: float, corner: float, pin):
+    """The state exp(m1 P + m2 D + m3 X) / Z: its dual value, sifted point and dual Hessian.
 
-    P = |00><00| + |10><10| and X = |00><11| + |11><00|, so beta = 1/Z,
-    gamma = e^m1 / Z and the (alpha, delta) block is exp([[m1, m3], [m3, 0]]) / Z,
-    with eigenvalues e^(m1/2 +- rho) / Z, rho = hypot(m1/2, m3).  The
-    multipliers grow without bound as the state nears a face of the slice
-    (about 5e4 at kappa = 1e-4), so every weight is taken relative to the
-    largest one, e^(m1/2 + rho), through rho - |m1|/2 = m3^2 / (rho + |m1|/2),
-    and so is the dual value log Z - m1 a_sum - 2 m3 corner.  The Hessian of
-    log Z is the Kubo-Mori covariance of (P, X): their spread over the four
+    P = |00><00| + |10><10|, X = |00><11| + |11><00| and
+    D = diag(0, 0, dg, dd) with pin = (dg, dd, k_sum, ...), or m2 = 0 and
+    no D when pin is None.  So beta = 1/Z, gamma = e^(m1 + m2 dg) / Z and
+    the (alpha, delta) block is exp([[m1, m3], [m3, m2 dd]]) / Z, with
+    eigenvalues e^(c +- rho) / Z, c the mean of the diagonal and
+    rho = hypot(h, m3) for h half its difference.  The multipliers grow
+    without bound as the state nears a face of the slice (about 5e4 at
+    kappa = 1e-4), so every weight is taken relative to the block's top
+    one, e^(c + rho), through rho - |h| = m3^2 / (rho + |h|), or to the
+    largest weight if that is beta or gamma; so is the dual value
+    log Z - m1 a_sum - m2 k_sum - 2 m3 corner.  The Hessian of log Z is
+    the Kubo-Mori covariance of (P, D, X): their spread over the four
     eigenstates, in pairwise form, plus the coherent term of the block.
-    Returns (dual, point, (h11, h13, h33)).
+    Returns (dual, point, (h11, h12, h13, h22, h23, h33)); without D,
+    h22 = 1 and h12 = h23 = 0.
     """
-    rho = math.hypot(0.5 * m1, m3)
-    near = m3 * m3 / (rho + 0.5 * abs(m1)) if rho > 0.0 else 0.0  # rho - |m1|/2
-    if m1 >= 0.0:
-        d_beta, d_gamma, offset = -(m1 + near), -near, m1 * b_sum
-    else:
-        d_beta, d_gamma, offset = -near, m1 - near, -m1 * a_sum
+    m1, m2, m3 = m
+    dg, dd, k_sum = pin[:3] if pin else (0.0, 0.0, 0.0)
+    h = 0.5 * (m1 - m2 * dd)
+    rho = math.hypot(h, m3)
+    near = m3 * m3 / (rho + abs(h)) if rho > 0.0 else 0.0  # rho - |h|
+    if h >= 0.0:  # the block's top exponent is m1 + near
+        d_beta, d_gamma, offset = -(m1 + near), m2 * dg - near, m1 * b_sum - m2 * k_sum
+    else:  # ... and m2 dd + near here
+        d_beta = -(m2 * dd + near)
+        d_gamma, offset = m1 + m2 * (dg - dd) - near, m2 * (dd - k_sum) - m1 * a_sum
+    shift = max(0.0, d_beta, d_gamma)
     low, gap = math.exp(-2.0 * rho), -math.expm1(-2.0 * rho)  # e^(-2 rho) and 1 - e^(-2 rho)
-    zrel = 1.0 + low + math.exp(d_beta) + math.exp(d_gamma)
-    wp = 1.0 / zrel
-    wb, wg, wm = wp * math.exp(d_beta), wp * math.exp(d_gamma), wp * low
+    top = math.exp(-shift)
+    zrel = top + top * low + math.exp(d_beta - shift) + math.exp(d_gamma - shift)
+    wr = 1.0 / zrel
+    wp = wr * top
+    wb, wg, wm = wr * math.exp(d_beta - shift), wr * math.exp(d_gamma - shift), wp * low
     if rho > 0.0:
-        sc, c = 0.5 * m3 / rho, 0.5 * m1 / rho  # sin(theta)/2, cos(theta)
+        sc, c = 0.5 * m3 / rho, h / rho  # sin(theta)/2, cos(theta)
         half = near / (2.0 * rho)  # sin^2 or cos^2 of theta/2, whichever is smaller
-        cp, cm = (1.0 - half, half) if m1 >= 0.0 else (half, 1.0 - half)
+        cp, cm = (1.0 - half, half) if h >= 0.0 else (half, 1.0 - half)
         coh = wp * gap / (2.0 * rho)
     else:
         sc, c, cp, cm, coh = 0.0, 1.0, 1.0, 0.0, wp
-    dual = offset + near - 2.0 * m3 * corner + math.log(zrel)
+    dual = offset + near + shift - 2.0 * m3 * corner + math.log(zrel)
     point = (wp * cp + wm * cm, wb, wg, wp * cm + wm * cp, wp * gap * sc)
     h11 = (wb * wg + wb * wp * cp * cp + wb * wm * cm * cm + wg * wp * cm * cm
            + wg * wm * cp * cp + wp * wm * c * c + 2.0 * coh * sc * sc)
     h13 = 2.0 * sc * (wb * wp * cp - wb * wm * cm - wg * wp * cm + wg * wm * cp
                       + 2.0 * wp * wm * c - coh * c)
     h33 = 4.0 * sc * sc * ((wb + wg) * (wp + wm) + 4.0 * wp * wm) + 2.0 * coh * c * c
-    return dual, point, (h11, h13, h33)
+    if not pin:
+        return dual, point, (h11, 0.0, h13, 1.0, 0.0, h33)
+    gp, gm = dg - dd * cm, dg - dd * cp  # D's spread from gamma to the block's eigenstates
+    h12 = (wb * wg * dg + dd * cp * cm * (wb * wp + wb * wm) + wg * wp * cm * gp
+           + wg * wm * cp * gm - dd * (wp * wm * c * c + 2.0 * coh * sc * sc))
+    h22 = (wb * wg * dg * dg + dd * dd * (wb * wp * cm * cm + wb * wm * cp * cp)
+           + wg * wp * gp * gp + wg * wm * gm * gm
+           + dd * dd * (wp * wm * c * c + 2.0 * coh * sc * sc))
+    h23 = 2.0 * sc * (dd * (wb * wp * cm - wb * wm * cp) - wg * wp * gp + wg * wm * gm
+                      - 2.0 * wp * wm * dd * c + coh * dd * c)
+    return dual, point, (h11, h12, h13, h22, h23, h33)
 
 
-def _max_entropy(a_sum: float, b_sum: float, corner: float, mu=None):
-    """The largest-entropy sifted point of an A-slice, and its multipliers.
+def _descent(hess, g1: float, g2: float, g3: float):
+    """The Newton step -H^-1 g by an LDL^T factorization, or None if H is not positive definite.
+
+    Near a face of the slice H has eigenvalues as small as the weights of
+    the nearly empty eigenstates; elimination keeps its pivots to rounding
+    of the entries, where a determinant would cancel.
+    """
+    h11, h12, h13, h22, h23, h33 = hess
+    if not h11 > 0.0:
+        return None
+    l21, l31 = h12 / h11, h13 / h11
+    p2 = h22 - l21 * h12
+    r = h23 - l31 * h12
+    p3 = h33 - l31 * h13 - r * r / p2 if p2 > 0.0 else 0.0
+    if not p3 > 0.0:
+        return None
+    y2 = -g2 + l21 * g1
+    d3 = (-g3 + l31 * g1 - r / p2 * y2) / p3
+    d2 = (y2 - r * d3) / p2
+    return -g1 / h11 - l21 * d2 - l31 * d3, d2, d3
+
+
+def _max_entropy(a_sum: float, b_sum: float, corner: float, pin=None, mu=None):
+    """The largest-entropy sifted point of an A-slice and its multipliers, or None.
 
     The slice holds the points with alpha+gamma = a_sum, beta+delta = b_sum
-    and corner ``corner``, where 0 < corner^2 < a_sum b_sum.  The point
-    is exp(m1 P + m3 X) / Z (see ``_gibbs``), whose multipliers
-    minimize the convex dual log Z - m1 a_sum - 2 m3 corner.  Newton's
-    method on the dual, with backtracking, starts from ``mu`` (the
-    multipliers of a previous solve) or from the diagonal solution m3 = 0,
-    whichever has the lower dual value, and stops once the constraints
-    hold to 1e-14 relative.
+    and corner ``corner``, where 0 <= corner^2 < the slice's largest
+    alpha delta; at pinned s also gamma dg + delta dd = k_sum, given as
+    pin = (dg, dd, k_sum, k_rest) with k_rest = alpha dg + beta dd.  The
+    point is exp(m1 P + m2 D + m3 X) / Z (see ``_gibbs``), whose
+    multipliers minimize the convex dual.  Newton's method on the dual,
+    with backtracking, starts from ``mu`` (the multipliers of a previous
+    solve) or from m = (log(a_sum/b_sum), 0, 0), whichever has the lower
+    dual value, and from the latter again if the former does not
+    converge.  It has converged once the constraints hold to 1e-14
+    relative; None if neither start gets there.
     """
-    m1, m3 = math.log(a_sum / b_sum), 0.0
-    dual, point, hess = _gibbs(m1, m3, a_sum, b_sum, corner)
+    dg, dd, k_sum, k_rest = pin or (0.0, 0.0, 0.0, 0.0)
+    cold = (math.log(a_sum / b_sum), 0.0, 0.0)
+    starts = [(cold, _gibbs(cold, a_sum, b_sum, corner, pin))]
     if mu is not None:
-        warm = _gibbs(*mu, a_sum, b_sum, corner)
-        if warm[0] < dual:
-            (m1, m3), (dual, point, hess) = mu, warm
-    for _ in range(60):
-        alpha, beta, gamma, delta, phi = point
-        # the residual of the smaller side keeps its relative precision
-        g1 = alpha + gamma - a_sum if a_sum <= b_sum else b_sum - beta - delta
-        g3 = 2.0 * (phi - corner)
-        if abs(g1) <= 1e-14 * min(a_sum, b_sum) and abs(g3) <= 1e-14 * corner:
-            break
-        h11, h13, h33 = hess
-        det = h11 * h33 - h13 * h13
-        if not det > 0.0:
-            break
-        d1, d3 = (h13 * g3 - h33 * g1) / det, (h13 * g1 - h11 * g3) / det
-        slope = g1 * d1 + g3 * d3
-        # a near-singular Hessian can ask for any length; at most double the multipliers
-        step = min(1.0, max(16.0, abs(m1), abs(m3)) / max(abs(d1), abs(d3)))
-        noise = 1e-14 * (1.0 + abs(m1) + abs(m3))  # rounding of the dual's terms
-        for _ in range(40):
-            n1, n3 = m1 + step * d1, m3 + step * d3
-            trial = _gibbs(n1, n3, a_sum, b_sum, corner)
-            if trial[0] <= dual + 1e-4 * step * slope + noise:
+        warm = _gibbs(mu, a_sum, b_sum, corner, pin)
+        if warm[0] < starts[0][1][0]:
+            starts.insert(0, (mu, warm))
+    for (m1, m2, m3), (dual, point, hess) in starts:
+        for _ in range(60):
+            alpha, beta, gamma, delta, phi = point
+            # the residual of the smaller side keeps its relative precision
+            g1 = alpha + gamma - a_sum if a_sum <= b_sum else b_sum - beta - delta
+            g2 = gamma * dg + delta * dd - k_sum if k_sum <= k_rest else k_rest - alpha * dg - beta * dd
+            g3 = 2.0 * (phi - corner)
+            if (abs(g1) <= 1e-14 * min(a_sum, b_sum) and abs(g2) <= 1e-14 * min(k_sum, k_rest)
+                    and abs(g3) <= 1e-14 * corner):
+                return point, (m1, m2, m3)
+            d = _descent(hess, g1, g2, g3)
+            if d is None:
                 break
-            step *= 0.5
-        else:
-            break
-        m1, m3 = n1, n3
-        dual, point, hess = trial
-    return point, (m1, m3)
+            d1, d2, d3 = d
+            slope = g1 * d1 + g2 * d2 + g3 * d3
+            # a near-singular Hessian can ask for any length; at most double the multipliers
+            step = min(1.0, max(16.0, abs(m1), abs(m2), abs(m3)) / max(abs(d1), abs(d2), abs(d3)))
+            noise = 1e-14 * (1.0 + abs(m1) + abs(m2) + abs(m3))  # rounding of the dual's terms
+            for _ in range(40):
+                trial_m = (m1 + step * d1, m2 + step * d2, m3 + step * d3)
+                trial = _gibbs(trial_m, a_sum, b_sum, corner, pin)
+                if trial[0] <= dual + 1e-4 * step * slope + noise:
+                    break
+                step *= 0.5
+            else:
+                break
+            (m1, m2, m3), (dual, point, hess) = trial_m, trial
+    return None
 
 
 class _Search:
-    """Brent searches that count evaluations and keep the best point.
+    """One Brent search over A = alpha+gamma of the A-slices' largest-entropy points.
 
-    ``mu`` holds the multipliers of the last A-slice solved, the warm
-    start of the next.
+    Free when ``s`` is None, else at pinned s.  Counts evaluations and keeps
+    the best point; ``mu`` holds the multipliers of the last A-slice
+    solved, the warm start of the next.
     """
 
-    def __init__(self, cfg: ProtocolConfig, uv):
-        self.cfg, self.uv = cfg, uv
-        self.evals, self.chi, self.point = 0, -math.inf, None
-        self.mu = None
+    def __init__(self, cfg: ProtocolConfig, cs: ConstraintSet, s=None):
+        u, v = self.uv = _error_relation(cfg, cs)
+        w0, w1 = cfg.receiver.weights
+        self.s, self.evals, self.chi, self.point, self.mu = s, 0, -math.inf, None, None
+        # D = diag(0, 0, 1/w0, 1/w1), scaled so that its largest entry is 1
+        self.d = (1.0, w0 / w1) if w0 <= w1 else (w1 / w0, 1.0)
+        if s is None:
+            self.range, self.top = _a_range(cfg, cs), None
+            return
+        # the trace and the s-constraint make beta and gamma affine in
+        # (alpha, delta), and the relation makes phi affine too
+        den = (1.0 - s) * w0 + s * w1
+        self.beta = b0, ba, bd = w1 * s / den, -w1 / den, s * (w0 - w1) / den
+        self.gamma = g0, ga, gd = w0 * (1.0 - s) / den, (1.0 - s) * (w1 - w0) / den, -w0 / den
+        self.phi = (u * g0 + v * b0, u * (1.0 + ga) + v * ba, u * gd + v * (1.0 + bd))
+        self.range, self.top = self._pinned_range(u, v, w0, w1)
+
+    def on_plane(self, alpha: float, delta: float):
+        """The sifted point (alpha, beta, gamma, delta, phi) of the pinned plane."""
+        (b0, ba, bd), (g0, ga, gd), (p0, pa, pd) = self.beta, self.gamma, self.phi
+        return (alpha, b0 + ba * alpha + bd * delta, g0 + ga * alpha + gd * delta, delta,
+                p0 + pa * alpha + pd * delta)
+
+    def face(self, a_sum: float, b_sum: float):
+        """The point of largest alpha delta of the A-slice: beta = gamma = 0 when free;
+        at pinned s, gamma = 0 below the kink A_k and beta = 0 above it."""
+        if self.s is None:
+            return a_sum, 0.0, 0.0, b_sum, 0.0
+        (b0, ba, bd), (g0, ga, gd) = self.beta, self.gamma
+        delta = (g0 + ga * a_sum) / -gd
+        if b0 + ba * a_sum + bd * delta >= 0.0:
+            return self.on_plane(a_sum, delta)
+        return self.on_plane((b0 + bd * b_sum) / -ba, b_sum)
+
+    def _pinned_range(self, u, v, w0, w1):
+        """The A-interval of the pinned slices, and its top end's corner point.
+
+        Above the kink the slices' face is beta = 0, where alpha and phi are
+        affine in delta = 1-A, and phi^2 <= alpha delta + _SLACK is a convex
+        quadratic in delta, solved from delta = 0.  Below it the face is
+        gamma = 0, and phi^2 - f1(A) is expanded at the kink if that is
+        feasible, else at its minimum on that side: at small kappa phi grows
+        as v (1-A) with v large, and an expansion at a far centre would
+        cancel.
+        """
+        s = self.s
+        (b0, ba, bd), (g0, ga, gd), (p0, pa, pd) = self.beta, self.gamma, self.phi
+        a0, a1 = b0 / -ba, bd / -ba  # alpha along beta = 0, in delta
+        f0, f1 = p0 + pa * a0, pd + pa * a1  # phi along beta = 0
+        qa, qb, qc = f1 * f1 - a1, 2.0 * f0 * f1 - a0, f0 * f0 - _SLACK
+        disc = a0 * (a0 - 4.0 * f0 * f1) + 4.0 * qa * _SLACK + 4.0 * a1 * f0 * f0
+        pieces, top = [], None
+        den = s * w0 + (1.0 - s) * w1
+        a_k, b_k = s * w0 / den, (1.0 - s) * w1 / den
+        if disc >= 0.0 and qa > 0.0:
+            t = -0.5 * (qb + math.copysign(math.sqrt(disc), qb))
+            r1, r2 = sorted((t / qa, qc / t)) if t != 0.0 else (0.0, 0.0)
+            d_lo, d_hi = max(0.0, r1), min(b_k, r2)
+            if d_lo <= d_hi:
+                top = self.on_plane(a0 + a1 * d_lo, d_lo)
+                pieces.append((1.0 - d_hi, top[0] + top[2]))
+        du, r = u - v, w1 / w0
+        c2 = du * du - (1.0 - s) * (r - 1.0)
+
+        def excess(a, b):
+            """phi^2 - f1 - _SLACK and its derivative in A, at A = a = 1-b."""
+            phi = u * a + v * b
+            return (phi * phi - (1.0 - s) * a * (b + r * a) - _SLACK,
+                    2.0 * phi * du - (1.0 - s) * (b - a + 2.0 * r * a))
+
+        a, b = a_k, b_k
+        c0, c1 = excess(a, b)
+        if c0 > 0.0:  # the kink is infeasible: expand at the side's minimum instead
+            if c2 > 0.0:
+                t = max(-a_k, min(0.0, -0.5 * c1 / c2))  # the vertex, from the kink
+                a, b = a_k + t, b_k - t
+            else:
+                a, b = 0.0, 1.0
+            c0, c1 = excess(a, b)
+        if c0 <= 0.0:
+            pieces.append((a - _reach(c2, -c1, c0, a), a + _reach(c2, c1, c0, a_k - a)))
+        if not pieces:
+            return (1.0, 0.0), None
+        lo, hi = min(p[0] for p in pieces), max(p[1] for p in pieces)
+        return (max(0.0, lo), min(1.0, hi)), (top if top and top[0] + top[2] == hi else None)
 
     def _chi(self, point) -> float:
         chi = chi_bar_of_params(*point)
@@ -526,73 +569,75 @@ class _Search:
             self.chi, self.point = chi, point
         return chi
 
-    def slice_max(self, s: float) -> float:
-        """Best chi-bar of the slice at s: Brent over alpha of Brent over delta."""
-        sl = _Slice(self.cfg, self.uv, s)
-        alphas = sl.alpha_range()
-        if alphas is None:
-            return -math.inf
-
-        def over_delta(alpha):
-            lo, hi = sl.delta_range(alpha)
-            return _brent_max(lambda delta: self._chi(sl.point(alpha, delta)), lo, max(lo, hi))[1]
-
-        return _brent_max(over_delta, *alphas)[1]
-
-    def _a_slice(self, a_sum: float) -> float:
+    def a_slice(self, a_sum: float) -> float:
         """chi-bar of the largest-entropy point with alpha+gamma = a_sum.
 
         S2 depends on a_sum alone there.  The corner condition keeps the
-        search's slack; at the ends of the A-range the slice is the pure
-        point beta = gamma = 0, and a corner within the slack leaves the
-        diagonal point.
+        search's slack: where the corner sqrt(phi^2 - _SLACK) meets the
+        slice's largest alpha delta, and on pinned slices no wider than the
+        slack, the slice is its face point; a corner within the slack leaves
+        the free slice diagonal.  Pinned points are evaluated on the plane.
         """
+        if self.top and a_sum == self.top[0] + self.top[2]:
+            return self._chi(self.top)
         u, v = self.uv
         b_sum = 1.0 - a_sum
         corner2 = (u * a_sum + v * b_sum) ** 2 - _SLACK
-        if corner2 <= 0.0:
+        face = self.face(a_sum, b_sum)
+        thin = 0.0 if self.s is None else 2.0 * _SLACK
+        if self.s is None and corner2 <= 0.0:
             point = (0.5 * a_sum, 0.5 * b_sum, 0.5 * a_sum, 0.5 * b_sum)
-        elif corner2 >= a_sum * b_sum:
-            point = (a_sum, 0.0, 0.0, b_sum)
+        elif corner2 + thin >= face[0] * face[3] or a_sum * b_sum == 0.0:
+            point = face
         else:
-            point, self.mu = _max_entropy(a_sum, b_sum, math.sqrt(corner2), self.mu)
+            pin = None
+            if self.s is not None:
+                dg, dd = self.d
+                total = a_sum * dg + b_sum * dd
+                pin = (dg, dd, (1.0 - self.s) * total, self.s * total)
+            solved = _max_entropy(a_sum, b_sum, math.sqrt(max(corner2, 0.0)), pin, self.mu)
+            point, self.mu = solved or (face, self.mu)
+        if self.s is not None:
+            return self._chi(self.on_plane(point[0], point[3]))
         alpha, beta, gamma, delta = point[:4]
         return self._chi((alpha, beta, gamma, delta, u * (alpha + gamma) + v * (beta + delta)))
 
-    def free_max(self, cs: ConstraintSet) -> float:
-        """Best chi-bar without the s-bounds: Brent over A of the A-slices."""
-        return _brent_max(self._a_slice, *_a_range(self.cfg, cs))[1]
+    def run(self) -> float:
+        lo, hi = self.range
+        return _brent_max(self.a_slice, lo, hi)[1] if lo <= hi else -math.inf
 
 
 def _maximize(cfg: ProtocolConfig, cs: ConstraintSet) -> OptimResult:
-    u, v = uv = _error_relation(cfg, cs)
+    u, v = _error_relation(cfg, cs)
     lo, hi = cs.s_bounds()
-    search = _Search(cfg, uv)
+    evals = 0
     if abs(u - v) <= 1e-12:
         beta = cs.q * (1.0 - cs.q)
         # alpha+gamma = beta+delta = 1/2, so the relation gives phi = (u+v)/2
         point = (0.5 - beta, beta, beta, 0.5 - beta, 0.5 * (u + v))
+        chi = None
     elif lo < hi:
-        search.free_max(cs)
-        point = search.point
+        search = _Search(cfg, cs)
+        search.run()
+        point, chi, evals = search.point, search.chi, search.evals
     else:
         point = None
     if point is not None:
         state = _state(cfg, *point)
         if lo - 1e-12 <= state.a + state.b <= hi + 1e-12:
             # the exact branch's point is evaluated only here, outside the count
-            chi = search.chi if search.evals else chi_bar_of_params(*point)
-            return OptimResult(chi_max=chi, argmax=state, iterations=search.evals)
+            return OptimResult(chi_max=chi_bar_of_params(*point) if chi is None else chi,
+                               argmax=state, iterations=evals)
         # concavity puts the maximum on the s-bound that the free maximum violates
-        lo = hi = min(max(state.a + state.b, lo), hi)
-        search.chi, search.point = -math.inf, None
-    search.slice_max(lo)
+        lo = min(max(state.a + state.b, lo), hi)
+    search = _Search(cfg, cs, lo)
+    search.run()
     if search.point is None:
         raise InfeasibleError(
             f"no feasible attack state found (q={cs.q}, p_lost={cs.p_lost})"
         )
     return OptimResult(chi_max=search.chi, argmax=_state(cfg, *search.point),
-                       iterations=search.evals)
+                       iterations=evals + search.evals)
 
 
 def maximize_holevo_qubit(cfg: ProtocolConfig, q: float, p_lost: float = 0.0) -> OptimResult:
