@@ -10,24 +10,19 @@ eliminated by the observed error rate (the relation of "Normalization"
 below) and the corner block must stay PSD (|f|^2 <= a d).
 
 Where the exact branch below applies, the maximum is returned in closed
-form and no search runs.  Everywhere else the search works in the sifted
+form and no search runs.  Everywhere else one search runs in the sifted
 coordinates of "Normalization" below.  chi-bar is concave and even in
 Im phi, and the feasible set is symmetric under phi -> conj(phi), so the
 maximum has Im phi = 0.  The reduced-state constraint only bounds
 s = a+b.  As on the exact branch, the search first leaves it out (see
-"Free maximum"); if the free maximum's s lies within the s-bounds it is
-the answer, and otherwise concavity puts the maximum on the s-bound it
-violates, where s is pinned.  At fixed s the trace and the s-constraint
-make beta and gamma affine in (alpha, delta), and the error-rate relation
-makes phi affine too.  So each s-slice is a convex set in the
-(alpha, delta) plane: at fixed alpha the linear constraints bound delta
-and phi^2 <= alpha delta is a quadratic in delta, which gives the
-feasible delta-interval in closed form.  Two nested 1-D searches maximize
-over delta and then over alpha.  Each 1-D search is Brent's method
-(parabolic steps, golden-section fallback) that tries both ends of its
-range first, because maxima sit on or next to a boundary of the feasible
-set.  Every evaluation is a call of ``chi_bar_of_params`` at a feasible
-point, and the best point evaluated is the result.
+"A-search"); if the free maximum's s lies within the s-bounds it is the
+answer, and otherwise concavity puts the maximum on the s-bound it
+violates, where the same search runs again at that s (see "Pinned s").
+It is Brent's method over A = alpha+gamma (parabolic steps,
+golden-section fallback), which tries both ends of its range first,
+because maxima sit on or next to a boundary of the feasible set.  Every
+evaluation is a call of ``chi_bar_of_params`` at a feasible point, and
+the best point evaluated is the result.
 
 The tests hold the search to an independent lower bound, the grid oracle
 in ``tests/reference.py``, which evaluates chi-bar through explicit sifted
@@ -78,32 +73,47 @@ s = xi + 2 Q(1-Q)(1 - 2 xi) misses the pinned s = xi, and at higher loss
 when an s-bound binds) the pinned search runs, and its maximum is at
 most h(Q).
 
-Free maximum (u != v, PBS at kappa < 1).  Write A = alpha+gamma, so
-beta+delta = 1-A.  The relation makes phi = u A + v (1-A) a function of
-A alone, and so is S(conditional) = h((1+r)/2) with
-r = sqrt((2A-1)^2 + 4 phi^2).  At fixed A, chi-bar is therefore
-S(sigma) - h((1+r)/2), and its maximizer is the state of largest entropy
-with the three linear constraints trace 1, alpha+gamma = A and corner
-phi(A): sigma = exp(m1 P + m3 X) / Z with P = |00><00| + |10><10| and
-X = |00><11| + |11><00|, that is beta = 1/Z, gamma = e^m1 / Z and
-[[alpha, phi], [phi, delta]] = exp([[m1, m3], [m3, 0]]) / Z.  The
-multipliers minimize the convex dual log Z - m1 A - 2 m3 phi(A) (the
+A-search.  Write A = alpha+gamma, so beta+delta = 1-A.  The relation
+makes phi = u A + v (1-A) a function of A alone, and so is
+S(conditional) = h((1+r)/2) with r = sqrt((2A-1)^2 + 4 phi^2).  At fixed
+A, chi-bar is therefore S(sigma) - h((1+r)/2), and its maximizer is the
+state of largest entropy under the linear constraints trace 1,
+alpha+gamma = A and corner phi(A): sigma = exp(m1 P + m3 X) / Z with
+P = |00><00| + |10><10| and X = |00><11| + |11><00|, that is beta = 1/Z,
+gamma = e^m1 / Z and [[alpha, phi], [phi, delta]] = exp([[m1, m3], [m3, 0]]) / Z.
+The multipliers minimize the convex dual log Z - m1 A - 2 m3 phi(A) (the
 primal side of the dual formulation of Coles, Metodiev and Lutkenhaus,
 Nat. Commun. 7, 11712 (2016)); ``_max_entropy`` finds them by Newton's
 method with backtracking, warm-started from the previous A.  The best
 value g(A) of an A-slice is concave in A, because the slices are sections
 of the convex feasible set by the hyperplanes alpha+gamma = A and chi-bar
-is concave, so one Brent search over A finds the free maximum.  A ranges
-over the closed-form interval where phi(A)^2 <= A(1-A), the largest
-alpha delta of the slice; at its ends the slice is the pure point
-beta = gamma = 0, evaluated directly.  The corner condition keeps the
-search's slack: the interval allows phi^2 <= A(1-A) + _SLACK and the
-largest-entropy state takes the corner sqrt(phi^2 - _SLACK), so the point
-evaluated, with phi recomputed from the relation, meets
-phi^2 <= alpha delta + _SLACK as the nested search's points do.  At
-u = v, phi is constant and the free maximum is the exact branch's point,
-beta = Q(1-Q).  At p_lost = 0 the s-bounds coincide and the pinned search
-runs at once.
+is concave, so one Brent search over A finds the maximum.  Without the
+s-constraint A ranges over the closed-form interval where
+phi(A)^2 <= A(1-A), the largest alpha delta of the slice; at its ends the
+slice is the pure point beta = gamma = 0.  The corner condition keeps the
+search's slack: the interval allows phi^2 <= alpha delta + _SLACK and the
+largest-entropy state takes the corner sqrt(phi^2 - _SLACK), so every
+point evaluated, with phi recomputed from the relation, meets
+phi^2 <= alpha delta + _SLACK.  At u = v, phi is constant and the free
+maximum is the exact branch's point, beta = Q(1-Q).  At p_lost = 0 the
+s-bounds coincide and the search runs pinned at once.
+
+Pinned s.  The s-constraint (1-s)(a+b) = s(c+d) reads
+gamma/w0 + delta/w1 = K(A) = (1-s)(A/w0 + (1-A)/w1) at fixed A, a third
+linear constraint, and phi(A) stays constant on the slice, so the
+argument above carries over with one more multiplier:
+sigma = exp(m1 P + m2 D + m3 X) / Z with D = diag(0, 0, 1/w0, 1/w1),
+still a diagonal plus one 2x2 block.  The slice is a segment in gamma,
+and alpha delta falls as gamma grows, so its largest alpha delta sits at
+its smallest gamma: f1 = (1-s) A (1-A + A w1/w0) at gamma = 0 below the
+kink A_k = s w0 / (s w0 + (1-s) w1), and f2 = s (1-A) (A + (1-A) w0/w1)
+at beta = 0 above it; the two meet at A_k (1-A_k), where
+beta = gamma = 0.  A ranges where phi(A)^2 <= min(f1, f2) + _SLACK, a
+quadratic condition on each side of A_k.  Slices no wider than the slack,
+and slices whose Newton solve does not converge, are answered by that
+face point, which the slack admits.  Pinned points are evaluated on the
+plane in which the trace, the s-constraint and the relation make beta,
+gamma and phi affine in (alpha, delta).
 """
 
 from __future__ import annotations
@@ -294,11 +304,12 @@ def _brent_max(fn, lo: float, hi: float, rtol: float = 1.5e-8):
     return (end, f_end) if f_end > fx else (x, fx)
 
 
-def _reach(c2: float, c1: float, c0: float, length: float) -> float:
-    """How far t >= 0 keeps c2 t^2 + c1 t + c0 <= 0, from c0 <= 0, at most ``length``.
+def _reach(c2: float, c1: float, c0: float, length: float):
+    """The piece of [0, length] where c2 t^2 + c1 t + c0 <= 0, as (lo, hi).
 
-    The roots come from t = -(c1 + sign(c1) sqrt(c1^2 - 4 c2 c0)) / 2,
-    which does not cancel.
+    The piece that starts at t = 0 if c0 <= 0, else at the first positive
+    root; lo > hi when there is none.  The roots come from
+    t = -(c1 + sign(c1) sqrt(c1^2 - 4 c2 c0)) / 2, which does not cancel.
     """
     roots = []
     disc = c1 * c1 - 4.0 * c2 * c0
@@ -307,7 +318,8 @@ def _reach(c2: float, c1: float, c0: float, length: float) -> float:
     elif disc >= 0.0:
         t = -0.5 * (c1 + math.copysign(math.sqrt(disc), c1))
         roots = [t / c2, c0 / t] if t else []
-    return min([r for r in roots if r > 0.0] + [length])
+    ends = ([0.0] if c0 <= 0.0 else []) + sorted(r for r in roots if r > 0.0) + [math.inf] * 2
+    return ends[0], min(ends[1], length)
 
 
 def _a_range(cfg: ProtocolConfig, cs: ConstraintSet):
@@ -328,7 +340,7 @@ def _a_range(cfg: ProtocolConfig, cs: ConstraintSet):
     a2 = (1.0 - 2.0 * q) ** 2 * (p + r) ** 2 + c2
     a1 = c2 * (a_mid - b_mid)
     a0 = -(c2 * a_mid * b_mid + _SLACK * 4.0 * xi * (1.0 - xi) / (w0 * w1))
-    return max(0.0, a_mid - _reach(a2, -a1, a0, a_mid)), min(1.0, a_mid + _reach(a2, a1, a0, b_mid))
+    return max(0.0, a_mid - _reach(a2, -a1, a0, a_mid)[1]), min(1.0, a_mid + _reach(a2, a1, a0, b_mid)[1])
 
 
 def _gibbs(m, a_sum: float, b_sum: float, corner: float, pin):
@@ -515,48 +527,37 @@ class _Search:
 
         Above the kink the slices' face is beta = 0, where alpha and phi are
         affine in delta = 1-A, and phi^2 <= alpha delta + _SLACK is a convex
-        quadratic in delta, solved from delta = 0.  Below it the face is
-        gamma = 0, and phi^2 - f1(A) is expanded at the kink if that is
-        feasible, else at its minimum on that side: at small kappa phi grows
-        as v (1-A) with v large, and an expansion at a far centre would
-        cancel.
+        quadratic in delta, solved from delta = 0: at small kappa phi grows
+        as v (1-A) with v large, and the interval sits near A = 1.  Below the
+        kink phi^2 - f1(A) is expanded at the kink.
         """
         s = self.s
         (b0, ba, bd), (g0, ga, gd), (p0, pa, pd) = self.beta, self.gamma, self.phi
         a0, a1 = b0 / -ba, bd / -ba  # alpha along beta = 0, in delta
-        f0, f1 = p0 + pa * a0, pd + pa * a1  # phi along beta = 0
-        qa, qb, qc = f1 * f1 - a1, 2.0 * f0 * f1 - a0, f0 * f0 - _SLACK
-        disc = a0 * (a0 - 4.0 * f0 * f1) + 4.0 * qa * _SLACK + 4.0 * a1 * f0 * f0
-        pieces, top = [], None
         den = s * w0 + (1.0 - s) * w1
         a_k, b_k = s * w0 / den, (1.0 - s) * w1 / den
-        if disc >= 0.0 and qa > 0.0:
-            t = -0.5 * (qb + math.copysign(math.sqrt(disc), qb))
-            r1, r2 = sorted((t / qa, qc / t)) if t != 0.0 else (0.0, 0.0)
-            d_lo, d_hi = max(0.0, r1), min(b_k, r2)
-            if d_lo <= d_hi:
-                top = self.on_plane(a0 + a1 * d_lo, d_lo)
-                pieces.append((1.0 - d_hi, top[0] + top[2]))
-        du, r = u - v, w1 / w0
-        c2 = du * du - (1.0 - s) * (r - 1.0)
-
-        def excess(a, b):
-            """phi^2 - f1 - _SLACK and its derivative in A, at A = a = 1-b."""
-            phi = u * a + v * b
-            return (phi * phi - (1.0 - s) * a * (b + r * a) - _SLACK,
-                    2.0 * phi * du - (1.0 - s) * (b - a + 2.0 * r * a))
-
-        a, b = a_k, b_k
-        c0, c1 = excess(a, b)
-        if c0 > 0.0:  # the kink is infeasible: expand at the side's minimum instead
-            if c2 > 0.0:
-                t = max(-a_k, min(0.0, -0.5 * c1 / c2))  # the vertex, from the kink
-                a, b = a_k + t, b_k - t
-            else:
-                a, b = 0.0, 1.0
-            c0, c1 = excess(a, b)
-        if c0 <= 0.0:
-            pieces.append((a - _reach(c2, -c1, c0, a), a + _reach(c2, c1, c0, a_k - a)))
+        pieces, top = [], None
+        # phi along beta = 0 in the plane's own arithmetic, which the corner is
+        # evaluated in; at small kappa that cancels from terms of size v, and
+        # where it leaves no root the relation's phi = u + (v-u) delta decides
+        for f0, f1 in ((p0 + pa * a0, pd + pa * a1), (u, v - u)):
+            qa, qb, qc = f1 * f1 - a1, 2.0 * f0 * f1 - a0, f0 * f0 - _SLACK
+            disc = a0 * (a0 - 4.0 * f0 * f1) + 4.0 * qa * _SLACK + 4.0 * a1 * f0 * f0
+            if disc >= 0.0 and qa > 0.0:
+                t = -0.5 * (qb + math.copysign(math.sqrt(disc), qb))
+                r1, r2 = sorted((t / qa, qc / t)) if t != 0.0 else (0.0, 0.0)
+                d_lo, d_hi = max(0.0, r1), min(b_k, r2)
+                if d_lo <= d_hi:
+                    top = self.on_plane(a0 + a1 * d_lo, d_lo)
+                    pieces.append((1.0 - d_hi, top[0] + top[2]))
+                    break
+        # below the kink, phi^2 - f1 - _SLACK in the distance t = A_k - A
+        du, r, phi = u - v, w1 / w0, u * a_k + v * b_k
+        t1, t2 = _reach(du * du - (1.0 - s) * (r - 1.0),
+                        (1.0 - s) * (b_k - a_k + 2.0 * r * a_k) - 2.0 * phi * du,
+                        phi * phi - a_k * b_k - _SLACK, a_k)
+        if t1 <= t2:
+            pieces.append((a_k - t2, a_k - t1))
         if not pieces:
             return (1.0, 0.0), None
         lo, hi = min(p[0] for p in pieces), max(p[1] for p in pieces)
