@@ -6,114 +6,96 @@ p_lost of the single photons lost, xi - (1-p_lost)(a+b) >= 0 and
 (1-xi) - (1-p_lost)(c+d) >= 0: the lost photons must account for the
 remainder with a valid density matrix.  The qubit-level bound is the case
 p_lost = 0, where the constraint pins a+b = xi, c+d = 1-xi.  Re[f] is
-eliminated by the observed error rate (the relation of "Normalization"
-below) and the corner block must stay PSD (|f|^2 <= a d).
+eliminated by the observed error rate (the relation of "Normalization")
+and the corner block must stay PSD (|f|^2 <= a d).
 
-Where the exact branch below applies, the maximum is returned in closed
-form and no search runs.  Everywhere else one search runs in the sifted
-coordinates of "Normalization" below.  chi-bar is concave and even in
-Im phi, and the feasible set is symmetric under phi -> conj(phi), so the
-maximum has Im phi = 0.  The reduced-state constraint only bounds
-s = a+b.  As on the exact branch, the search first leaves it out (see
-"A-search"); if the free maximum's s lies within the s-bounds it is the
-answer, and otherwise concavity puts the maximum on the s-bound it
-violates, where the same search runs again at that s (see "Pinned s").
-It is Brent's method over A = alpha+gamma (parabolic steps,
-golden-section fallback), which tries both ends of its range first,
-because maxima sit on or next to a boundary of the feasible set.  Every
-evaluation is a call of ``chi_bar_of_params`` at a feasible point, and
-the best point evaluated is the result.
-
-The tests hold the search to an independent lower bound, the grid oracle
-in ``tests/reference.py``, which evaluates chi-bar through explicit sifted
-matrices instead of the closed form ``chi_bar_of_params``.
+Where the exact branch applies, the maximum is returned in closed form.
+Everywhere else one search runs in the sifted coordinates of
+"Normalization": chi-bar is concave and even in Im phi, and the feasible
+set is symmetric under phi -> conj(phi), so the maximum has Im phi = 0.
+The reduced-state constraint only bounds s = a+b.  The search first leaves
+it out ("A-search"); if the free maximum's s lies within the s-bounds it
+is the answer, and otherwise concavity puts the maximum on the s-bound it
+violates, where the same search runs again at that s ("Pinned s").  It is
+Brent's method over A = alpha+gamma (parabolic steps, golden-section
+fallback), which tries both ends of its range first, because maxima sit
+on or next to a boundary of the feasible set.  Every evaluation is a call
+of ``chi_bar_of_params`` at a feasible point, and the best point
+evaluated is the result.  The tests hold it to an independent lower
+bound, the grid oracle in ``tests/reference.py``, which evaluates chi-bar
+through explicit sifted matrices.
 
 Normalization.  The qubit rate 1 - h(Q) - chi_max is per postselected
 signal.  The receiver's row ``cfg.receiver`` supplies the filter weights
-(w0, w1) and xi = xi_effective.  Write the sifted state in normalized
-coordinates: diagonal (alpha, beta, gamma, delta) = (w0 a, w1 b, w0 c, w1 d)/T
-and corner phi = sqrt(w0 w1) f / T, where T is the trace; the solver works
-in these coordinates alone, and ``_state`` maps a point back to a state.
-The error rate Q fixes
-Re phi = u (alpha+gamma) + v (beta+delta), where u = k (1-xi)/w0,
-v = k xi/w1 and k = sqrt(w0 w1) (1-2Q) / (2 sqrt(xi(1-xi))).  For the
-unbalanced variant u = v = 1/2 - Q, and the qubit constraint becomes the
-hyperplane L_kappa: alpha + kappa beta = gamma/kappa + delta.  chi-bar
-depends on these coordinates alone, is concave (spot-checked by
-acceptance criterion 3) and is invariant under the swap alpha<->delta,
-beta<->gamma, phi -> conj(phi), which maps L_kappa onto L_(1/kappa).
-Averaging a feasible point with its swap gives a point on L_1 with at
-least the same chi, so chi_max(kappa, Q) <= chi_max(1, Q) = h(Q): per
-postselected signal the unbalanced rate is never below BB84's.  The
+(w0, w1) and xi = xi_effective.  The solver works in the normalized
+sifted coordinates (alpha, beta, gamma, delta) = (w0 a, w1 b, w0 c, w1 d)/T
+and corner phi = sqrt(w0 w1) f / T, T the trace; ``_state`` maps a point
+back to a state.  The error rate Q fixes Re phi = u (alpha+gamma) +
+v (beta+delta), where u = k (1-xi)/w0, v = k xi/w1 and
+k = sqrt(w0 w1) (1-2Q) / (2 sqrt(xi(1-xi))).  For the unbalanced variant
+u = v = 1/2 - Q, and the qubit constraint becomes the hyperplane
+L_kappa: alpha + kappa beta = gamma/kappa + delta.  chi-bar is concave
+(spot-checked by acceptance criterion 3) and invariant under the swap
+alpha<->delta, beta<->gamma, phi -> conj(phi), which maps L_kappa onto
+L_(1/kappa); averaging a feasible point with its swap gives a point on L_1
+with at least the same chi, so chi_max(kappa, Q) <= chi_max(1, Q) = h(Q):
+per postselected signal the unbalanced rate is never below BB84's.  The
 modulator's loss enters through the kept weight instead: the noiseless
 source state |Phi> survives sifting with p_kept = xi(1-xi), and the key
-per signal sent is p_kept (1 - h(Q) - chi_max).  That product, not the
-rate per postselected signal, is the one that is nondecreasing in kappa.
-How an honest noisy channel changes p_kept is not modelled here.
+per signal sent, p_kept (1 - h(Q) - chi_max), is the rate that is
+nondecreasing in kappa.  How an honest noisy channel changes p_kept is
+not modelled here.
 
-Exact branch.  When u = v (within 1e-12), Re phi = u is the same for
-every state of trace 1, and there u = 1/2 - Q.  That holds for the
-unbalanced variant, for both hardware fixes (xi_effective = 1/2, balanced
-weights) and for PBS at kappa = 1, but not for PBS at kappa < 1
-(u - v = k (1 - 2 xi) < 0).
-Leave out the reduced-state constraint: the remaining feasible set is
-invariant under the swap alpha<->delta, beta<->gamma and under
-phi -> conj(phi), and chi-bar is concave (relative entropy is jointly
-convex), so the maximum lies at alpha = delta, beta = gamma, Im phi = 0.
-On that line chi-bar is S(sigma) - h(Q), and S(sigma) is stationary at
+Exact branch.  When u = v (within 1e-12), Re phi = u = 1/2 - Q for every
+state of trace 1: the unbalanced variant, both hardware fixes
+(xi_effective = 1/2, balanced weights) and PBS at kappa = 1, but not PBS
+at kappa < 1 (u - v = k (1 - 2 xi) < 0).  Without the reduced-state
+constraint the feasible set is invariant under the swap alpha<->delta,
+beta<->gamma and under phi -> conj(phi), and chi-bar is concave (relative
+entropy is jointly convex), so the maximum lies at alpha = delta,
+beta = gamma, Im phi = 0.  There chi-bar is S(sigma) - h(Q), stationary at
 beta = Q(1-Q), alpha = 1/2 - Q(1-Q), where sigma has spectrum
 {(1-Q)^2, Q(1-Q), Q(1-Q), Q^2} and entropy 2 h(Q); so chi = h(Q), the
-BB84 bound of Shor and Preskill.  ``_state`` maps the point
-(alpha, beta, beta, alpha, 1/2 - Q) back to a state.  It is PSD, since
-alpha = 1/2 - Q(1-Q) >= 1/2 - Q = phi.  If its s lies within
-``ConstraintSet.s_bounds`` (1e-12 slack) the point is the maximum over the
-full feasible set, and ``_maximize`` returns it with ``iterations=0``.
-Otherwise (at p_lost = 0 and kappa < 1 with Q > 0, where
-s = xi + 2 Q(1-Q)(1 - 2 xi) misses the pinned s = xi, and at higher loss
-when an s-bound binds) the pinned search runs, and its maximum is at
-most h(Q).
+BB84 bound of Shor and Preskill.  The point is PSD, since
+alpha >= 1/2 - Q = phi.  If its s lies within ``ConstraintSet.s_bounds``
+(1e-12 slack) it is the maximum, returned with ``iterations=0``;
+otherwise (at p_lost = 0 and kappa < 1 with Q > 0, where
+s = xi + 2 Q(1-Q)(1 - 2 xi) misses s = xi, and where an s-bound binds at
+higher loss) the pinned search runs, and its maximum is at most h(Q).
 
-A-search.  Write A = alpha+gamma, so beta+delta = 1-A.  The relation
-makes phi = u A + v (1-A) a function of A alone, and so is
-S(conditional) = h((1+r)/2) with r = sqrt((2A-1)^2 + 4 phi^2).  At fixed
-A, chi-bar is therefore S(sigma) - h((1+r)/2), and its maximizer is the
-state of largest entropy under the linear constraints trace 1,
-alpha+gamma = A and corner phi(A): sigma = exp(m1 P + m3 X) / Z with
-P = |00><00| + |10><10| and X = |00><11| + |11><00|, that is beta = 1/Z,
-gamma = e^m1 / Z and [[alpha, phi], [phi, delta]] = exp([[m1, m3], [m3, 0]]) / Z.
-The multipliers minimize the convex dual log Z - m1 A - 2 m3 phi(A) (the
-primal side of the dual formulation of Coles, Metodiev and Lutkenhaus,
-Nat. Commun. 7, 11712 (2016)); ``_max_entropy`` finds them by Newton's
-method with backtracking, warm-started from the previous A.  The best
-value g(A) of an A-slice is concave in A, because the slices are sections
-of the convex feasible set by the hyperplanes alpha+gamma = A and chi-bar
-is concave, so one Brent search over A finds the maximum.  Without the
-s-constraint A ranges over the closed-form interval where
-phi(A)^2 <= A(1-A), the largest alpha delta of the slice; at its ends the
-slice is the pure point beta = gamma = 0.  The corner condition keeps the
-search's slack: the interval allows phi^2 <= alpha delta + _SLACK and the
-largest-entropy state takes the corner sqrt(phi^2 - _SLACK), so every
-point evaluated, with phi recomputed from the relation, meets
-phi^2 <= alpha delta + _SLACK.  At u = v, phi is constant and the free
-maximum is the exact branch's point, beta = Q(1-Q).  At p_lost = 0 the
-s-bounds coincide and the search runs pinned at once.
+A-search.  Write A = alpha+gamma, so beta+delta = 1-A.  The relation makes
+phi = u A + v (1-A) a function of A alone, and so is S(conditional) =
+h((1+r)/2) with r = sqrt((2A-1)^2 + 4 phi^2).  At fixed A, chi-bar is
+therefore S(sigma) minus a constant, and its maximizer is the state of
+largest entropy under the linear constraints trace 1, alpha+gamma = A and
+corner phi(A): sigma = exp(m1 P + m3 X) / Z with P = |00><00| + |10><10|
+and X = |00><11| + |11><00|.  The multipliers minimize the convex dual
+log Z - m1 A - 2 m3 phi(A) (the primal side of the dual formulation of
+Coles, Metodiev and Lutkenhaus, Nat. Commun. 7, 11712 (2016));
+``_max_entropy`` finds them by Newton's method, warm-started from the
+previous A.  The best value g(A) of an A-slice is concave in A (sections
+of a convex set, a concave objective), so one Brent search over A finds
+the maximum.  Free, A ranges over the closed-form interval where
+phi(A)^2 <= A(1-A), the slice's largest alpha delta, at beta = gamma = 0.
+The corner condition keeps a slack: the interval allows
+phi^2 <= alpha delta + _SLACK and the largest-entropy state takes the
+corner sqrt(phi^2 - _SLACK), so every point evaluated, with phi from the
+relation, meets phi^2 <= alpha delta + _SLACK.  At u = v the free maximum
+is the exact branch's point; at p_lost = 0 the s-bounds coincide and the
+search runs pinned at once.
 
-Pinned s.  The s-constraint (1-s)(a+b) = s(c+d) reads
-gamma/w0 + delta/w1 = K(A) = (1-s)(A/w0 + (1-A)/w1) at fixed A, a third
-linear constraint, and phi(A) stays constant on the slice, so the
-argument above carries over with one more multiplier:
-sigma = exp(m1 P + m2 D + m3 X) / Z with D = diag(0, 0, 1/w0, 1/w1),
-still a diagonal plus one 2x2 block.  The slice is a segment in gamma,
-and alpha delta falls as gamma grows, so its largest alpha delta sits at
-its smallest gamma: f1 = (1-s) A (1-A + A w1/w0) at gamma = 0 below the
-kink A_k = s w0 / (s w0 + (1-s) w1), and f2 = s (1-A) (A + (1-A) w0/w1)
-at beta = 0 above it; the two meet at A_k (1-A_k), where
-beta = gamma = 0.  A ranges where phi(A)^2 <= min(f1, f2) + _SLACK, a
-quadratic condition on each side of A_k.  Slices no wider than the slack,
-and slices whose Newton solve does not converge, are answered by that
-face point, which the slack admits.  Pinned points are evaluated on the
-plane in which the trace, the s-constraint and the relation make beta,
-gamma and phi affine in (alpha, delta).
+Pinned s.  The s-constraint (1-s)(a+b) = s(c+d) reads gamma/w0 +
+delta/w1 = K(A) = (1-s)(A/w0 + (1-A)/w1) at fixed A, a third linear
+constraint on a slice where phi(A) stays constant, so the argument carries
+over with one more multiplier: sigma = exp(m1 P + m2 D + m3 X) / Z with
+D = diag(0, 0, 1/w0, 1/w1), still a diagonal plus one 2x2 block.  The
+slice is a segment in gamma along which alpha delta falls, so its largest
+alpha delta is f1 = (1-s) A (1-A + A w1/w0) at gamma = 0 below the kink
+A_k = s w0 / (s w0 + (1-s) w1), and f2 = s (1-A) (A + (1-A) w0/w1) at
+beta = 0 above it; both are A_k (1-A_k) at the kink, where
+beta = gamma = 0, and A ranges where phi(A)^2 <= min(f1, f2) + _SLACK.
+Slices no wider than the slack, and slices whose Newton solve fails, are
+answered by that face point, which the slack admits.
 """
 
 from __future__ import annotations
@@ -287,16 +269,10 @@ def _brent_max(fn, lo: float, hi: float, rtol: float = 1.5e-8):
         u = x + (d if abs(d) >= tol else math.copysign(tol, d))
         fu = fn(u)
         if fu >= fx:
-            if u < x:
-                b = x
-            else:
-                a = x
+            a, b = (a, x) if u < x else (x, b)
             v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
         else:
-            if u < x:
-                a = u
-            else:
-                b = u
+            a, b = (u, b) if u < x else (a, u)
             if fu >= fw or w == x:
                 v, fv, w, fw = w, fw, u, fu
             elif fu >= fv or v == x or v == w:
@@ -305,11 +281,10 @@ def _brent_max(fn, lo: float, hi: float, rtol: float = 1.5e-8):
 
 
 def _reach(c2: float, c1: float, c0: float, length: float):
-    """The piece of [0, length] where c2 t^2 + c1 t + c0 <= 0, as (lo, hi).
+    """The piece of [0, length] where c2 t^2 + c1 t + c0 <= 0, as (lo, hi), lo > hi if none.
 
-    The piece that starts at t = 0 if c0 <= 0, else at the first positive
-    root; lo > hi when there is none.  The roots come from
-    t = -(c1 + sign(c1) sqrt(c1^2 - 4 c2 c0)) / 2, which does not cancel.
+    It starts at 0 if c0 <= 0, else at the first positive root; the roots
+    come from -(c1 + sign(c1) sqrt(c1^2 - 4 c2 c0)) / 2, which does not cancel.
     """
     roots = []
     disc = c1 * c1 - 4.0 * c2 * c0
@@ -322,45 +297,40 @@ def _reach(c2: float, c1: float, c0: float, length: float):
     return ends[0], min(ends[1], length)
 
 
-def _a_range(cfg: ProtocolConfig, cs: ConstraintSet):
-    """The interval of A = alpha+gamma with phi(A)^2 <= A(1-A) + _SLACK.
+def _face_range(a0: float, a1: float, f0: float, f1: float, length: float):
+    """The delta in [0, length] with phi^2 <= alpha delta + _SLACK on a face, as (lo, hi).
 
-    A(1-A) is the largest alpha delta at trace 1, reached at beta = gamma = 0.
-    With x = (1-xi) A / w0 and y = xi (1-A) / w1 the relation reads
-    phi = k (x+y), and phi^2 - A(1-A) = K ((1-2Q)^2 (x-y)^2 - 16 Q(1-Q) x y)
-    with K = w0 w1 / (4 xi (1-xi)).  In t = A - A0, where A0 is the A of
-    x = y, that is a quadratic a2 t^2 + a1 t + a0 <= 0 with a0 < 0, whose
-    roots need no cancelling discriminant.
+    On the face alpha = a0 + a1 delta and phi = f0 + f1 delta, and with
+    a1 <= 0 the condition is a convex quadratic in delta; lo > hi when it
+    has no root there.  The discriminant is written as
+    a0 (a0 - 4 f0 f1) + 4 qa _SLACK + 4 a1 f0^2, with qa the leading
+    coefficient, and the roots come from -(qb + sign(qb) sqrt(disc)) / 2,
+    which does not cancel.
     """
-    w0, w1 = cfg.receiver.weights
-    xi, q = cs.xi, cs.q
-    p, r = (1.0 - xi) / w0, xi / w1
-    a_mid, b_mid = r / (p + r), p / (p + r)
-    c2 = 16.0 * q * (1.0 - q) * p * r
-    a2 = (1.0 - 2.0 * q) ** 2 * (p + r) ** 2 + c2
-    a1 = c2 * (a_mid - b_mid)
-    a0 = -(c2 * a_mid * b_mid + _SLACK * 4.0 * xi * (1.0 - xi) / (w0 * w1))
-    return max(0.0, a_mid - _reach(a2, -a1, a0, a_mid)[1]), min(1.0, a_mid + _reach(a2, a1, a0, b_mid)[1])
+    qa, qb, qc = f1 * f1 - a1, 2.0 * f0 * f1 - a0, f0 * f0 - _SLACK
+    disc = a0 * (a0 - 4.0 * f0 * f1) + 4.0 * qa * _SLACK + 4.0 * a1 * f0 * f0
+    if not (disc >= 0.0 and qa > 0.0):
+        return 1.0, 0.0
+    t = -0.5 * (qb + math.copysign(math.sqrt(disc), qb))
+    r1, r2 = sorted((t / qa, qc / t)) if t != 0.0 else (0.0, 0.0)
+    return max(0.0, r1), min(length, r2)
 
 
 def _gibbs(m, a_sum: float, b_sum: float, corner: float, pin):
     """The state exp(m1 P + m2 D + m3 X) / Z: its dual value, sifted point and dual Hessian.
 
-    P = |00><00| + |10><10|, X = |00><11| + |11><00| and
-    D = diag(0, 0, dg, dd) with pin = (dg, dd, k_sum, ...), or m2 = 0 and
-    no D when pin is None.  So beta = 1/Z, gamma = e^(m1 + m2 dg) / Z and
-    the (alpha, delta) block is exp([[m1, m3], [m3, m2 dd]]) / Z, with
-    eigenvalues e^(c +- rho) / Z, c the mean of the diagonal and
-    rho = hypot(h, m3) for h half its difference.  The multipliers grow
-    without bound as the state nears a face of the slice (about 5e4 at
-    kappa = 1e-4), so every weight is taken relative to the block's top
-    one, e^(c + rho), through rho - |h| = m3^2 / (rho + |h|), or to the
-    largest weight if that is beta or gamma; so is the dual value
-    log Z - m1 a_sum - m2 k_sum - 2 m3 corner.  The Hessian of log Z is
-    the Kubo-Mori covariance of (P, D, X): their spread over the four
-    eigenstates, in pairwise form, plus the coherent term of the block.
-    Returns (dual, point, (h11, h12, h13, h22, h23, h33)); without D,
-    h22 = 1 and h12 = h23 = 0.
+    P = |00><00| + |10><10|, X = |00><11| + |11><00| and D = diag(0, 0, dg, dd)
+    from pin = (dg, dd, k_sum, ...); without pin, m2 = 0 and there is no D.
+    So beta = 1/Z, gamma = e^(m1 + m2 dg) / Z and the (alpha, delta) block
+    is exp([[m1, m3], [m3, m2 dd]]) / Z, with eigenvalues e^(c +- rho) / Z
+    for c the mean of its diagonal, h half the difference and
+    rho = hypot(h, m3).  The multipliers grow without bound near a face of
+    the slice, so every weight, and the dual log Z - m1 a_sum - m2 k_sum -
+    2 m3 corner, is taken relative to the largest weight, through
+    rho - |h| = m3^2 / (rho + |h|).  The Hessian of log Z is the Kubo-Mori
+    covariance of (P, D, X): their spread over the four eigenstates in
+    pairwise form, plus the block's coherent term; without D its row is the
+    identity's.  Returns (dual, point, (h11, h12, h13, h22, h23, h33)).
     """
     m1, m2, m3 = m
     dg, dd, k_sum = pin[:3] if pin else (0.0, 0.0, 0.0)
@@ -407,11 +377,10 @@ def _gibbs(m, a_sum: float, b_sum: float, corner: float, pin):
 
 
 def _descent(hess, g1: float, g2: float, g3: float):
-    """The Newton step -H^-1 g by an LDL^T factorization, or None if H is not positive definite.
+    """The Newton step -H^-1 g by LDL^T, or None if H is not positive definite.
 
-    Near a face of the slice H has eigenvalues as small as the weights of
-    the nearly empty eigenstates; elimination keeps its pivots to rounding
-    of the entries, where a determinant would cancel.
+    Near a face H has eigenvalues as small as the nearly empty eigenstates'
+    weights; elimination keeps its pivots where a determinant would cancel.
     """
     h11, h12, h13, h22, h23, h33 = hess
     if not h11 > 0.0:
@@ -431,17 +400,14 @@ def _descent(hess, g1: float, g2: float, g3: float):
 def _max_entropy(a_sum: float, b_sum: float, corner: float, pin=None, mu=None):
     """The largest-entropy sifted point of an A-slice and its multipliers, or None.
 
-    The slice holds the points with alpha+gamma = a_sum, beta+delta = b_sum
-    and corner ``corner``, where 0 <= corner^2 < the slice's largest
-    alpha delta; at pinned s also gamma dg + delta dd = k_sum, given as
-    pin = (dg, dd, k_sum, k_rest) with k_rest = alpha dg + beta dd.  The
-    point is exp(m1 P + m2 D + m3 X) / Z (see ``_gibbs``), whose
-    multipliers minimize the convex dual.  Newton's method on the dual,
-    with backtracking, starts from ``mu`` (the multipliers of a previous
-    solve) or from m = (log(a_sum/b_sum), 0, 0), whichever has the lower
-    dual value, and from the latter again if the former does not
-    converge.  It has converged once the constraints hold to 1e-14
-    relative; None if neither start gets there.
+    The slice: alpha+gamma = a_sum, beta+delta = b_sum, corner ``corner``
+    with corner^2 below the slice's largest alpha delta, and at pinned s
+    gamma dg + delta dd = k_sum, from pin = (dg, dd, k_sum, k_rest), where
+    k_rest = alpha dg + beta dd.  Newton's method with backtracking on the
+    dual of ``_gibbs`` starts from ``mu`` (a previous solve's multipliers)
+    or from (log(a_sum/b_sum), 0, 0), whichever has the lower dual value,
+    and from the latter again if the former fails.  It converges once the
+    constraints hold to 1e-14 relative; None if neither start does.
     """
     dg, dd, k_sum, k_rest = pin or (0.0, 0.0, 0.0, 0.0)
     cold = (math.log(a_sum / b_sum), 0.0, 0.0)
@@ -455,7 +421,8 @@ def _max_entropy(a_sum: float, b_sum: float, corner: float, pin=None, mu=None):
             alpha, beta, gamma, delta, phi = point
             # the residual of the smaller side keeps its relative precision
             g1 = alpha + gamma - a_sum if a_sum <= b_sum else b_sum - beta - delta
-            g2 = gamma * dg + delta * dd - k_sum if k_sum <= k_rest else k_rest - alpha * dg - beta * dd
+            g2 = (gamma * dg + delta * dd - k_sum if k_sum <= k_rest
+                  else k_rest - alpha * dg - beta * dd)
             g3 = 2.0 * (phi - corner)
             if (abs(g1) <= 1e-14 * min(a_sum, b_sum) and abs(g2) <= 1e-14 * min(k_sum, k_rest)
                     and abs(g3) <= 1e-14 * corner):
@@ -483,27 +450,22 @@ def _max_entropy(a_sum: float, b_sum: float, corner: float, pin=None, mu=None):
 class _Search:
     """One Brent search over A = alpha+gamma of the A-slices' largest-entropy points.
 
-    Free when ``s`` is None, else at pinned s.  Counts evaluations and keeps
-    the best point; ``mu`` holds the multipliers of the last A-slice
-    solved, the warm start of the next.
+    Free when ``s`` is None, else at pinned s, where the trace, the
+    s-constraint and the relation make beta, gamma and phi affine in
+    (alpha, delta).  Counts evaluations and keeps the best point; ``mu``
+    holds the last slice's multipliers, the warm start of the next.
     """
 
     def __init__(self, cfg: ProtocolConfig, cs: ConstraintSet, s=None):
         u, v = self.uv = _error_relation(cfg, cs)
-        w0, w1 = cfg.receiver.weights
-        self.s, self.evals, self.chi, self.point, self.mu = s, 0, -math.inf, None, None
-        # D = diag(0, 0, 1/w0, 1/w1), scaled so that its largest entry is 1
-        self.d = (1.0, w0 / w1) if w0 <= w1 else (w1 / w0, 1.0)
-        if s is None:
-            self.range, self.top = _a_range(cfg, cs), None
-            return
-        # the trace and the s-constraint make beta and gamma affine in
-        # (alpha, delta), and the relation makes phi affine too
-        den = (1.0 - s) * w0 + s * w1
-        self.beta = b0, ba, bd = w1 * s / den, -w1 / den, s * (w0 - w1) / den
-        self.gamma = g0, ga, gd = w0 * (1.0 - s) / den, (1.0 - s) * (w1 - w0) / den, -w0 / den
-        self.phi = (u * g0 + v * b0, u * (1.0 + ga) + v * ba, u * gd + v * (1.0 + bd))
-        self.range, self.top = self._pinned_range(u, v, w0, w1)
+        w0, w1 = self.weights = cfg.receiver.weights
+        self.s, self.top = s, None
+        self.evals, self.chi, self.point, self.mu = 0, -math.inf, None, None
+        if s is not None:
+            den = (1.0 - s) * w0 + s * w1
+            self.beta = b0, ba, bd = w1 * s / den, -w1 / den, s * (w0 - w1) / den
+            self.gamma = g0, ga, gd = w0 * (1.0 - s) / den, (1.0 - s) * (w1 - w0) / den, -w0 / den
+            self.phi = (u * g0 + v * b0, u * (1.0 + ga) + v * ba, u * gd + v * (1.0 + bd))
 
     def on_plane(self, alpha: float, delta: float):
         """The sifted point (alpha, beta, gamma, delta, phi) of the pinned plane."""
@@ -512,7 +474,7 @@ class _Search:
                 p0 + pa * alpha + pd * delta)
 
     def face(self, a_sum: float, b_sum: float):
-        """The point of largest alpha delta of the A-slice: beta = gamma = 0 when free;
+        """The A-slice's point of largest alpha delta: beta = gamma = 0 when free;
         at pinned s, gamma = 0 below the kink A_k and beta = 0 above it."""
         if self.s is None:
             return a_sum, 0.0, 0.0, b_sum, 0.0
@@ -522,35 +484,35 @@ class _Search:
             return self.on_plane(a_sum, delta)
         return self.on_plane((b0 + bd * b_sum) / -ba, b_sum)
 
-    def _pinned_range(self, u, v, w0, w1):
-        """The A-interval of the pinned slices, and its top end's corner point.
+    def a_range(self):
+        """The interval of A whose slices are feasible, lo > hi if none; sets ``top``.
 
-        Above the kink the slices' face is beta = 0, where alpha and phi are
-        affine in delta = 1-A, and phi^2 <= alpha delta + _SLACK is a convex
-        quadratic in delta, solved from delta = 0: at small kappa phi grows
-        as v (1-A) with v large, and the interval sits near A = 1.  Below the
-        kink phi^2 - f1(A) is expanded at the kink.
+        Free, the face is beta = gamma = 0, where alpha = 1-delta and
+        phi = u + (v-u) delta in delta = 1-A (``_face_range``).  Pinned, that
+        face is beta = 0 above the kink, where alpha and phi are affine in
+        delta too; ``top`` is its corner at the interval's top end.  At small
+        kappa phi grows as v (1-A) with v large and the interval sits near
+        A = 1, so both are solved from delta = 0.  Below the kink
+        phi^2 - f1(A) is expanded at the kink.
         """
-        s = self.s
-        (b0, ba, bd), (g0, ga, gd), (p0, pa, pd) = self.beta, self.gamma, self.phi
+        (u, v), (w0, w1), s = self.uv, self.weights, self.s
+        if s is None:
+            d_lo, d_hi = _face_range(1.0, -1.0, u, v - u, 1.0)
+            return 1.0 - d_hi, 1.0 - d_lo
+        (b0, ba, bd), _, (p0, pa, pd) = self.beta, self.gamma, self.phi
         a0, a1 = b0 / -ba, bd / -ba  # alpha along beta = 0, in delta
         den = s * w0 + (1.0 - s) * w1
         a_k, b_k = s * w0 / den, (1.0 - s) * w1 / den
-        pieces, top = [], None
+        pieces = []
         # phi along beta = 0 in the plane's own arithmetic, which the corner is
         # evaluated in; at small kappa that cancels from terms of size v, and
         # where it leaves no root the relation's phi = u + (v-u) delta decides
         for f0, f1 in ((p0 + pa * a0, pd + pa * a1), (u, v - u)):
-            qa, qb, qc = f1 * f1 - a1, 2.0 * f0 * f1 - a0, f0 * f0 - _SLACK
-            disc = a0 * (a0 - 4.0 * f0 * f1) + 4.0 * qa * _SLACK + 4.0 * a1 * f0 * f0
-            if disc >= 0.0 and qa > 0.0:
-                t = -0.5 * (qb + math.copysign(math.sqrt(disc), qb))
-                r1, r2 = sorted((t / qa, qc / t)) if t != 0.0 else (0.0, 0.0)
-                d_lo, d_hi = max(0.0, r1), min(b_k, r2)
-                if d_lo <= d_hi:
-                    top = self.on_plane(a0 + a1 * d_lo, d_lo)
-                    pieces.append((1.0 - d_hi, top[0] + top[2]))
-                    break
+            d_lo, d_hi = _face_range(a0, a1, f0, f1, b_k)
+            if d_lo <= d_hi:
+                self.top = self.on_plane(a0 + a1 * d_lo, d_lo)
+                pieces.append((1.0 - d_hi, self.top[0] + self.top[2]))
+                break
         # below the kink, phi^2 - f1 - _SLACK in the distance t = A_k - A
         du, r, phi = u - v, w1 / w0, u * a_k + v * b_k
         t1, t2 = _reach(du * du - (1.0 - s) * (r - 1.0),
@@ -559,9 +521,20 @@ class _Search:
         if t1 <= t2:
             pieces.append((a_k - t2, a_k - t1))
         if not pieces:
-            return (1.0, 0.0), None
-        lo, hi = min(p[0] for p in pieces), max(p[1] for p in pieces)
-        return (max(0.0, lo), min(1.0, hi)), (top if top and top[0] + top[2] == hi else None)
+            return 1.0, 0.0
+        return max(0.0, min(p[0] for p in pieces)), min(1.0, max(p[1] for p in pieces))
+
+    def pin(self, a_sum: float, b_sum: float):
+        """The s-constraint of a pinned A-slice for ``_max_entropy``; None when free.
+
+        D = diag(0, 0, 1/w0, 1/w1) is scaled to a largest entry of 1.
+        """
+        if self.s is None:
+            return None
+        w0, w1 = self.weights
+        dg, dd = (1.0, w0 / w1) if w0 <= w1 else (w1 / w0, 1.0)
+        total = a_sum * dg + b_sum * dd
+        return dg, dd, (1.0 - self.s) * total, self.s * total
 
     def _chi(self, point) -> float:
         chi = chi_bar_of_params(*point)
@@ -571,74 +544,59 @@ class _Search:
         return chi
 
     def a_slice(self, a_sum: float) -> float:
-        """chi-bar of the largest-entropy point with alpha+gamma = a_sum.
+        """chi-bar of the largest-entropy point with alpha+gamma = a_sum, where S2 is fixed.
 
-        S2 depends on a_sum alone there.  The corner condition keeps the
-        search's slack: where the corner sqrt(phi^2 - _SLACK) meets the
-        slice's largest alpha delta, and on pinned slices no wider than the
-        slack, the slice is its face point; a corner within the slack leaves
-        the free slice diagonal.  Pinned points are evaluated on the plane.
+        Where the corner sqrt(phi^2 - _SLACK) meets the slice's largest
+        alpha delta (within 2 _SLACK when pinned), or the solve fails, the
+        slice is its face point; a free corner within the slack leaves the
+        diagonal point.  Pinned points are evaluated on the plane.
         """
         if self.top and a_sum == self.top[0] + self.top[2]:
             return self._chi(self.top)
-        u, v = self.uv
-        b_sum = 1.0 - a_sum
+        (u, v), s, b_sum = self.uv, self.s, 1.0 - a_sum
         corner2 = (u * a_sum + v * b_sum) ** 2 - _SLACK
-        face = self.face(a_sum, b_sum)
-        thin = 0.0 if self.s is None else 2.0 * _SLACK
-        if self.s is None and corner2 <= 0.0:
+        point = self.face(a_sum, b_sum)
+        if s is None and corner2 <= 0.0:
             point = (0.5 * a_sum, 0.5 * b_sum, 0.5 * a_sum, 0.5 * b_sum)
-        elif corner2 + thin >= face[0] * face[3] or a_sum * b_sum == 0.0:
-            point = face
-        else:
-            pin = None
-            if self.s is not None:
-                dg, dd = self.d
-                total = a_sum * dg + b_sum * dd
-                pin = (dg, dd, (1.0 - self.s) * total, self.s * total)
+        elif a_sum * b_sum and corner2 + (s is not None) * 2.0 * _SLACK < point[0] * point[3]:
+            pin = self.pin(a_sum, b_sum)
             solved = _max_entropy(a_sum, b_sum, math.sqrt(max(corner2, 0.0)), pin, self.mu)
-            point, self.mu = solved or (face, self.mu)
-        if self.s is not None:
+            point, self.mu = solved or (point, self.mu)
+        if s is not None:
             return self._chi(self.on_plane(point[0], point[3]))
         alpha, beta, gamma, delta = point[:4]
         return self._chi((alpha, beta, gamma, delta, u * (alpha + gamma) + v * (beta + delta)))
 
-    def run(self) -> float:
-        lo, hi = self.range
-        return _brent_max(self.a_slice, lo, hi)[1] if lo <= hi else -math.inf
+    def run(self) -> None:
+        lo, hi = self.a_range()
+        if lo <= hi:
+            _brent_max(self.a_slice, lo, hi)
 
 
 def _maximize(cfg: ProtocolConfig, cs: ConstraintSet) -> OptimResult:
     u, v = _error_relation(cfg, cs)
     lo, hi = cs.s_bounds()
-    evals = 0
+    free = _Search(cfg, cs)
     if abs(u - v) <= 1e-12:
         beta = cs.q * (1.0 - cs.q)
         # alpha+gamma = beta+delta = 1/2, so the relation gives phi = (u+v)/2
-        point = (0.5 - beta, beta, beta, 0.5 - beta, 0.5 * (u + v))
-        chi = None
+        free.point = (0.5 - beta, beta, beta, 0.5 - beta, 0.5 * (u + v))
     elif lo < hi:
-        search = _Search(cfg, cs)
-        search.run()
-        point, chi, evals = search.point, search.chi, search.evals
-    else:
-        point = None
-    if point is not None:
-        state = _state(cfg, *point)
+        free.run()
+    if free.point is not None:
+        state = _state(cfg, *free.point)
         if lo - 1e-12 <= state.a + state.b <= hi + 1e-12:
             # the exact branch's point is evaluated only here, outside the count
-            return OptimResult(chi_max=chi_bar_of_params(*point) if chi is None else chi,
-                               argmax=state, iterations=evals)
+            chi = free.chi if free.evals else chi_bar_of_params(*free.point)
+            return OptimResult(chi_max=chi, argmax=state, iterations=free.evals)
         # concavity puts the maximum on the s-bound that the free maximum violates
         lo = min(max(state.a + state.b, lo), hi)
-    search = _Search(cfg, cs, lo)
-    search.run()
-    if search.point is None:
-        raise InfeasibleError(
-            f"no feasible attack state found (q={cs.q}, p_lost={cs.p_lost})"
-        )
-    return OptimResult(chi_max=search.chi, argmax=_state(cfg, *search.point),
-                       iterations=evals + search.evals)
+    pinned = _Search(cfg, cs, lo)
+    pinned.run()
+    if pinned.point is None:
+        raise InfeasibleError(f"no feasible attack state found (q={cs.q}, p_lost={cs.p_lost})")
+    return OptimResult(chi_max=pinned.chi, argmax=_state(cfg, *pinned.point),
+                       iterations=free.evals + pinned.evals)
 
 
 def maximize_holevo_qubit(cfg: ProtocolConfig, q: float, p_lost: float = 0.0) -> OptimResult:

@@ -20,9 +20,9 @@ from reference import (
 )
 from ubb84.attack import (
     InfeasibleError,
-    _a_range,
     _error_relation,
     _max_entropy,
+    _Search,
     chi_bar_of_params,
     constraint_set,
     maximize_holevo_qubit,
@@ -309,6 +309,17 @@ class TestPinnedChiGrid:
                                tol=1e-8), (variant, kappa, q, p_lost)
 
 
+    @pytest.mark.parametrize("variant", [Variant.UNBALANCED, Variant.PBS])
+    def test_few_evaluations_on_the_qubit_scan(self, variant):
+        # the benchmark's qubit-scan kappa menu; the nested alpha/delta search
+        # took 125-355 evaluations on the unbalanced rows
+        for kappa in (0.2, 0.3, 0.5, 0.6, 0.7, 0.8):
+            cfg = make_config(kappa, variant)
+            for q in (0.01 * i for i in range(1, 13)):
+                result = maximize_holevo_qubit(cfg, q)
+                assert 0 < result.iterations <= 40, (kappa, q, result.iterations)
+
+
 class TestMaxEntropySlice:
     """The inner solve of the A-search: the largest-entropy state of an A-slice."""
 
@@ -325,7 +336,7 @@ class TestMaxEntropySlice:
         cfg = make_config(10.0 ** log_kappa, Variant.PBS)
         cs = constraint_set(cfg, q)
         u, v = _error_relation(cfg, cs)
-        lo, hi = _a_range(cfg, cs)
+        lo, hi = _Search(cfg, cs).a_range()
         a_sum = lo + frac * (hi - lo)
         b_sum = 1.0 - a_sum
         corner = u * a_sum + v * b_sum
@@ -349,6 +360,63 @@ class TestMaxEntropySlice:
             a = rng.uniform(corner * corner / b_sum, a_sum)
             d = rng.uniform(corner * corner / a, b_sum)
             assert best >= self._entropy(a, b_sum - d, a_sum - a, d, corner) - 1e-12
+
+    @settings(max_examples=80, deadline=None)
+    @given(pbs=st.booleans(), log_kappa=st.floats(-12.0, -0.01), q=st.floats(0.0, 0.45),
+           p_lost=st.floats(0.0, 0.99), upper=st.booleans(), frac=st.floats(0.02, 0.98),
+           seed=st.integers(0, 2**32 - 1))
+    def test_pinned_slice(self, pbs, log_kappa, q, p_lost, upper, frac, seed):
+        # at pinned s the s-constraint is a third linear constraint, and the
+        # slice is a segment in gamma: alpha = a_sum - gamma,
+        # delta = (k_sum - gamma dg) / dd, beta = b_sum - delta
+        cfg = make_config(10.0 ** log_kappa, Variant.PBS if pbs else Variant.UNBALANCED)
+        cs = constraint_set(cfg, q, p_lost)
+        u, v = _error_relation(cfg, cs)
+        search = _Search(cfg, cs, cs.s_bounds()[upper])
+        lo, hi = search.a_range()
+        assume(lo < hi)
+        a_sum = lo + frac * (hi - lo)
+        b_sum = 1.0 - a_sum
+        corner = u * a_sum + v * b_sum
+        face = search.face(a_sum, b_sum)
+        assume(corner * corner < face[0] * face[3] * (1.0 - 1e-6))
+        dg, dd, k_sum, k_rest = pin = search.pin(a_sum, b_sum)
+        solved = _max_entropy(a_sum, b_sum, corner, pin)
+        # where dd is tiny (unbalanced, small kappa) gamma can be a sliver of
+        # the slice, whose entropy then peaks at the face gamma = 0 and whose
+        # multipliers diverge; the search then takes the face point
+        point = alpha, beta, gamma, delta, phi = solved[0] if solved else face
+        assert min(alpha, beta, gamma, delta) >= 0.0
+        assert alpha * delta - phi * phi >= -1e-15 * alpha * delta
+        small = min((a_sum, alpha + gamma), (b_sum, beta + delta))
+        assert abs(small[1] - small[0]) <= 1e-12 * small[0]
+        small = min((k_sum, gamma * dg + delta * dd), (k_rest, alpha * dg + beta * dd))
+        assert abs(small[1] - small[0]) <= 1e-12 * small[0]
+        assert abs(phi - corner) <= 1e-12 * corner
+        best = self._entropy(*point)
+        rng = np.random.default_rng(seed)
+        g_lo, g_hi = max(0.0, (k_sum - b_sum * dd) / dg), min(a_sum, k_sum / dg)
+        for g in rng.uniform(g_lo, g_hi, 200):
+            d = (k_sum - g * dg) / dd
+            if (a_sum - g) * d >= corner * corner:
+                assert best >= self._entropy(a_sum - g, b_sum - d, g, d, corner) - 1e-12
+
+
+class TestSolverProperty:
+    """Every variant, kappa down to 1e-15, Q and p_lost at their extremes."""
+
+    @settings(max_examples=1500, deadline=None)
+    @given(variant=st.sampled_from(list(Variant)), log_kappa=st.floats(-15.0, 0.0),
+           q=st.one_of(st.just(0.0), st.just(1e-12), st.floats(0.0, 0.5, exclude_max=True)),
+           p_lost=st.one_of(st.just(0.0), st.just(1.0), st.just(1.0 - 1e-12),
+                            st.floats(0.0, 1.0)))
+    def test_finite_feasible_and_bounded(self, variant, log_kappa, q, p_lost):
+        cfg = make_config(10.0 ** log_kappa, variant)
+        result = maximize_holevo_qubit(cfg, q, p_lost)
+        # chi-bar lies in [0, 1]; the closed form rounds at the 1e-13 level
+        assert math.isfinite(result.chi_max) and -1e-12 <= result.chi_max <= 1.0 + 1e-12
+        s = result.argmax
+        assert is_feasible(constraint_set(cfg, q, p_lost), s.a, s.b, s.c, s.d, s.f, tol=1e-8)
 
 
 class TestArgmaxReadBack:
