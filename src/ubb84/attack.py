@@ -317,32 +317,32 @@ def _face_range(a0: float, a1: float, f0: float, f1: float, length: float):
 
 
 def _gibbs(m, a_sum: float, b_sum: float, corner: float, pin):
-    """The state exp(m1 P + m2 D + m3 X) / Z: its dual value, sifted point and dual Hessian.
+    """The state exp(m1 P + m2 E + m3 X) / Z: its dual value, sifted point and dual Hessian.
 
-    P = |00><00| + |10><10|, X = |00><11| + |11><00| and D = diag(0, 0, dg, dd)
-    from pin = (dg, dd, k_sum, ...); without pin, m2 = 0 and there is no D.
-    So beta = 1/Z, gamma = e^(m1 + m2 dg) / Z and the (alpha, delta) block
-    is exp([[m1, m3], [m3, m2 dd]]) / Z, with eigenvalues e^(c +- rho) / Z
-    for c the mean of its diagonal, h half the difference and
-    rho = hypot(h, m3).  The multipliers grow without bound near a face of
-    the slice, so every weight, and the dual log Z - m1 a_sum - m2 k_sum -
-    2 m3 corner, is taken relative to the largest weight, through
-    rho - |h| = m3^2 / (rho + |h|).  The Hessian of log Z is the Kubo-Mori
-    covariance of (P, D, X): their spread over the four eigenstates in
-    pairwise form, plus the block's coherent term; without D its row is the
-    identity's.  Returns (dual, point, (h11, h12, h13, h22, h23, h33)).
+    P = |00><00| + |10><10|, X = |00><11| + |11><00| and, at pinned s,
+    E = D - dd (I - P) = diag(0, -dd, dg, 0) for D = diag(0, 0, dg, dd) from
+    pin = (dg, dd, k_sum, ...); E spans the same family as D and leaves the
+    (alpha, delta) block alone.  Free, m2 = 0.  So beta = e^(-m2 dd) / Z,
+    gamma = e^(m1 + m2 dg) / Z and the block is exp([[m1, m3], [m3, 0]]) / Z,
+    with eigenvalues e^(m1/2 +- rho) / Z, rho = hypot(m1/2, m3).  The
+    multipliers grow without bound near a face of the slice, so the
+    weights and the dual log Z - m1 a_sum - m2 (k_sum - dd b_sum) -
+    2 m3 corner are taken relative to the largest weight, through
+    rho - |m1|/2 = m3^2 / (rho + |m1|/2).  The Hessian of log Z is the
+    Kubo-Mori covariance of (P, E, X): their spread over the four
+    eigenstates in pairwise form, plus the block's coherent term; free, the
+    E row is the identity's.  Returns (dual, point, (h11, h12, h13, h22, h23, h33)).
     """
     m1, m2, m3 = m
     dg, dd, k_sum = pin[:3] if pin else (0.0, 0.0, 0.0)
-    h = 0.5 * (m1 - m2 * dd)
-    rho = math.hypot(h, m3)
-    near = m3 * m3 / (rho + abs(h)) if rho > 0.0 else 0.0  # rho - |h|
-    if h >= 0.0:  # the block's top exponent is m1 + near
-        d_beta, d_gamma, offset = -(m1 + near), m2 * dg - near, m1 * b_sum - m2 * k_sum
-    else:  # ... and m2 dd + near here
-        d_beta = -(m2 * dd + near)
-        d_gamma, offset = m1 + m2 * (dg - dd) - near, m2 * (dd - k_sum) - m1 * a_sum
-    shift = max(0.0, d_beta, d_gamma)
+    rho = math.hypot(0.5 * m1, m3)
+    near = m3 * m3 / (rho + 0.5 * abs(m1)) if rho > 0.0 else 0.0  # rho - |m1|/2
+    if m1 >= 0.0:
+        d_beta, d_gamma, offset = -(m1 + near), -near, m1 * b_sum
+    else:
+        d_beta, d_gamma, offset = -near, m1 - near, -m1 * a_sum
+    d_beta, d_gamma = d_beta - m2 * dd, d_gamma + m2 * dg
+    shift = max(0.0, d_beta, d_gamma)  # above 0 when beta or gamma outweighs the block
     low, gap = math.exp(-2.0 * rho), -math.expm1(-2.0 * rho)  # e^(-2 rho) and 1 - e^(-2 rho)
     top = math.exp(-shift)
     zrel = top + top * low + math.exp(d_beta - shift) + math.exp(d_gamma - shift)
@@ -350,14 +350,15 @@ def _gibbs(m, a_sum: float, b_sum: float, corner: float, pin):
     wp = wr * top
     wb, wg, wm = wr * math.exp(d_beta - shift), wr * math.exp(d_gamma - shift), wp * low
     if rho > 0.0:
-        sc, c = 0.5 * m3 / rho, h / rho  # sin(theta)/2, cos(theta)
+        sc, c = 0.5 * m3 / rho, 0.5 * m1 / rho  # sin(theta)/2, cos(theta)
         half = near / (2.0 * rho)  # sin^2 or cos^2 of theta/2, whichever is smaller
-        cp, cm = (1.0 - half, half) if h >= 0.0 else (half, 1.0 - half)
+        cp, cm = (1.0 - half, half) if m1 >= 0.0 else (half, 1.0 - half)
         coh = wp * gap / (2.0 * rho)
     else:
         sc, c, cp, cm, coh = 0.0, 1.0, 1.0, 0.0, wp
-    dual = offset + near + shift - 2.0 * m3 * corner + math.log(zrel)
-    point = (wp * cp + wm * cm, wb, wg, wp * cm + wm * cp, wp * gap * sc)
+    dual = offset - m2 * (k_sum - dd * b_sum) + near + shift - 2.0 * m3 * corner + math.log(zrel)
+    point = alpha, beta, gamma, delta, phi = (wp * cp + wm * cm, wb, wg, wp * cm + wm * cp,
+                                              wp * gap * sc)
     h11 = (wb * wg + wb * wp * cp * cp + wb * wm * cm * cm + wg * wp * cm * cm
            + wg * wm * cp * cp + wp * wm * c * c + 2.0 * coh * sc * sc)
     h13 = 2.0 * sc * (wb * wp * cp - wb * wm * cm - wg * wp * cm + wg * wm * cp
@@ -365,15 +366,9 @@ def _gibbs(m, a_sum: float, b_sum: float, corner: float, pin):
     h33 = 4.0 * sc * sc * ((wb + wg) * (wp + wm) + 4.0 * wp * wm) + 2.0 * coh * c * c
     if not pin:
         return dual, point, (h11, 0.0, h13, 1.0, 0.0, h33)
-    gp, gm = dg - dd * cm, dg - dd * cp  # D's spread from gamma to the block's eigenstates
-    h12 = (wb * wg * dg + dd * cp * cm * (wb * wp + wb * wm) + wg * wp * cm * gp
-           + wg * wm * cp * gm - dd * (wp * wm * c * c + 2.0 * coh * sc * sc))
-    h22 = (wb * wg * dg * dg + dd * dd * (wb * wp * cm * cm + wb * wm * cp * cp)
-           + wg * wp * gp * gp + wg * wm * gm * gm
-           + dd * dd * (wp * wm * c * c + 2.0 * coh * sc * sc))
-    h23 = 2.0 * sc * (dd * (wb * wp * cm - wb * wm * cp) - wg * wp * gp + wg * wm * gm
-                      - 2.0 * wp * wm * dd * c + coh * dd * c)
-    return dual, point, (h11, h12, h13, h22, h23, h33)
+    h12 = wb * wg * (dd + dg) + dd * wb * alpha + dg * wg * delta
+    h22 = wb * wg * (dd + dg) ** 2 + (wp + wm) * (wb * dd * dd + wg * dg * dg)
+    return dual, point, (h11, h12, h13, h22, 2.0 * phi * (dd * wb - dg * wg), h33)
 
 
 def _descent(hess, g1: float, g2: float, g3: float):
@@ -427,11 +422,11 @@ def _max_entropy(a_sum: float, b_sum: float, corner: float, pin=None, mu=None):
             if (abs(g1) <= 1e-14 * min(a_sum, b_sum) and abs(g2) <= 1e-14 * min(k_sum, k_rest)
                     and abs(g3) <= 1e-14 * corner):
                 return point, (m1, m2, m3)
-            d = _descent(hess, g1, g2, g3)
+            d = _descent(hess, g1, g2 + dd * g1, g3)  # E's residual is g2 + dd g1
             if d is None:
                 break
             d1, d2, d3 = d
-            slope = g1 * d1 + g2 * d2 + g3 * d3
+            slope = g1 * d1 + (g2 + dd * g1) * d2 + g3 * d3
             # a near-singular Hessian can ask for any length; at most double the multipliers
             step = min(1.0, max(16.0, abs(m1), abs(m2), abs(m3)) / max(abs(d1), abs(d2), abs(d3)))
             noise = 1e-14 * (1.0 + abs(m1) + abs(m2) + abs(m3))  # rounding of the dual's terms
