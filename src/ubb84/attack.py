@@ -6,83 +6,64 @@ p_lost of the single photons lost, xi - (1-p_lost)(a+b) >= 0 and
 (1-xi) - (1-p_lost)(c+d) >= 0: the lost photons must account for the
 remainder with a valid density matrix.  The qubit-level bound is the case
 p_lost = 0, where the constraint pins a+b = xi, c+d = 1-xi.  Re[f] is
-eliminated by the observed error rate (the relation of "Normalization")
-and the corner block must stay PSD (|f|^2 <= a d).
+eliminated by the observed error rate and the corner block must stay PSD
+(|f|^2 <= a d).
 
 Where the exact branch applies, the maximum is returned in closed form.
-Everywhere else one search runs in the sifted coordinates of
-"Normalization": chi-bar is concave and even in Im phi, and the feasible
-set is symmetric under phi -> conj(phi), so the maximum has Im phi = 0.
-The reduced-state constraint only bounds s = a+b.  The search first leaves
-it out ("A-search"); if the free maximum's s lies within the s-bounds it
-is the answer, and otherwise concavity puts the maximum on the s-bound it
-violates, where the same search runs again at that s ("Pinned s").  It is
-Brent's method over A = alpha+gamma (parabolic steps, golden-section
-fallback), which tries both ends of its range first, because maxima sit
-on or next to a boundary of the feasible set.  Every evaluation is a call
-of ``chi_bar_of_params`` at a feasible point, and the best point
-evaluated is the result.  The tests hold it to an independent lower
-bound, the grid oracle in ``tests/reference.py``, which evaluates chi-bar
-through explicit sifted matrices.
+Elsewhere one search runs in the sifted coordinates of "Normalization",
+with Im phi = 0 (chi-bar is concave and even in it).  The constraint only
+bounds s = a+b.  The search first leaves it out ("A-search"); if the free
+maximum's s lies within the s-bounds it is the answer, and otherwise
+concavity puts the maximum on the s-bound it violates, where the same
+search runs at that s ("Pinned s").  Every evaluation is a call of
+``chi_bar_of_params`` at a feasible point, and the best point is the
+result.  The tests hold it to the grid oracle in ``tests/reference.py``.
 
 Normalization.  The qubit rate 1 - h(Q) - chi_max is per postselected
 signal.  The receiver's row ``cfg.receiver`` supplies the filter weights
 (w0, w1) and xi = xi_effective.  The solver works in the normalized
 sifted coordinates (alpha, beta, gamma, delta) = (w0 a, w1 b, w0 c, w1 d)/T
 and corner phi = sqrt(w0 w1) f / T, T the trace; ``_state`` maps a point
-back to a state.  The error rate Q fixes Re phi = u (alpha+gamma) +
-v (beta+delta), where u = k (1-xi)/w0, v = k xi/w1 and
-k = sqrt(w0 w1) (1-2Q) / (2 sqrt(xi(1-xi))).  For the unbalanced variant
-u = v = 1/2 - Q, and the qubit constraint becomes the hyperplane
-L_kappa: alpha + kappa beta = gamma/kappa + delta.  chi-bar is concave
-(spot-checked by acceptance criterion 3) and invariant under the swap
-alpha<->delta, beta<->gamma, phi -> conj(phi), which maps L_kappa onto
-L_(1/kappa); averaging a feasible point with its swap gives a point on L_1
-with at least the same chi, so chi_max(kappa, Q) <= chi_max(1, Q) = h(Q):
-per postselected signal the unbalanced rate is never below BB84's.  The
-modulator's loss enters through the kept weight instead: the noiseless
-source state |Phi> survives sifting with p_kept = xi(1-xi), and the key
-per signal sent, p_kept (1 - h(Q) - chi_max), is the rate that is
-nondecreasing in kappa.  How an honest noisy channel changes p_kept is
-not modelled here.
+back.  The error rate Q fixes Re phi = u (alpha+gamma) + v (beta+delta),
+where u = k (1-xi)/w0, v = k xi/w1 and k = sqrt(w0 w1) (1-2Q) /
+(2 sqrt(xi(1-xi))).  For the unbalanced variant u = v = 1/2 - Q, and the
+qubit constraint is the hyperplane L_kappa: alpha + kappa beta =
+gamma/kappa + delta.  chi-bar is concave (spot-checked by acceptance
+criterion 3) and invariant under the swap alpha<->delta, beta<->gamma,
+phi -> conj(phi), which maps L_kappa onto L_(1/kappa); averaging a
+feasible point with its swap gives a point on L_1 with at least the same
+chi, so chi_max(kappa, Q) <= chi_max(1, Q) = h(Q).  The modulator's loss
+enters through the kept weight instead: the noiseless source state |Phi>
+survives sifting with p_kept = xi(1-xi), and the key per signal sent,
+p_kept (1 - h(Q) - chi_max), is nondecreasing in kappa.  How an honest
+noisy channel changes p_kept is not modelled here.
 
 Exact branch.  When u = v (within 1e-12), Re phi = u = 1/2 - Q for every
-state of trace 1: the unbalanced variant, both hardware fixes
-(xi_effective = 1/2, balanced weights) and PBS at kappa = 1, but not PBS
-at kappa < 1 (u - v = k (1 - 2 xi) < 0).  Without the reduced-state
-constraint the feasible set is invariant under the swap alpha<->delta,
-beta<->gamma and under phi -> conj(phi), and chi-bar is concave (relative
-entropy is jointly convex), so the maximum lies at alpha = delta,
-beta = gamma, Im phi = 0.  There chi-bar is S(sigma) - h(Q), stationary at
-beta = Q(1-Q), alpha = 1/2 - Q(1-Q), where sigma has spectrum
-{(1-Q)^2, Q(1-Q), Q(1-Q), Q^2} and entropy 2 h(Q); so chi = h(Q), the
-BB84 bound of Shor and Preskill.  The point is PSD, since
-alpha >= 1/2 - Q = phi.  If its s lies within ``ConstraintSet.s_bounds``
-(1e-12 slack) it is the maximum, returned with ``iterations=0``;
-otherwise (at p_lost = 0 and kappa < 1 with Q > 0, where
-s = xi + 2 Q(1-Q)(1 - 2 xi) misses s = xi, and where an s-bound binds at
-higher loss) the pinned search runs, and its maximum is at most h(Q).
+state of trace 1: the unbalanced variant, both hardware fixes and PBS at
+kappa = 1, not PBS at kappa < 1 (u - v = k (1 - 2 xi) < 0).  Without the
+reduced-state constraint the feasible set is invariant under the swap and
+chi-bar is concave, so the maximum lies at alpha = delta, beta = gamma,
+where chi-bar is S(sigma) - h(Q), stationary at beta = Q(1-Q): sigma has
+spectrum {(1-Q)^2, Q(1-Q), Q(1-Q), Q^2}, so chi = h(Q), the BB84 bound of
+Shor and Preskill.  The point is PSD (alpha >= 1/2 - Q = phi).  If its s
+lies within ``ConstraintSet.s_bounds`` (1e-12 slack) it is returned with
+``iterations=0``; otherwise (p_lost = 0 with kappa < 1 and Q > 0, or a
+binding s-bound) the pinned search runs.
 
-A-search.  Write A = alpha+gamma, so beta+delta = 1-A.  The relation makes
-phi = u A + v (1-A) a function of A alone, and so is S(conditional) =
-h((1+r)/2) with r = sqrt((2A-1)^2 + 4 phi^2).  At fixed A, chi-bar is
-therefore S(sigma) minus a constant, and its maximizer is the state of
-largest entropy under the linear constraints trace 1, alpha+gamma = A and
-corner phi(A): sigma = exp(m1 P + m3 X) / Z with P = |00><00| + |10><10|
-and X = |00><11| + |11><00|.  The multipliers minimize the convex dual
-log Z - m1 A - 2 m3 phi(A) (the primal side of the dual formulation of
-Coles, Metodiev and Lutkenhaus, Nat. Commun. 7, 11712 (2016));
-``_max_entropy`` finds them by Newton's method, warm-started from the
-previous A.  The best value g(A) of an A-slice is concave in A (sections
+A-search.  Write A = alpha+gamma.  The relation makes phi = u A + v (1-A),
+and so S(conditional) = h((1+r)/2) with r = sqrt((2A-1)^2 + 4 phi^2), a
+function of A alone.  At fixed A, chi-bar is therefore maximized by the
+state of largest entropy under trace 1, alpha+gamma = A and corner phi(A):
+sigma = exp(m1 P + m3 X) / Z with P = |00><00| + |10><10| and
+X = |00><11| + |11><00|, whose multipliers minimize the convex dual
+log Z - m1 A - 2 m3 phi(A) (the dual view of Coles, Metodiev and
+Lutkenhaus, Nat. Commun. 7, 11712 (2016)); ``_max_entropy`` finds them by
+Newton's method.  The best value of an A-slice is concave in A (sections
 of a convex set, a concave objective), so one Brent search over A finds
-the maximum.  Free, A ranges over the closed-form interval where
-phi(A)^2 <= A(1-A), the slice's largest alpha delta, at beta = gamma = 0.
-The corner condition keeps a slack: the interval allows
-phi^2 <= alpha delta + _SLACK and the largest-entropy state takes the
-corner sqrt(phi^2 - _SLACK), so every point evaluated, with phi from the
-relation, meets phi^2 <= alpha delta + _SLACK.  At u = v the free maximum
-is the exact branch's point; at p_lost = 0 the s-bounds coincide and the
-search runs pinned at once.
+the maximum.  Free, A ranges where phi(A)^2 <= A(1-A), the slice's
+largest alpha delta, at beta = gamma = 0.  The range allows a slack,
+phi^2 <= alpha delta + _SLACK, and the largest-entropy state takes the
+corner sqrt(phi^2 - _SLACK), so every point evaluated keeps within it.
 
 Pinned s.  The s-constraint (1-s)(a+b) = s(c+d) reads gamma/w0 +
 delta/w1 = K(A) = (1-s)(A/w0 + (1-A)/w1) at fixed A, a third linear
@@ -107,14 +88,8 @@ from dataclasses import dataclass
 from .protocol import ProtocolConfig
 from .sifting import SymmetricState
 
-__all__ = [
-    "ConstraintSet",
-    "InfeasibleError",
-    "OptimResult",
-    "chi_bar_of_params",
-    "constraint_set",
-    "maximize_holevo_qubit",
-]
+__all__ = ["ConstraintSet", "InfeasibleError", "OptimResult", "chi_bar_of_params",
+           "constraint_set", "maximize_holevo_qubit"]
 
 # corner-condition slack of the search, in sifted units; SymmetricState allows 1e-12
 _SLACK = 1e-14
@@ -173,10 +148,10 @@ def chi_bar_of_params(alpha, beta, gamma, delta, phi) -> float:
     """Closed-form chi-bar of a sifted symmetric state (optimizer fast path).
 
     (alpha, beta, gamma, delta) is the diagonal of the normalized sifted
-    state sigma and phi its corner (see "Normalization" above).  All four
-    postselected conditional states share one spectrum, so
-    chi-bar = S(sigma) - S(conditional).  Agrees with the matrix route
-    (``overall_holevo`` in ``tests/reference.py``) to machine precision.
+    state sigma and phi its corner (see "Normalization").  All four
+    postselected conditional states share one spectrum, so chi-bar =
+    S(sigma) - S(conditional), as the matrix route (``overall_holevo`` in
+    ``tests/reference.py``) gives to machine precision.
     """
     phi = complex(phi)
     f2 = phi.real * phi.real + phi.imag * phi.imag
@@ -218,14 +193,13 @@ def _brent_max(fn, lo: float, hi: float, rtol: float = 1.5e-8):
 
     Parabolic steps through the three best points, a golden-section step
     whenever the parabola is not trusted, and no two evaluations closer
-    than rtol (hi - lo) plus a few ulps.  The tolerance scales with the
-    range, not with |x|, to resolve maxima close to an end of a short
-    range far from 0.  A maximum on or next to an end is common here (a
-    boundary of the feasible set), and Brent's method would close in on
-    it by golden steps alone, so both ends are evaluated first.  An end
-    that beats the first interior point is the maximum if fn does not
-    rise one tolerance step inward; otherwise the search runs between
-    that end and the first point, from the step.  Returns (x, fn(x)).
+    than rtol (hi - lo) plus a few ulps: the range, not |x|, sets the
+    tolerance, to resolve maxima close to an end of a short range far from
+    0.  Maxima on or next to an end are common here, and golden steps alone
+    would close in on them slowly, so both ends are evaluated first.  An end
+    that beats the first interior point is the maximum if fn does not rise
+    one tolerance step inward; otherwise the search runs between that end
+    and the first point, from the step.  Returns (x, fn(x)).
     """
     x = lo + _GOLD * (hi - lo)
     fx = fn(x)
@@ -281,18 +255,11 @@ def _brent_max(fn, lo: float, hi: float, rtol: float = 1.5e-8):
 
 
 def _reach(c2: float, c1: float, c0: float, length: float):
-    """The piece of [0, length] where c2 t^2 + c1 t + c0 <= 0, as (lo, hi), lo > hi if none.
-
-    It starts at 0 if c0 <= 0, else at the first positive root; the roots
-    come from -(c1 + sign(c1) sqrt(c1^2 - 4 c2 c0)) / 2, which does not cancel.
-    """
-    roots = []
+    """The piece of [0, length] where c2 t^2 + c1 t + c0 <= 0, from 0 if c0 <= 0, else
+    from the first positive root, as (lo, hi); lo > hi if there is none."""
     disc = c1 * c1 - 4.0 * c2 * c0
-    if c2 == 0.0:
-        roots = [-c0 / c1] if c1 else []
-    elif disc >= 0.0:
-        t = -0.5 * (c1 + math.copysign(math.sqrt(disc), c1))
-        roots = [t / c2, c0 / t] if t else []
+    t = -0.5 * (c1 + math.copysign(math.sqrt(disc), c1)) if disc >= 0.0 else 0.0
+    roots = (t / c2 if c2 and t else 0.0, c0 / t if t else 0.0)  # c2 = 0: the second, -c0/c1
     ends = ([0.0] if c0 <= 0.0 else []) + sorted(r for r in roots if r > 0.0) + [math.inf] * 2
     return ends[0], min(ends[1], length)
 
@@ -300,12 +267,9 @@ def _reach(c2: float, c1: float, c0: float, length: float):
 def _face_range(a0: float, a1: float, f0: float, f1: float, length: float):
     """The delta in [0, length] with phi^2 <= alpha delta + _SLACK on a face, as (lo, hi).
 
-    On the face alpha = a0 + a1 delta and phi = f0 + f1 delta, and with
-    a1 <= 0 the condition is a convex quadratic in delta; lo > hi when it
-    has no root there.  The discriminant is written as
-    a0 (a0 - 4 f0 f1) + 4 qa _SLACK + 4 a1 f0^2, with qa the leading
-    coefficient, and the roots come from -(qb + sign(qb) sqrt(disc)) / 2,
-    which does not cancel.
+    On the face alpha = a0 + a1 delta and phi = f0 + f1 delta; with a1 <= 0
+    that is a convex quadratic in delta, lo > hi when it has no root.  Its
+    roots come from -(qb + sign(qb) sqrt(disc)) / 2, which does not cancel.
     """
     qa, qb, qc = f1 * f1 - a1, 2.0 * f0 * f1 - a0, f0 * f0 - _SLACK
     disc = a0 * (a0 - 4.0 * f0 * f1) + 4.0 * qa * _SLACK + 4.0 * a1 * f0 * f0
@@ -319,19 +283,17 @@ def _face_range(a0: float, a1: float, f0: float, f1: float, length: float):
 def _gibbs(m, a_sum: float, b_sum: float, corner: float, pin):
     """The state exp(m1 P + m2 E + m3 X) / Z: its dual value, sifted point and dual Hessian.
 
-    P = |00><00| + |10><10|, X = |00><11| + |11><00| and, at pinned s,
-    E = D - dd (I - P) = diag(0, -dd, dg, 0) for D = diag(0, 0, dg, dd) from
-    pin = (dg, dd, k_sum, ...); E spans the same family as D and leaves the
-    (alpha, delta) block alone.  Free, m2 = 0.  So beta = e^(-m2 dd) / Z,
-    gamma = e^(m1 + m2 dg) / Z and the block is exp([[m1, m3], [m3, 0]]) / Z,
-    with eigenvalues e^(m1/2 +- rho) / Z, rho = hypot(m1/2, m3).  The
-    multipliers grow without bound near a face of the slice, so the
-    weights and the dual log Z - m1 a_sum - m2 (k_sum - dd b_sum) -
-    2 m3 corner are taken relative to the largest weight, through
-    rho - |m1|/2 = m3^2 / (rho + |m1|/2).  The Hessian of log Z is the
-    Kubo-Mori covariance of (P, E, X): their spread over the four
-    eigenstates in pairwise form, plus the block's coherent term; free, the
-    E row is the identity's.  Returns (dual, point, (h11, h12, h13, h22, h23, h33)).
+    P = |00><00| + |10><10|, X = |00><11| + |11><00|, and at pinned s
+    E = D - dd (I - P) = diag(0, -dd, dg, 0), D = diag(0, 0, dg, dd) from pin:
+    the family of D with the (alpha, delta) block of the free solve (m2 = 0).
+    So beta = e^(-m2 dd) / Z, gamma = e^(m1 + m2 dg) / Z, and the block is
+    exp([[m1, m3], [m3, 0]]) / Z with eigenvalues e^(m1/2 +- rho) / Z.  The
+    multipliers grow without bound near a face, so the weights and the dual
+    log Z - m1 a_sum - m2 (k_sum - dd b_sum) - 2 m3 corner are taken
+    relative to the largest weight, via rho - |m1|/2 = m3^2 / (rho + |m1|/2).
+    The Hessian is the Kubo-Mori covariance of (P, E, X): their pairwise
+    spread over the eigenstates plus the block's coherent term (free, E's
+    row is the identity's).  Returns (dual, point, (h11, h12, h13, h22, h23, h33)).
     """
     m1, m2, m3 = m
     dg, dd, k_sum = pin[:3] if pin else (0.0, 0.0, 0.0)
@@ -375,16 +337,13 @@ def _descent(hess, g1: float, g2: float, g3: float):
     """The Newton step -H^-1 g by LDL^T, or None if H is not positive definite.
 
     Near a face H has eigenvalues as small as the nearly empty eigenstates'
-    weights; elimination keeps its pivots where a determinant would cancel.
+    weights, where elimination keeps its pivots and a determinant cancels.
     """
     h11, h12, h13, h22, h23, h33 = hess
-    if not h11 > 0.0:
-        return None
-    l21, l31 = h12 / h11, h13 / h11
-    p2 = h22 - l21 * h12
-    r = h23 - l31 * h12
+    l21, l31 = (h12 / h11, h13 / h11) if h11 > 0.0 else (0.0, 0.0)
+    p2, r = h22 - l21 * h12, h23 - l31 * h12
     p3 = h33 - l31 * h13 - r * r / p2 if p2 > 0.0 else 0.0
-    if not p3 > 0.0:
+    if not (h11 > 0.0 and p3 > 0.0):
         return None
     y2 = -g2 + l21 * g1
     d3 = (-g3 + l31 * g1 - r / p2 * y2) / p3
@@ -395,14 +354,12 @@ def _descent(hess, g1: float, g2: float, g3: float):
 def _max_entropy(a_sum: float, b_sum: float, corner: float, pin=None, mu=None):
     """The largest-entropy sifted point of an A-slice and its multipliers, or None.
 
-    The slice: alpha+gamma = a_sum, beta+delta = b_sum, corner ``corner``
-    with corner^2 below the slice's largest alpha delta, and at pinned s
-    gamma dg + delta dd = k_sum, from pin = (dg, dd, k_sum, k_rest), where
-    k_rest = alpha dg + beta dd.  Newton's method with backtracking on the
+    The slice: alpha+gamma = a_sum, beta+delta = b_sum, corner ``corner``,
+    and at pinned s gamma dg + delta dd = k_sum, alpha dg + beta dd = k_rest,
+    from pin = (dg, dd, k_sum, k_rest).  Newton's method with backtracking on the
     dual of ``_gibbs`` starts from ``mu`` (a previous solve's multipliers)
-    or from (log(a_sum/b_sum), 0, 0), whichever has the lower dual value,
-    and from the latter again if the former fails.  It converges once the
-    constraints hold to 1e-14 relative; None if neither start does.
+    or from (log(a_sum/b_sum), 0, 0), whichever has the lower dual, and from
+    the latter again if the former does not reach 1e-14 relative.
     """
     dg, dd, k_sum, k_rest = pin or (0.0, 0.0, 0.0, 0.0)
     cold = (math.log(a_sum / b_sum), 0.0, 0.0)
@@ -447,15 +404,15 @@ class _Search:
 
     Free when ``s`` is None, else at pinned s, where the trace, the
     s-constraint and the relation make beta, gamma and phi affine in
-    (alpha, delta).  Counts evaluations and keeps the best point; ``mu``
-    holds the last slice's multipliers, the warm start of the next.
+    (alpha, delta).  Keeps the best point, the evaluation count and, in
+    ``mu``, the last slice's multipliers, the warm start of the next.
     """
 
     def __init__(self, cfg: ProtocolConfig, cs: ConstraintSet, s=None):
         u, v = self.uv = _error_relation(cfg, cs)
         w0, w1 = self.weights = cfg.receiver.weights
-        self.s, self.top = s, None
-        self.evals, self.chi, self.point, self.mu = 0, -math.inf, None, None
+        self.s, self.top, self.mu = s, None, None
+        self.evals, self.chi, self.point = 0, -math.inf, None
         if s is not None:
             den = (1.0 - s) * w0 + s * w1
             self.beta = b0, ba, bd = w1 * s / den, -w1 / den, s * (w0 - w1) / den
@@ -469,8 +426,8 @@ class _Search:
                 p0 + pa * alpha + pd * delta)
 
     def face(self, a_sum: float, b_sum: float):
-        """The A-slice's point of largest alpha delta: beta = gamma = 0 when free;
-        at pinned s, gamma = 0 below the kink A_k and beta = 0 above it."""
+        """The A-slice's point of largest alpha delta: beta = gamma = 0 when free, and at
+        pinned s gamma = 0 below the kink A_k, beta = 0 above it."""
         if self.s is None:
             return a_sum, 0.0, 0.0, b_sum, 0.0
         (b0, ba, bd), (g0, ga, gd) = self.beta, self.gamma
@@ -482,13 +439,11 @@ class _Search:
     def a_range(self):
         """The interval of A whose slices are feasible, lo > hi if none; sets ``top``.
 
-        Free, the face is beta = gamma = 0, where alpha = 1-delta and
-        phi = u + (v-u) delta in delta = 1-A (``_face_range``).  Pinned, that
-        face is beta = 0 above the kink, where alpha and phi are affine in
-        delta too; ``top`` is its corner at the interval's top end.  At small
-        kappa phi grows as v (1-A) with v large and the interval sits near
-        A = 1, so both are solved from delta = 0.  Below the kink
-        phi^2 - f1(A) is expanded at the kink.
+        Above the kink, and free, the slices' face is beta = 0, where alpha
+        and phi are affine in delta = 1-A (``_face_range``), solved from
+        delta = 0: at small kappa phi grows as v (1-A) with v large, and the
+        interval sits near A = 1.  ``top`` is the face's corner at the
+        interval's top end.  Below the kink, phi^2 - f1 is expanded there.
         """
         (u, v), (w0, w1), s = self.uv, self.weights, self.s
         if s is None:
@@ -499,9 +454,8 @@ class _Search:
         den = s * w0 + (1.0 - s) * w1
         a_k, b_k = s * w0 / den, (1.0 - s) * w1 / den
         pieces = []
-        # phi along beta = 0 in the plane's own arithmetic, which the corner is
-        # evaluated in; at small kappa that cancels from terms of size v, and
-        # where it leaves no root the relation's phi = u + (v-u) delta decides
+        # phi in the plane's arithmetic, as the corner is evaluated; where its
+        # cancellation at small kappa leaves no root, phi = u + (v-u) delta decides
         for f0, f1 in ((p0 + pa * a0, pd + pa * a1), (u, v - u)):
             d_lo, d_hi = _face_range(a0, a1, f0, f1, b_k)
             if d_lo <= d_hi:
@@ -515,15 +469,11 @@ class _Search:
                         phi * phi - a_k * b_k - _SLACK, a_k)
         if t1 <= t2:
             pieces.append((a_k - t2, a_k - t1))
-        if not pieces:
-            return 1.0, 0.0
-        return max(0.0, min(p[0] for p in pieces)), min(1.0, max(p[1] for p in pieces))
+        lows, highs = zip(*pieces) if pieces else ((1.0,), (0.0,))
+        return max(0.0, min(lows)), min(1.0, max(highs))
 
     def pin(self, a_sum: float, b_sum: float):
-        """The s-constraint of a pinned A-slice for ``_max_entropy``; None when free.
-
-        D = diag(0, 0, 1/w0, 1/w1) is scaled to a largest entry of 1.
-        """
+        """A pinned slice's s-constraint for ``_max_entropy``, D scaled to a largest entry of 1."""
         if self.s is None:
             return None
         w0, w1 = self.weights
@@ -531,36 +481,32 @@ class _Search:
         total = a_sum * dg + b_sum * dd
         return dg, dd, (1.0 - self.s) * total, self.s * total
 
-    def _chi(self, point) -> float:
+    def a_slice(self, a_sum: float) -> float:
+        """chi-bar of the largest-entropy point with alpha+gamma = a_sum, where S2 is fixed.
+
+        The face point stands in where the corner sqrt(phi^2 - _SLACK) meets
+        the face (within 2 _SLACK when pinned) or the solve fails; a free
+        corner within the slack leaves the diagonal point.
+        """
+        (u, v), s, b_sum = self.uv, self.s, 1.0 - a_sum
+        corner2 = (u * a_sum + v * b_sum) ** 2 - _SLACK
+        point = self.top if self.top and a_sum == self.top[0] + self.top[2] else None
+        if point is None and s is None and corner2 <= 0.0:
+            point = (0.5 * a_sum, 0.5 * b_sum, 0.5 * a_sum, 0.5 * b_sum, u * a_sum + v * b_sum)
+        elif point is None:
+            point = self.face(a_sum, b_sum)
+            if a_sum * b_sum and corner2 + (s is not None) * 2.0 * _SLACK < point[0] * point[3]:
+                solved = _max_entropy(a_sum, b_sum, math.sqrt(max(corner2, 0.0)),
+                                      self.pin(a_sum, b_sum), self.mu)
+                point, self.mu = solved or (point, self.mu)
+            alpha, beta, gamma, delta = point[:4]
+            point = (self.on_plane(alpha, delta) if s is not None else
+                     (alpha, beta, gamma, delta, u * (alpha + gamma) + v * (beta + delta)))
         chi = chi_bar_of_params(*point)
         self.evals += 1
         if chi > self.chi:
             self.chi, self.point = chi, point
         return chi
-
-    def a_slice(self, a_sum: float) -> float:
-        """chi-bar of the largest-entropy point with alpha+gamma = a_sum, where S2 is fixed.
-
-        Where the corner sqrt(phi^2 - _SLACK) meets the slice's largest
-        alpha delta (within 2 _SLACK when pinned), or the solve fails, the
-        slice is its face point; a free corner within the slack leaves the
-        diagonal point.  Pinned points are evaluated on the plane.
-        """
-        if self.top and a_sum == self.top[0] + self.top[2]:
-            return self._chi(self.top)
-        (u, v), s, b_sum = self.uv, self.s, 1.0 - a_sum
-        corner2 = (u * a_sum + v * b_sum) ** 2 - _SLACK
-        point = self.face(a_sum, b_sum)
-        if s is None and corner2 <= 0.0:
-            point = (0.5 * a_sum, 0.5 * b_sum, 0.5 * a_sum, 0.5 * b_sum)
-        elif a_sum * b_sum and corner2 + (s is not None) * 2.0 * _SLACK < point[0] * point[3]:
-            pin = self.pin(a_sum, b_sum)
-            solved = _max_entropy(a_sum, b_sum, math.sqrt(max(corner2, 0.0)), pin, self.mu)
-            point, self.mu = solved or (point, self.mu)
-        if s is not None:
-            return self._chi(self.on_plane(point[0], point[3]))
-        alpha, beta, gamma, delta = point[:4]
-        return self._chi((alpha, beta, gamma, delta, u * (alpha + gamma) + v * (beta + delta)))
 
     def run(self) -> None:
         lo, hi = self.a_range()

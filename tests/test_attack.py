@@ -386,7 +386,8 @@ class TestMaxEntropySlice:
         # the slice, whose entropy then peaks at the face gamma = 0 and whose
         # multipliers diverge; the search then takes the face point
         point = alpha, beta, gamma, delta, phi = solved[0] if solved else face
-        assert min(alpha, beta, gamma, delta) >= 0.0
+        # the face's zero weight comes from the plane's arithmetic, to rounding
+        assert min(alpha, beta, gamma, delta) >= -1e-15
         assert alpha * delta - phi * phi >= -1e-15 * alpha * delta
         small = min((a_sum, alpha + gamma), (b_sum, beta + delta))
         assert abs(small[1] - small[0]) <= 1e-12 * small[0]
