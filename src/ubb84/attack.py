@@ -267,9 +267,8 @@ def _reach(c2: float, c1: float, c0: float, length: float):
 def _face_range(a0: float, a1: float, f0: float, f1: float, length: float):
     """The delta in [0, length] with phi^2 <= alpha delta + _SLACK on a face, as (lo, hi).
 
-    On the face alpha = a0 + a1 delta and phi = f0 + f1 delta; with a1 <= 0
-    that is a convex quadratic in delta, lo > hi when it has no root.  Its
-    roots come from -(qb + sign(qb) sqrt(disc)) / 2, which does not cancel.
+    On the face alpha = a0 + a1 delta and phi = f0 + f1 delta; with a1 <= 0 it is a
+    convex quadratic, lo > hi without roots, solved by -(qb + sign(qb) sqrt(disc)) / 2.
     """
     qa, qb, qc = f1 * f1 - a1, 2.0 * f0 * f1 - a0, f0 * f0 - _SLACK
     disc = a0 * (a0 - 4.0 * f0 * f1) + 4.0 * qa * _SLACK + 4.0 * a1 * f0 * f0
@@ -474,8 +473,6 @@ class _Search:
 
     def pin(self, a_sum: float, b_sum: float):
         """A pinned slice's s-constraint for ``_max_entropy``, D scaled to a largest entry of 1."""
-        if self.s is None:
-            return None
         w0, w1 = self.weights
         dg, dd = (1.0, w0 / w1) if w0 <= w1 else (w1 / w0, 1.0)
         total = a_sum * dg + b_sum * dd
@@ -490,14 +487,16 @@ class _Search:
         """
         (u, v), s, b_sum = self.uv, self.s, 1.0 - a_sum
         corner2 = (u * a_sum + v * b_sum) ** 2 - _SLACK
-        point = self.top if self.top and a_sum == self.top[0] + self.top[2] else None
-        if point is None and s is None and corner2 <= 0.0:
+        if self.top and a_sum == self.top[0] + self.top[2]:
+            point = self.top
+        elif s is None and corner2 <= 0.0:
             point = (0.5 * a_sum, 0.5 * b_sum, 0.5 * a_sum, 0.5 * b_sum, u * a_sum + v * b_sum)
-        elif point is None:
+        else:
             point = self.face(a_sum, b_sum)
-            if a_sum * b_sum and corner2 + (s is not None) * 2.0 * _SLACK < point[0] * point[3]:
-                solved = _max_entropy(a_sum, b_sum, math.sqrt(max(corner2, 0.0)),
-                                      self.pin(a_sum, b_sum), self.mu)
+            thin = 0.0 if s is None else 2.0 * _SLACK
+            if a_sum * b_sum and corner2 + thin < point[0] * point[3]:
+                pin = None if s is None else self.pin(a_sum, b_sum)
+                solved = _max_entropy(a_sum, b_sum, math.sqrt(max(corner2, 0.0)), pin, self.mu)
                 point, self.mu = solved or (point, self.mu)
             alpha, beta, gamma, delta = point[:4]
             point = (self.on_plane(alpha, delta) if s is not None else
