@@ -308,11 +308,10 @@ class TestPinnedChiGrid:
             assert is_feasible(constraint_set(cfg, q, p_lost), s.a, s.b, s.c, s.d, s.f,
                                tol=1e-8), (variant, kappa, q, p_lost)
 
-
     @pytest.mark.parametrize("variant", [Variant.UNBALANCED, Variant.PBS])
     def test_few_evaluations_on_the_qubit_scan(self, variant):
         # the benchmark's qubit-scan kappa menu; the nested alpha/delta search
-        # took 125-355 evaluations on the unbalanced rows
+        # took 125-451 evaluations on these rows
         for kappa in (0.2, 0.3, 0.5, 0.6, 0.7, 0.8):
             cfg = make_config(kappa, variant)
             for q in (0.01 * i for i in range(1, 13)):
