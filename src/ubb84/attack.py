@@ -59,11 +59,12 @@ X = |00><11| + |11><00|, whose multipliers minimize the convex dual
 log Z - m1 A - 2 m3 phi(A) (the dual view of Coles, Metodiev and
 Lutkenhaus, Nat. Commun. 7, 11712 (2016)); ``_max_entropy`` finds them by
 Newton's method.  The best value of an A-slice is concave in A (sections
-of a convex set, a concave objective), so one Brent search over A finds
-the maximum.  Free, A ranges where phi(A)^2 <= A(1-A), the slice's
-largest alpha delta, at beta = gamma = 0.  The range allows a slack,
-phi^2 <= alpha delta + _SLACK, and the largest-entropy state takes the
-corner sqrt(phi^2 - _SLACK), so every point evaluated keeps within it.
+of a convex set, a concave objective), so one Brent search over A
+(``qmath.brent_max``, after both ends) finds the maximum.  Free, A ranges
+where phi(A)^2 <= A(1-A), the slice's largest alpha delta, at
+beta = gamma = 0.  The range allows a slack, phi^2 <= alpha delta +
+_SLACK, and the largest-entropy state takes the corner
+sqrt(phi^2 - _SLACK), so every point evaluated keeps within it.
 
 Pinned s.  The s-constraint (1-s)(a+b) = s(c+d) reads gamma/w0 +
 delta/w1 = K(A) = (1-s)(A/w0 + (1-A)/w1) at fixed A, a third linear
@@ -76,16 +77,17 @@ A_k = s w0 / (s w0 + (1-s) w1), and f2 = s (1-A) (A + (1-A) w0/w1) at
 beta = 0 above it; both are A_k (1-A_k) at the kink, where
 beta = gamma = 0, and A ranges where phi(A)^2 <= min(f1, f2) + _SLACK.
 Slices no wider than the slack, and slices whose Newton solve fails, are
-answered by that face point, which the slack admits.
+answered by that face point, which the slack admits.  Free or pinned,
+every point evaluated takes its phi from the one relation above.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 from .protocol import ProtocolConfig
+from .qmath import GOLD, ULPS, brent_max
 from .sifting import SymmetricState
 
 __all__ = ["ConstraintSet", "InfeasibleError", "OptimResult", "chi_bar_of_params",
@@ -183,75 +185,6 @@ def _state(cfg: ProtocolConfig, alpha, beta, gamma, delta, phi) -> SymmetricStat
 
 # ---------------------------------------------------------------------------
 # optimizer
-
-_GOLD = 0.5 * (3.0 - math.sqrt(5.0))
-_ULPS = 4.0 * sys.float_info.epsilon
-
-
-def _brent_max(fn, lo: float, hi: float, rtol: float = 1.5e-8):
-    """Maximize a unimodal ``fn`` on [lo, hi] by Brent's method.
-
-    Parabolic steps through the three best points, a golden-section step
-    whenever the parabola is not trusted, and no two evaluations closer
-    than rtol (hi - lo) plus a few ulps: the range, not |x|, sets the
-    tolerance, to resolve maxima close to an end of a short range far from
-    0.  Maxima on or next to an end are common here, and golden steps alone
-    would close in on them slowly, so both ends are evaluated first.  An end
-    that beats the first interior point is the maximum if fn does not rise
-    one tolerance step inward; otherwise the search runs between that end
-    and the first point, from the step.  Returns (x, fn(x)).
-    """
-    x = lo + _GOLD * (hi - lo)
-    fx = fn(x)
-    if hi <= lo:
-        return x, fx
-    span = rtol * (hi - lo)
-    f_end, end = max((fn(lo), lo), (fn(hi), hi))
-    a, b = lo, hi
-    if f_end >= fx:
-        step = end + math.copysign(span + _ULPS * abs(end), x - end)
-        f_step = fn(step) if abs(step - end) < abs(x - end) else -math.inf
-        if f_step <= f_end:
-            return end, f_end
-        a, b = sorted((end, x))
-        x, fx = step, f_step
-    w = v = x
-    fw = fv = fx
-    d = e = 0.0
-    while True:
-        m = 0.5 * (a + b)
-        tol = span + _ULPS * abs(x)
-        if abs(x - m) <= 2.0 * tol - 0.5 * (b - a):
-            break
-        p = q = r = 0.0
-        if abs(e) > tol:
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r, e = e, d
-        if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
-            d = p / q
-            if x + d - a < 2.0 * tol or b - x - d < 2.0 * tol:
-                d = tol if x < m else -tol
-        else:
-            e = (b - x) if x < m else (a - x)
-            d = _GOLD * e
-        u = x + (d if abs(d) >= tol else math.copysign(tol, d))
-        fu = fn(u)
-        if fu >= fx:
-            a, b = (a, x) if u < x else (x, b)
-            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
-        else:
-            a, b = (u, b) if u < x else (a, u)
-            if fu >= fw or w == x:
-                v, fv, w, fw = w, fw, u, fu
-            elif fu >= fv or v == x or v == w:
-                v, fv = u, fu
-    return (end, f_end) if f_end > fx else (x, fx)
 
 
 def _reach(c2: float, c1: float, c0: float, length: float):
@@ -401,34 +334,39 @@ def _max_entropy(a_sum: float, b_sum: float, corner: float, pin=None, mu=None):
 class _Search:
     """One Brent search over A = alpha+gamma of the A-slices' largest-entropy points.
 
-    Free when ``s`` is None, else at pinned s, where the trace, the
-    s-constraint and the relation make beta, gamma and phi affine in
-    (alpha, delta).  Keeps the best point, the evaluation count and, in
-    ``mu``, the last slice's multipliers, the warm start of the next.
+    Free when ``s`` is None, else at pinned s, where the trace and the
+    s-constraint make beta and gamma affine in (alpha, delta).  Every point
+    takes its corner phi from the one error-rate relation (``relation``).
+    Keeps the best point, the evaluation count and, in ``mu``, the last
+    slice's multipliers, the warm start of the next.
     """
 
     def __init__(self, cfg: ProtocolConfig, cs: ConstraintSet, s=None):
-        u, v = self.uv = _error_relation(cfg, cs)
+        self.uv = _error_relation(cfg, cs)
         w0, w1 = self.weights = cfg.receiver.weights
-        self.s, self.top, self.mu = s, None, None
+        self.s, self.mu = s, None
         self.evals, self.chi, self.point = 0, -math.inf, None
         if s is not None:
             den = (1.0 - s) * w0 + s * w1
-            self.beta = b0, ba, bd = w1 * s / den, -w1 / den, s * (w0 - w1) / den
-            self.gamma = g0, ga, gd = w0 * (1.0 - s) / den, (1.0 - s) * (w1 - w0) / den, -w0 / den
-            self.phi = (u * g0 + v * b0, u * (1.0 + ga) + v * ba, u * gd + v * (1.0 + bd))
+            self.beta = w1 * s / den, -w1 / den, s * (w0 - w1) / den
+            self.gamma = w0 * (1.0 - s) / den, (1.0 - s) * (w1 - w0) / den, -w0 / den
+
+    def relation(self, alpha: float, beta: float, gamma: float, delta: float):
+        """The sifted point with the relation's corner phi = u (alpha+gamma) + v (beta+delta)."""
+        u, v = self.uv
+        return alpha, beta, gamma, delta, u * (alpha + gamma) + v * (beta + delta)
 
     def on_plane(self, alpha: float, delta: float):
-        """The sifted point (alpha, beta, gamma, delta, phi) of the pinned plane."""
-        (b0, ba, bd), (g0, ga, gd), (p0, pa, pd) = self.beta, self.gamma, self.phi
-        return (alpha, b0 + ba * alpha + bd * delta, g0 + ga * alpha + gd * delta, delta,
-                p0 + pa * alpha + pd * delta)
+        """The sifted point of the pinned plane at (alpha, delta)."""
+        (b0, ba, bd), (g0, ga, gd) = self.beta, self.gamma
+        return self.relation(alpha, b0 + ba * alpha + bd * delta, g0 + ga * alpha + gd * delta,
+                             delta)
 
     def face(self, a_sum: float, b_sum: float):
         """The A-slice's point of largest alpha delta: beta = gamma = 0 when free, and at
         pinned s gamma = 0 below the kink A_k, beta = 0 above it."""
         if self.s is None:
-            return a_sum, 0.0, 0.0, b_sum, 0.0
+            return self.relation(a_sum, 0.0, 0.0, b_sum)
         (b0, ba, bd), (g0, ga, gd) = self.beta, self.gamma
         delta = (g0 + ga * a_sum) / -gd
         if b0 + ba * a_sum + bd * delta >= 0.0:
@@ -436,31 +374,23 @@ class _Search:
         return self.on_plane((b0 + bd * b_sum) / -ba, b_sum)
 
     def a_range(self):
-        """The interval of A whose slices are feasible, lo > hi if none; sets ``top``.
+        """The interval of A whose slices are feasible, lo > hi if none.
 
         Above the kink, and free, the slices' face is beta = 0, where alpha
-        and phi are affine in delta = 1-A (``_face_range``), solved from
-        delta = 0: at small kappa phi grows as v (1-A) with v large, and the
-        interval sits near A = 1.  ``top`` is the face's corner at the
-        interval's top end.  Below the kink, phi^2 - f1 is expanded there.
+        is affine in delta = 1-A and the relation gives phi = u + (v-u) delta
+        (``_face_range``), solved from delta = 0: at small kappa v is large,
+        and the interval sits near A = 1.  Below the kink, phi^2 - f1 is
+        expanded there.
         """
         (u, v), (w0, w1), s = self.uv, self.weights, self.s
         if s is None:
             d_lo, d_hi = _face_range(1.0, -1.0, u, v - u, 1.0)
             return 1.0 - d_hi, 1.0 - d_lo
-        (b0, ba, bd), _, (p0, pa, pd) = self.beta, self.gamma, self.phi
-        a0, a1 = b0 / -ba, bd / -ba  # alpha along beta = 0, in delta
+        b0, ba, bd = self.beta
         den = s * w0 + (1.0 - s) * w1
         a_k, b_k = s * w0 / den, (1.0 - s) * w1 / den
-        pieces = []
-        # phi in the plane's arithmetic, as the corner is evaluated; where its
-        # cancellation at small kappa leaves no root, phi = u + (v-u) delta decides
-        for f0, f1 in ((p0 + pa * a0, pd + pa * a1), (u, v - u)):
-            d_lo, d_hi = _face_range(a0, a1, f0, f1, b_k)
-            if d_lo <= d_hi:
-                self.top = self.on_plane(a0 + a1 * d_lo, d_lo)
-                pieces.append((1.0 - d_hi, self.top[0] + self.top[2]))
-                break
+        d_lo, d_hi = _face_range(b0 / -ba, bd / -ba, u, v - u, b_k)  # alpha along beta = 0
+        pieces = [(1.0 - d_hi, 1.0 - d_lo)] if d_lo <= d_hi else []
         # below the kink, phi^2 - f1 - _SLACK in the distance t = A_k - A
         du, r, phi = u - v, w1 / w0, u * a_k + v * b_k
         t1, t2 = _reach(du * du - (1.0 - s) * (r - 1.0),
@@ -487,10 +417,8 @@ class _Search:
         """
         (u, v), s, b_sum = self.uv, self.s, 1.0 - a_sum
         corner2 = (u * a_sum + v * b_sum) ** 2 - _SLACK
-        if self.top and a_sum == self.top[0] + self.top[2]:
-            point = self.top
-        elif s is None and corner2 <= 0.0:
-            point = (0.5 * a_sum, 0.5 * b_sum, 0.5 * a_sum, 0.5 * b_sum, u * a_sum + v * b_sum)
+        if s is None and corner2 <= 0.0:
+            point = self.relation(0.5 * a_sum, 0.5 * b_sum, 0.5 * a_sum, 0.5 * b_sum)
         else:
             point = self.face(a_sum, b_sum)
             thin = 0.0 if s is None else 2.0 * _SLACK
@@ -498,9 +426,7 @@ class _Search:
                 pin = None if s is None else self.pin(a_sum, b_sum)
                 solved = _max_entropy(a_sum, b_sum, math.sqrt(max(corner2, 0.0)), pin, self.mu)
                 point, self.mu = solved or (point, self.mu)
-            alpha, beta, gamma, delta = point[:4]
-            point = (self.on_plane(alpha, delta) if s is not None else
-                     (alpha, beta, gamma, delta, u * (alpha + gamma) + v * (beta + delta)))
+            point = self.relation(*point[:4]) if s is None else self.on_plane(point[0], point[3])
         chi = chi_bar_of_params(*point)
         self.evals += 1
         if chi > self.chi:
@@ -508,15 +434,38 @@ class _Search:
         return chi
 
     def run(self) -> None:
+        """Brent's search over the A-interval, both ends first.
+
+        Maxima on or next to an end are common here, and golden steps alone
+        would close in on them slowly.  An end that beats the golden-section
+        point is the maximum if the slices do not rise one tolerance step
+        inward; otherwise the search runs between that end and that point.
+        """
         lo, hi = self.a_range()
-        if lo <= hi:
-            _brent_max(self.a_slice, lo, hi)
+        if lo > hi:
+            return
+        x = lo + GOLD * (hi - lo)
+        fx = self.a_slice(x)
+        if hi == lo:
+            return
+        span = 1.5e-8 * (hi - lo)
+        f_end, end = max((self.a_slice(lo), lo), (self.a_slice(hi), hi))
+        a, b = lo, hi
+        if f_end >= fx:
+            step = end + math.copysign(span + ULPS * abs(end), x - end)
+            f_step = self.a_slice(step) if abs(step - end) < abs(x - end) else -math.inf
+            if f_step <= f_end:
+                return
+            a, b = sorted((end, x))
+            x, fx = step, f_step
+        brent_max(self.a_slice, a, b, x, fx, span)
 
 
 def _maximize(cfg: ProtocolConfig, cs: ConstraintSet) -> OptimResult:
-    u, v = _error_relation(cfg, cs)
+    # min(chi, 1): one key bit bounds the Holevo quantity; PBS rounds above it at kappa < 1e-13
     lo, hi = cs.s_bounds()
     free = _Search(cfg, cs)
+    u, v = free.uv
     if abs(u - v) <= 1e-12:
         beta = cs.q * (1.0 - cs.q)
         # alpha+gamma = beta+delta = 1/2, so the relation gives phi = (u+v)/2
@@ -528,14 +477,14 @@ def _maximize(cfg: ProtocolConfig, cs: ConstraintSet) -> OptimResult:
         if lo - 1e-12 <= state.a + state.b <= hi + 1e-12:
             # the exact branch's point is evaluated only here, outside the count
             chi = free.chi if free.evals else chi_bar_of_params(*free.point)
-            return OptimResult(chi_max=chi, argmax=state, iterations=free.evals)
+            return OptimResult(chi_max=min(chi, 1.0), argmax=state, iterations=free.evals)
         # concavity puts the maximum on the s-bound that the free maximum violates
         lo = min(max(state.a + state.b, lo), hi)
     pinned = _Search(cfg, cs, lo)
     pinned.run()
     if pinned.point is None:
         raise InfeasibleError(f"no feasible attack state found (q={cs.q}, p_lost={cs.p_lost})")
-    return OptimResult(chi_max=pinned.chi, argmax=_state(cfg, *pinned.point),
+    return OptimResult(chi_max=min(pinned.chi, 1.0), argmax=_state(cfg, *pinned.point),
                        iterations=free.evals + pinned.evals)
 
 

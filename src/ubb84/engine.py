@@ -15,7 +15,6 @@ threshold detection and for the CSV diagnostic column.
 
 from __future__ import annotations
 
-import math
 import os
 import time
 from dataclasses import dataclass, fields
@@ -23,7 +22,7 @@ from dataclasses import dataclass, fields
 from .attack import maximize_holevo_qubit
 from .channel import ChannelParams, honest_statistics
 from .protocol import ProtocolConfig, Variant, make_config
-from .qmath import binary_entropy
+from .qmath import GOLD, binary_entropy, brent_max
 
 __all__ = [
     "CSV_HEADER",
@@ -125,39 +124,26 @@ def realistic_keyrate(cfg: ProtocolConfig, params: ChannelParams, distance_km: f
     return _point(cfg, params.f_ec, distance_km, mu, stats, _chi_s_max(cfg, stats))
 
 
-def _golden_max(fn, lo: float, hi: float, xtol: float):
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - inv_phi * (hi - lo)
-    x2 = lo + inv_phi * (hi - lo)
-    f1, f2 = fn(x1), fn(x2)
-    while hi - lo > xtol:
-        if f1 >= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - inv_phi * (hi - lo)
-            f1 = fn(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + inv_phi * (hi - lo)
-            f2 = fn(x2)
-    return (lo + hi) / 2.0
-
-
 def optimize_mu(cfg: ProtocolConfig, params: ChannelParams, distance_km: float) -> KeyRatePoint:
-    """Golden-section maximization of the realistic rate over mu in [1e-4, 2].
+    """Brent maximization of the realistic rate over mu in [1e-4, 2].
 
     q_single and p_lost do not depend on mu, so the Holevo maximization runs
     once.  The point's ``mu`` is the best one found; if every rate in the
     bracket is negative the best (floored-to-zero) point is reported.
     """
     lo, hi = 1e-4, 2.0
-    chi = _chi_s_max(cfg, honest_statistics(cfg, params, distance_km, lo))
+    floor = honest_statistics(cfg, params, distance_km, lo)
+    chi = _chi_s_max(cfg, floor)
 
     def raw_of(mu: float) -> float:
         return _raw_rate(honest_statistics(cfg, params, distance_km, mu), chi, params.f_ec)
 
-    # not attack._brent_max: rate(mu) dips just above 1e-4, where its end-first rule stops
-    mu_star = _golden_max(raw_of, lo, hi, xtol=1e-4)
-    best = max((lo, hi, mu_star), key=raw_of)
+    # without the solver's end-first rule, which would stop in the dip of rate(mu)
+    # just above 1e-4; the ends are compared after, the lower mu first on a tie
+    x = lo + GOLD * (hi - lo)
+    mu_star, raw_star = brent_max(raw_of, lo, hi, x, raw_of(x), 1.5e-8 * (hi - lo))
+    rates = {lo: _raw_rate(floor, chi, params.f_ec), hi: raw_of(hi), mu_star: raw_star}
+    best = max(rates, key=rates.get)
     stats = honest_statistics(cfg, params, distance_km, best)
     return _point(cfg, params.f_ec, distance_km, best, stats, chi)
 

@@ -1,4 +1,4 @@
-"""Binary entropy, the one entropy the closed-form rates need.
+"""Binary entropy and Brent's 1-D maximizer, shared by the rates and the solver.
 
 All entropies and logarithms are base 2 (bits) throughout.  The matrix
 toolkit (Hermitian eigenvalues, von Neumann entropy, partial trace) that
@@ -8,8 +8,14 @@ the tests' reference route uses lives in ``tests/reference.py``.
 from __future__ import annotations
 
 import math
+import sys
 
-__all__ = ["binary_entropy"]
+__all__ = ["GOLD", "ULPS", "binary_entropy", "brent_max"]
+
+# the golden-section fraction (3 - sqrt 5) / 2 of a bracket
+GOLD = 0.5 * (3.0 - math.sqrt(5.0))
+# a few ulps: the relative part of brent_max's least step
+ULPS = 4.0 * sys.float_info.epsilon
 
 
 def binary_entropy(p: float) -> float:
@@ -20,3 +26,52 @@ def binary_entropy(p: float) -> float:
     if p == 0.0 or p == 1.0:
         return 0.0
     return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
+
+
+def brent_max(fn, a: float, b: float, x: float, fx: float, span: float):
+    """Maximize a unimodal ``fn`` on [a, b] by Brent's method, from x with fx = fn(x).
+
+    R. P. Brent, Algorithms for Minimization without Derivatives (1973):
+    parabolic steps through the three best points, a golden-section step
+    whenever the parabola is not trusted, and no two evaluations closer
+    than ``span`` plus a few ulps of x.  Callers pass span = 1.5e-8 (about
+    sqrt(epsilon), where a smooth maximum goes flat to rounding) times their
+    whole range, not |x|, to resolve maxima near an end of a short range far
+    from 0.  Returns the best point evaluated, (x, fn(x)).
+    """
+    w = v = x
+    fw = fv = fx
+    d = e = 0.0
+    while True:
+        m = 0.5 * (a + b)
+        tol = span + ULPS * abs(x)
+        if abs(x - m) <= 2.0 * tol - 0.5 * (b - a):
+            return x, fx
+        p = q = r = 0.0
+        if abs(e) > tol:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, d
+        if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
+            d = p / q
+            if x + d - a < 2.0 * tol or b - x - d < 2.0 * tol:
+                d = tol if x < m else -tol
+        else:
+            e = (b - x) if x < m else (a - x)
+            d = GOLD * e
+        u = x + (d if abs(d) >= tol else math.copysign(tol, d))
+        fu = fn(u)
+        if fu >= fx:
+            a, b = (a, x) if u < x else (x, b)
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            a, b = (u, b) if u < x else (a, u)
+            if fu >= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu >= fv or v == x or v == w:
+                v, fv = u, fu

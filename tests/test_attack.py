@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_density, signal_kept_weight
@@ -410,11 +410,13 @@ class TestSolverProperty:
            q=st.one_of(st.just(0.0), st.just(1e-12), st.floats(0.0, 0.5, exclude_max=True)),
            p_lost=st.one_of(st.just(0.0), st.just(1.0), st.just(1.0 - 1e-12),
                             st.floats(0.0, 1.0)))
+    # PBS at kappa ~ 4e-15, p_lost = 1: chi-bar rounds to 1 + 1.9e-13 at a slack-dominated point
+    @example(variant=Variant.PBS, log_kappa=-14.4, q=1e-12, p_lost=1.0)
     def test_finite_feasible_and_bounded(self, variant, log_kappa, q, p_lost):
         cfg = make_config(10.0 ** log_kappa, variant)
         result = maximize_holevo_qubit(cfg, q, p_lost)
-        # chi-bar lies in [0, 1]; the closed form rounds at the 1e-13 level
-        assert math.isfinite(result.chi_max) and -1e-12 <= result.chi_max <= 1.0 + 1e-12
+        # chi-bar of a bit lies in [0, 1]; the closed form rounds at the 1e-13 level below 0
+        assert math.isfinite(result.chi_max) and -1e-12 <= result.chi_max <= 1.0
         s = result.argmax
         assert is_feasible(constraint_set(cfg, q, p_lost), s.a, s.b, s.c, s.d, s.f, tol=1e-8)
 

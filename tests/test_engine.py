@@ -90,12 +90,17 @@ class TestOptimizeMu:
 
     def test_matches_dense_grid(self):
         grid = np.arange(1e-3, 2.0, 1e-3)
+        default = default_params()
+        noisy = replace(default, y0=1e-4, e_d=0.05)
+        noiseless = replace(default, y0=0.0, e_d=0.0)
         # PBS at kappa = 0.05: rate(mu) dips just above mu = 1e-4, so a search that
-        # trusts a bracket end stops there (the dense-grid best is mu ~ 0.325)
-        for kappa, variant, distance in ((0.5, Variant.UNBALANCED, 20.0),
-                                         (0.05, Variant.PBS, 0.0), (0.05, Variant.PBS, 10.0)):
+        # trusts a bracket end stops there (the dense-grid best is mu ~ 0.325); at
+        # 200 km every rate in the bracket is negative and the better end is the answer
+        for kappa, variant, distance, params in (
+                (0.5, Variant.UNBALANCED, 20.0, default), (0.05, Variant.PBS, 0.0, default),
+                (0.05, Variant.PBS, 10.0, default), (0.5, Variant.UNBALANCED, 0.0, noisy),
+                (0.5, Variant.PBS, 20.0, noiseless), (0.05, Variant.PBS, 200.0, default)):
             cfg = make_config(kappa, variant)
-            params = default_params()
             point = optimize_mu(cfg, params, distance)
             # q_single and p_lost do not depend on mu, so one solve serves the grid
             chi = realistic_keyrate(cfg, params, distance, 0.1).chi_s_max
@@ -107,6 +112,27 @@ class TestOptimizeMu:
             case = (kappa, variant, distance)
             assert point.mu == pytest.approx(grid[int(np.argmax(rates))], abs=2e-3), case
             assert point.rate_raw >= max(rates) - 1e-9, case
+
+    def test_few_rate_evaluations_on_the_benchmark_grid(self, monkeypatch):
+        # the benchmark's compare jobs; the golden-section search took 28 statistics
+        # per job, one for chi, 26 rates and one for the reported point
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return honest_statistics(*args)
+
+        monkeypatch.setattr(engine, "honest_statistics", counted)
+        counts = []
+        for kappa in (0.2, 0.3, 0.5, 0.6, 0.7, 0.8):
+            for variant in Variant:
+                for distance in range(0, 61, 5):
+                    calls.clear()
+                    optimize_mu(make_config(kappa, variant), default_params(), float(distance))
+                    counts.append(len(calls))
+        assert len(counts) == 312
+        assert sum(counts) / len(counts) <= 20.0
+        assert max(counts) <= 30
 
     def test_beats_bracket_ends(self):
         cfg = make_config(1.0)

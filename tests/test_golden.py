@@ -19,6 +19,10 @@ CASES = [
     ("compare_kappa0.5.csv", ["compare", "--kappa", "0.5", "--threads", "2"]),
     ("qubit-scan_unbalanced.csv", ["qubit-scan", "--kappas", "0.3,0.5,0.8,1.0"]),
     ("qubit-scan_pbs.csv", ["qubit-scan", "--kappas", "0.3,0.5,0.8,1.0", "--variant", "pbs"]),
+    # the mu search through the rate's dip just above mu = 1e-4 (0 km) and past the
+    # cutoff, where every rate is negative and the bracket's floor is the answer
+    ("distance-scan_pbs_kappa0.05.csv",
+     ["distance-scan", "--variant", "pbs", "--kappa", "0.05", "--lmax", "300", "--lstep", "10"]),
 ]
 
 SQUASH_CASES = [
