@@ -84,7 +84,7 @@ every point evaluated takes its phi from the one relation above.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .protocol import ProtocolConfig
 from .qmath import GOLD, ULPS, brent_max
@@ -101,8 +101,7 @@ class InfeasibleError(ValueError):
     """Raised when no attack state is compatible with the constraints."""
 
 
-@dataclass(frozen=True)
-class ConstraintSet:
+class ConstraintSet(NamedTuple):
     """Feasible-region description for the attack optimization."""
 
     xi: float
@@ -120,8 +119,7 @@ class ConstraintSet:
         return max(0.0, (self.xi - self.p_lost) / kept), min(1.0, self.xi / kept)
 
 
-@dataclass(frozen=True)
-class OptimResult:
+class OptimResult(NamedTuple):
     """Maximum, maximizer and search effort.
 
     ``iterations`` counts the chi-bar evaluations of the search, 0 on the

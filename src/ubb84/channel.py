@@ -21,7 +21,7 @@ the package README):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from typing import NamedTuple
 
 from .protocol import ProtocolConfig
 
@@ -35,21 +35,26 @@ __all__ = [
     "transmittance",
 ]
 
-@dataclass(frozen=True)
-class ChannelParams:
-    """Fiber, detector and error-correction parameters of the honest setup.
-
-    The operating point, distance and mean photon number, is not a
-    parameter: scans vary the one and optimize the other.
-    """
-
+class _ParamFields(NamedTuple):
     alpha_db_per_km: float
     eta_det: float
     y0: float
     e_d: float
     f_ec: float
 
-    def __post_init__(self):
+
+class ChannelParams(_ParamFields):
+    """Fiber, detector and error-correction parameters of the honest setup.
+
+    The operating point, distance and mean photon number, is not a
+    parameter: scans vary the one and optimize the other.
+    """
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so that _replace validates
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for name in PRESET_FIELDS:
             value = getattr(self, name)
             if not math.isfinite(value):
@@ -64,9 +69,10 @@ class ChannelParams:
             raise ValueError(f"e_d must be in [0, 0.5), got {self.e_d!r}")
         if self.f_ec < 1.0:
             raise ValueError(f"f_ec must be >= 1, got {self.f_ec!r}")
+        return self
 
 
-PRESET_FIELDS = tuple(f.name for f in fields(ChannelParams))
+PRESET_FIELDS = ChannelParams._fields
 
 
 def default_params() -> ChannelParams:
@@ -98,7 +104,7 @@ def parse_params(text: str) -> ChannelParams:
         if key in values:
             raise ValueError(f"preset line {lineno}: duplicate key {key!r}")
         values[key] = float(value.strip())
-    return replace(default_params(), **values)
+    return default_params()._replace(**values)
 
 
 def load_params(path) -> ChannelParams:
@@ -106,8 +112,7 @@ def load_params(path) -> ChannelParams:
         return parse_params(fh.read())
 
 
-@dataclass(frozen=True)
-class ObservedStats:
+class ObservedStats(NamedTuple):
     """Per-signal click and error statistics; p_click_s is the single-photon share."""
 
     p_click_s: float

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 from .attack import maximize_holevo_qubit
 from .channel import ChannelParams, honest_statistics
@@ -47,8 +47,7 @@ POOL_START_S = 0.05
 CHUNKS_PER_WORKER = 4
 
 
-@dataclass(frozen=True)
-class KeyRatePoint:
+class KeyRatePoint(NamedTuple):
     """One evaluated parameter point; realistic scans fill every field."""
 
     variant: str
@@ -63,7 +62,7 @@ class KeyRatePoint:
     rate: float
 
 
-CSV_HEADER = tuple(f.name for f in fields(KeyRatePoint))
+CSV_HEADER = KeyRatePoint._fields
 
 
 def _fmt(value) -> str:

@@ -26,9 +26,8 @@ pure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from typing import NamedTuple
 
 __all__ = [
     "ProtocolConfig",
@@ -45,8 +44,7 @@ class Variant(str, Enum):
     FIX_UNEVEN_BS = "fix-uneven-bs"
 
 
-@dataclass(frozen=True)
-class Receiver:
+class Receiver(NamedTuple):
     """What a variant's receiver makes of the light it is sent.
 
     ``xi_effective`` is the xi of the qubit-level structure, the constraints
@@ -65,8 +63,12 @@ class Receiver:
     kept: float
 
 
-@dataclass(frozen=True)
-class ProtocolConfig:
+class _ConfigFields(NamedTuple):
+    kappa: float
+    variant: Variant
+
+
+class ProtocolConfig(_ConfigFields):
     """Protocol variant plus the phase-modulator transmissivity ``kappa``.
 
     Requires kappa in (0, 1].  Below about 1.1e-16, xi = 1/(1+kappa) rounds
@@ -74,23 +76,25 @@ class ProtocolConfig:
     rejected too.
     """
 
-    kappa: float
-    variant: Variant
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so that _replace validates
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 0.0 < self.kappa <= 1.0:
             raise ValueError(f"kappa must be in (0, 1], got {self.kappa!r}")
         if self.xi == 1.0:
             raise ValueError(f"kappa = {self.kappa!r} is too small: xi = 1/(1+kappa) rounds to 1")
+        return self
 
     @property
     def xi(self) -> float:
         """Beamsplitter transmissivity 1/(1+kappa) that balances the skewed arms."""
         return 1.0 / (1.0 + self.kappa)
 
-    @cached_property
+    @property
     def receiver(self) -> Receiver:
-        """The variant's row of the receiver table.
+        """The variant's row of the receiver table, built anew on each access.
 
         This is the one place that reads the variant.  The unbalanced
         receiver keeps a middle fraction 2 xi (1-xi) of the photons that

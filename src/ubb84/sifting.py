@@ -14,28 +14,33 @@ tests' independent check and lives in ``tests/reference.py``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "SymmetricState",
 ]
 
 
-@dataclass(frozen=True)
-class SymmetricState:
-    """Group-averaged attack state: diag(a, b, c, d) plus corner coherence f.
-
-    The 4x4 matrix it stands for lives in the basis {|00>, |01>, |10>, |11>}
-    with f at entry (3, 0) and its conjugate at (0, 3).
-    """
-
+class _StateFields(NamedTuple):
     a: float
     b: float
     c: float
     d: float
     f: complex
 
-    def __post_init__(self):
+
+class SymmetricState(_StateFields):
+    """Group-averaged attack state: diag(a, b, c, d) plus corner coherence f.
+
+    The 4x4 matrix it stands for lives in the basis {|00>, |01>, |10>, |11>}
+    with f at entry (3, 0) and its conjugate at (0, 3).
+    """
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so that _replace validates
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for name in "abcd":
             if getattr(self, name) < -1e-10:
                 raise ValueError(f"parameter {name} is negative")
@@ -43,3 +48,4 @@ class SymmetricState:
             raise ValueError("trace condition a+b+c+d = 1 violated")
         if abs(self.f) ** 2 > self.a * self.d + 1e-12:
             raise ValueError("corner block not PSD: |f|^2 > a*d")
+        return self

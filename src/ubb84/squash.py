@@ -29,9 +29,9 @@ import bisect
 import functools
 import itertools
 import random
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 __all__ = [
     "ClickPattern",
@@ -61,10 +61,7 @@ _RESULTS = (
 )
 
 
-@dataclass(frozen=True)
-class ClickPattern:
-    """Raw detection pattern plus the receiver's basis choice."""
-
+class _PatternFields(NamedTuple):
     c1: bool = False
     c2: bool = False
     c3: bool = False
@@ -73,9 +70,18 @@ class ClickPattern:
     d3: bool = False
     basis: str = "even"
 
-    def __post_init__(self):
+
+class ClickPattern(_PatternFields):
+    """Raw detection pattern plus the receiver's basis choice; hashable, so it keys caches."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, values: cls(*values))  # so that _replace validates
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.basis not in _BASES:
             raise ValueError(f"basis must be 'even' or 'odd', got {self.basis!r}")
+        return self
 
     @property
     def middle_clicks(self) -> int:

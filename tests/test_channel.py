@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -96,7 +95,7 @@ class TestApparatus:
 
 class TestHonestStatistics:
     def test_noiseless_limit(self):
-        params = replace(default_params(), y0=0.0, e_d=0.0)
+        params = default_params()._replace(y0=0.0, e_d=0.0)
         stats = honest_statistics(make_config(1.0), params, 10.0, 0.1)
         assert stats.q_single == 0.0
         assert stats.q_tot == 0.0
@@ -150,19 +149,19 @@ class TestHonestStatistics:
 class TestParams:
     def test_validation(self):
         with pytest.raises(ValueError):
-            replace(default_params(), eta_det=0.0)
+            default_params()._replace(eta_det=0.0)
         with pytest.raises(ValueError):
-            replace(default_params(), e_d=0.5)
+            default_params()._replace(e_d=0.5)
         with pytest.raises(ValueError):
-            replace(default_params(), f_ec=0.9)
+            default_params()._replace(f_ec=0.9)
         with pytest.raises(ValueError, match="y0"):
-            replace(default_params(), y0=0.9)
+            default_params()._replace(y0=0.9)
 
     @pytest.mark.parametrize("field", ["alpha_db_per_km", "eta_det", "y0", "e_d", "f_ec"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
-            replace(default_params(), **{field: value})
+            default_params()._replace(**{field: value})
 
     def test_parse_round_trip(self):
         text = """

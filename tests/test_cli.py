@@ -274,10 +274,11 @@ def test_module_entry_point():
     assert proc.stdout.splitlines()[0] == ",".join(CSV_HEADER)
 
 
-@pytest.mark.parametrize("module", ["scipy", "numpy"])
+@pytest.mark.parametrize("module", ["scipy", "numpy", "dataclasses"])
 def test_cli_import_leaves_module_unloaded(module):
     # scipy.optimize alone took over half of the CLI's start-up time and
-    # numpy most of the rest; the package runs on the standard library
+    # numpy most of the rest; the package runs on the standard library.
+    # dataclasses and the inspect it loads cost some 12 ms more.
     proc = subprocess.run(
         [sys.executable, "-c", f"import sys, ubb84.cli; print({module!r} in sys.modules)"],
         capture_output=True, text=True, timeout=120,
@@ -288,9 +289,11 @@ def test_cli_import_leaves_module_unloaded(module):
 
 @pytest.mark.parametrize("argv, unloaded", [
     (["qubit-rate", "--kappa", "0.5", "--qber", "0.03"],
-     ["ubb84.squash", "concurrent.futures.process"]),
-    (["squash-validate", "--trials", "1000"], ["ubb84.attack", "ubb84.engine"]),
-    (["compare", "--kappa", "0.5", "--lmax", "10"], ["concurrent.futures.process"]),
+     ["ubb84.squash", "concurrent.futures.process", "dataclasses", "inspect"]),
+    (["squash-validate", "--trials", "1000"],
+     ["ubb84.attack", "ubb84.engine", "dataclasses", "inspect"]),
+    (["compare", "--kappa", "0.5", "--lmax", "10"],
+     ["concurrent.futures.process", "dataclasses", "inspect"]),
 ])
 def test_command_imports_only_what_it_runs(argv, unloaded):
     # a fresh interpreter, so that no other test has imported the modules

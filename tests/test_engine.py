@@ -1,6 +1,5 @@
 import concurrent.futures
 import math
-from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -30,7 +29,7 @@ class TestRealisticKeyrate:
         # perfect detectors, no dark counts, no misalignment: everything but
         # the single-photon term vanishes and chi = 0 at q = 0
         cfg = make_config(1.0, Variant.PBS)
-        params = replace(default_params(), y0=0.0, e_d=0.0, eta_det=1.0)
+        params = default_params()._replace(y0=0.0, e_d=0.0, eta_det=1.0)
         point = realistic_keyrate(cfg, params, 0.0, 0.1)
         assert point.chi_s_max == pytest.approx(0.0, abs=1e-9)
         assert point.rate == pytest.approx(0.0452, abs=1e-4)
@@ -38,7 +37,7 @@ class TestRealisticKeyrate:
 
     def test_vanishing_source(self):
         cfg = make_config(1.0, Variant.PBS)
-        params = replace(default_params(), y0=0.0, e_d=0.0, eta_det=1.0)
+        params = default_params()._replace(y0=0.0, e_d=0.0, eta_det=1.0)
         assert realistic_keyrate(cfg, params, 0.0, 1e-6).rate < 1e-6
 
     def test_rate_bounded_by_single_photon_share(self):
@@ -64,7 +63,7 @@ class TestRealisticKeyrate:
         # kernel reduces to the qubit rate formula
         q = 0.05
         cfg = make_config(1.0)
-        params = replace(default_params(), y0=0.0, e_d=q, eta_det=1.0, f_ec=1.0)
+        params = default_params()._replace(y0=0.0, e_d=q, eta_det=1.0, f_ec=1.0)
         stats = honest_statistics(cfg, params, 0.0, 0.1)
         assert stats.q_single == pytest.approx(q, abs=1e-12)
         assert stats.p_lost == pytest.approx(0.0, abs=1e-12)
@@ -83,7 +82,7 @@ class TestOptimizeMu:
     def test_noiseless_interior_optimum(self):
         # R = mu exp(-mu) / 2 peaks exactly at mu = 1
         cfg = make_config(1.0, Variant.PBS)
-        params = replace(default_params(), y0=0.0, e_d=0.0, eta_det=1.0)
+        params = default_params()._replace(y0=0.0, e_d=0.0, eta_det=1.0)
         point = optimize_mu(cfg, params, 0.0)
         assert point.mu == pytest.approx(1.0, abs=2e-3)
         assert point.rate == pytest.approx(0.5 * math.exp(-1.0), abs=1e-5)
@@ -91,8 +90,8 @@ class TestOptimizeMu:
     def test_matches_dense_grid(self):
         grid = np.arange(1e-3, 2.0, 1e-3)
         default = default_params()
-        noisy = replace(default, y0=1e-4, e_d=0.05)
-        noiseless = replace(default, y0=0.0, e_d=0.0)
+        noisy = default._replace(y0=1e-4, e_d=0.05)
+        noiseless = default._replace(y0=0.0, e_d=0.0)
         # PBS at kappa = 0.05: rate(mu) dips just above mu = 1e-4, so a search that
         # trusts a bracket end stops there (the dense-grid best is mu ~ 0.325); at
         # 200 km every rate in the bracket is negative and the better end is the answer
@@ -143,7 +142,7 @@ class TestOptimizeMu:
 
     def test_all_negative_reports_floored_zero(self):
         cfg = make_config(0.5)
-        params = replace(default_params(), y0=1e-4, e_d=0.05)
+        params = default_params()._replace(y0=1e-4, e_d=0.05)
         point = optimize_mu(cfg, params, 60.0)
         assert point.rate_raw < 0.0
         assert point.rate == 0.0
@@ -160,7 +159,7 @@ class TestScans:
 
     def test_cutoff_detection(self):
         cfg = make_config(0.5)
-        params = replace(default_params(), y0=1e-4, e_d=0.05)
+        params = default_params()._replace(y0=1e-4, e_d=0.05)
         points = distance_scan(cfg, params, [0.0, 10.0, 20.0])
         assert cutoff_distance(points) == 10.0
         assert cutoff_distance(points[:1]) is None
