@@ -278,7 +278,7 @@ def test_module_entry_point():
 def test_cli_import_leaves_module_unloaded(module):
     # scipy.optimize alone took over half of the CLI's start-up time and
     # numpy most of the rest; the package runs on the standard library.
-    # dataclasses and the inspect it loads cost some 12 ms more.
+    # dataclasses, with the inspect it loads, took about 12 ms more on 2 vCPU.
     proc = subprocess.run(
         [sys.executable, "-c", f"import sys, ubb84.cli; print({module!r} in sys.modules)"],
         capture_output=True, text=True, timeout=120,
