@@ -70,15 +70,15 @@ Pinned s.  The s-constraint (1-s)(a+b) = s(c+d) reads gamma/w0 +
 delta/w1 = K(A) = (1-s)(A/w0 + (1-A)/w1) at fixed A, a third linear
 constraint on a slice where phi(A) stays constant, so the argument carries
 over with one more multiplier: sigma = exp(m1 P + m2 D + m3 X) / Z with
-D = diag(0, 0, 1/w0, 1/w1), still a diagonal plus one 2x2 block.  The
-slice is a segment in gamma along which alpha delta falls, so its largest
-alpha delta is f1 = (1-s) A (1-A + A w1/w0) at gamma = 0 below the kink
-A_k = s w0 / (s w0 + (1-s) w1), and f2 = s (1-A) (A + (1-A) w0/w1) at
-beta = 0 above it; both are A_k (1-A_k) at the kink, where
-beta = gamma = 0, and A ranges where phi(A)^2 <= min(f1, f2) + _SLACK.
-Slices no wider than the slack, and slices whose Newton solve fails, are
-answered by that face point, which the slack admits.  Free or pinned,
-every point evaluated takes its phi from the one relation above.
+D = diag(0, 0, 1/w0, 1/w1), still a diagonal plus one 2x2 block.  That
+constraint (``_Search.pin``) alone describes the slice: a segment in gamma
+along which alpha delta falls from the face, gamma = 0 below the kink
+A_k = s w0 / (s w0 + (1-s) w1) and beta = 0 above it, where alpha delta is
+f1 = (1-s) A (1-A + A w1/w0) and f2 = s (1-A) (A + (1-A) w0/w1); A ranges
+where phi(A)^2 <= min(f1, f2) + _SLACK.  The face point answers slices no
+wider than 2 _SLACK and failed Newton solves: the multipliers diverge, and
+the solve fails, only where the slice's entropy peaks on the face, to
+rounding.  Free or pinned, every point takes its phi from the one relation.
 """
 
 from __future__ import annotations
@@ -304,16 +304,17 @@ def _max_entropy(a_sum: float, b_sum: float, corner: float, pin=None, mu=None):
             # the residual of the smaller side keeps its relative precision
             g1 = alpha + gamma - a_sum if a_sum <= b_sum else b_sum - beta - delta
             g2 = (gamma * dg + delta * dd - k_sum if k_sum <= k_rest
-                  else k_rest - alpha * dg - beta * dd)
+                  else k_rest - alpha * dg - beta * dd + (dg - dd) * g1)
             g3 = 2.0 * (phi - corner)
             if (abs(g1) <= 1e-14 * min(a_sum, b_sum) and abs(g2) <= 1e-14 * min(k_sum, k_rest)
                     and abs(g3) <= 1e-14 * corner):
                 return point, (m1, m2, m3)
-            d = _descent(hess, g1, g2 + dd * g1, g3)  # E's residual is g2 + dd g1
+            e2 = g2 + dd * g1  # E's residual, the dual's gradient in m2
+            d = _descent(hess, g1, e2, g3)
             if d is None:
                 break
             d1, d2, d3 = d
-            slope = g1 * d1 + (g2 + dd * g1) * d2 + g3 * d3
+            slope = g1 * d1 + e2 * d2 + g3 * d3
             # a near-singular Hessian can ask for any length; at most double the multipliers
             step = min(1.0, max(16.0, abs(m1), abs(m2), abs(m3)) / max(abs(d1), abs(d2), abs(d3)))
             noise = 1e-14 * (1.0 + abs(m1) + abs(m2) + abs(m3))  # rounding of the dual's terms
@@ -332,44 +333,34 @@ def _max_entropy(a_sum: float, b_sum: float, corner: float, pin=None, mu=None):
 class _Search:
     """One Brent search over A = alpha+gamma of the A-slices' largest-entropy points.
 
-    Free when ``s`` is None, else at pinned s, where the trace and the
-    s-constraint make beta and gamma affine in (alpha, delta).  Every point
-    takes its corner phi from the one error-rate relation (``relation``).
+    Free when ``s`` is None, else at pinned s, where ``face`` and the Newton
+    solve build each slice's points from its s-constraint (``pin``).  Every
+    point takes its corner phi from the one error-rate relation (``relation``).
     Keeps the best point, the evaluation count and, in ``mu``, the last
     slice's multipliers, the warm start of the next.
     """
 
     def __init__(self, cfg: ProtocolConfig, cs: ConstraintSet, s=None):
         self.uv = _error_relation(cfg, cs)
-        w0, w1 = self.weights = cfg.receiver.weights
+        self.weights = cfg.receiver.weights
         self.s, self.mu = s, None
         self.evals, self.chi, self.point = 0, -math.inf, None
-        if s is not None:
-            den = (1.0 - s) * w0 + s * w1
-            self.beta = w1 * s / den, -w1 / den, s * (w0 - w1) / den
-            self.gamma = w0 * (1.0 - s) / den, (1.0 - s) * (w1 - w0) / den, -w0 / den
 
     def relation(self, alpha: float, beta: float, gamma: float, delta: float):
         """The sifted point with the relation's corner phi = u (alpha+gamma) + v (beta+delta)."""
         u, v = self.uv
         return alpha, beta, gamma, delta, u * (alpha + gamma) + v * (beta + delta)
 
-    def on_plane(self, alpha: float, delta: float):
-        """The sifted point of the pinned plane at (alpha, delta)."""
-        (b0, ba, bd), (g0, ga, gd) = self.beta, self.gamma
-        return self.relation(alpha, b0 + ba * alpha + bd * delta, g0 + ga * alpha + gd * delta,
-                             delta)
-
     def face(self, a_sum: float, b_sum: float):
         """The A-slice's point of largest alpha delta: beta = gamma = 0 when free, and at
-        pinned s gamma = 0 below the kink A_k, beta = 0 above it."""
+        pinned s from ``pin``: gamma = 0 if delta = k_sum/dd fits in b_sum, else beta = 0."""
         if self.s is None:
             return self.relation(a_sum, 0.0, 0.0, b_sum)
-        (b0, ba, bd), (g0, ga, gd) = self.beta, self.gamma
-        delta = (g0 + ga * a_sum) / -gd
-        if b0 + ba * a_sum + bd * delta >= 0.0:
-            return self.on_plane(a_sum, delta)
-        return self.on_plane((b0 + bd * b_sum) / -ba, b_sum)
+        dg, dd, k_sum, _ = self.pin(a_sum, b_sum)
+        if k_sum <= dd * b_sum:
+            return self.relation(a_sum, b_sum - k_sum / dd, 0.0, k_sum / dd)
+        gamma = (k_sum - dd * b_sum) / dg
+        return self.relation(a_sum - gamma, 0.0, gamma, b_sum)
 
     def a_range(self):
         """The interval of A whose slices are feasible, lo > hi if none.
@@ -384,10 +375,9 @@ class _Search:
         if s is None:
             d_lo, d_hi = _face_range(1.0, -1.0, u, v - u, 1.0)
             return 1.0 - d_hi, 1.0 - d_lo
-        b0, ba, bd = self.beta
         den = s * w0 + (1.0 - s) * w1
         a_k, b_k = s * w0 / den, (1.0 - s) * w1 / den
-        d_lo, d_hi = _face_range(b0 / -ba, bd / -ba, u, v - u, b_k)  # alpha along beta = 0
+        d_lo, d_hi = _face_range(s, s * (w0 - w1) / w1, u, v - u, b_k)  # alpha along beta = 0
         pieces = [(1.0 - d_hi, 1.0 - d_lo)] if d_lo <= d_hi else []
         # below the kink, phi^2 - f1 - _SLACK in the distance t = A_k - A
         du, r, phi = u - v, w1 / w0, u * a_k + v * b_k
@@ -409,9 +399,9 @@ class _Search:
     def a_slice(self, a_sum: float) -> float:
         """chi-bar of the largest-entropy point with alpha+gamma = a_sum, where S2 is fixed.
 
-        The face point stands in where the corner sqrt(phi^2 - _SLACK) meets
-        the face (within 2 _SLACK when pinned) or the solve fails; a free
-        corner within the slack leaves the diagonal point.
+        Free or pinned, the corner comes from ``relation``.  The face point stands in
+        where sqrt(phi^2 - _SLACK) meets the face (within 2 _SLACK when pinned) or the
+        solve fails ("Pinned s"); a free corner within the slack leaves the diagonal point.
         """
         (u, v), s, b_sum = self.uv, self.s, 1.0 - a_sum
         corner2 = (u * a_sum + v * b_sum) ** 2 - _SLACK
@@ -424,7 +414,7 @@ class _Search:
                 pin = None if s is None else self.pin(a_sum, b_sum)
                 solved = _max_entropy(a_sum, b_sum, math.sqrt(max(corner2, 0.0)), pin, self.mu)
                 point, self.mu = solved or (point, self.mu)
-            point = self.relation(*point[:4]) if s is None else self.on_plane(point[0], point[3])
+            point = self.relation(*point[:4])
         chi = chi_bar_of_params(*point)
         self.evals += 1
         if chi > self.chi:

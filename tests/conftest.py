@@ -42,12 +42,6 @@ def announcement_filters(cfg):
                     _psd_sqrt(b.element(x) + b.element(x + 2))) for x in (0, 1)]
 
 
-def random_pure(rng: np.random.Generator, dim: int = 4) -> np.ndarray:
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    v /= np.linalg.norm(v)
-    return np.outer(v, v.conj())
-
-
 def entropy_bits(mat: np.ndarray) -> float:
     lam = np.linalg.eigvalsh(mat)
     lam = lam[lam > 1e-15]

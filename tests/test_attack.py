@@ -18,6 +18,7 @@ from reference import (
     state_matrix,
     symmetrize,
 )
+from ubb84 import attack
 from ubb84.attack import (
     InfeasibleError,
     _error_relation,
@@ -364,6 +365,9 @@ class TestMaxEntropySlice:
     @given(pbs=st.booleans(), log_kappa=st.floats(-12.0, -0.01), q=st.floats(0.0, 0.45),
            p_lost=st.floats(0.0, 0.99), upper=st.booleans(), frac=st.floats(0.02, 0.98),
            seed=st.integers(0, 2**32 - 1))
+    # k_sum > k_rest: the residual written from k_rest needs (dg - dd) g1; without it
+    # Newton stalls here and the face (entropy 0.593) undervalues the slice (0.690)
+    @example(pbs=False, log_kappa=-1.0, q=0.25, p_lost=0.875, upper=False, frac=0.25, seed=0)
     def test_pinned_slice(self, pbs, log_kappa, q, p_lost, upper, frac, seed):
         # at pinned s the s-constraint is a third linear constraint, and the
         # slice is a segment in gamma: alpha = a_sum - gamma,
@@ -385,7 +389,7 @@ class TestMaxEntropySlice:
         # the slice, whose entropy then peaks at the face gamma = 0 and whose
         # multipliers diverge; the search then takes the face point
         point = alpha, beta, gamma, delta, phi = solved[0] if solved else face
-        # the face's zero weight comes from the plane's arithmetic, to rounding
+        # the face's zero weight is exact, the solved point's to rounding
         assert min(alpha, beta, gamma, delta) >= -1e-15
         assert alpha * delta - phi * phi >= -1e-15 * alpha * delta
         small = min((a_sum, alpha + gamma), (b_sum, beta + delta))
@@ -400,6 +404,38 @@ class TestMaxEntropySlice:
             d = (k_sum - g * dg) / dd
             if (a_sum - g) * d >= corner * corner:
                 assert best >= self._entropy(a_sum - g, b_sum - d, g, d, corner) - 1e-12
+
+    def test_face_fallbacks_are_slice_maxima(self, monkeypatch):
+        # the slices whose Newton solve fails on CI's extreme qubit scans and on
+        # the benchmark's kappa menu: a_slice answers them by the face gamma = g_lo,
+        # and no point of the gamma-segment of test_pinned_slice may beat it
+        failed = []
+
+        def solve(a_sum, b_sum, corner, pin=None, mu=None):
+            solved = _max_entropy(a_sum, b_sum, corner, pin, mu)
+            if solved is None:
+                failed.append((a_sum, b_sum, corner, pin))
+            return solved
+
+        monkeypatch.setattr(attack, "_max_entropy", solve)
+        grids = (((1e-12, 1e-4, 0.01), [round(0.05 * i, 2) for i in range(10)]),
+                 ((0.2, 0.3, 0.5, 0.6, 0.7, 0.8), [round(0.01 * i, 2) for i in range(13)]))
+        for kappas, qs in grids:
+            for variant in (Variant.UNBALANCED, Variant.PBS):
+                for kappa in kappas:
+                    cfg = make_config(kappa, variant)
+                    for q in qs:
+                        maximize_holevo_qubit(cfg, q)
+        assert failed
+        # a_slice solves only slices wider than 2 _SLACK, all of them pinned here
+        for a_sum, b_sum, corner, (dg, dd, k_sum, _) in failed:
+            g_lo, g_hi = max(0.0, (k_sum - b_sum * dd) / dg), min(a_sum, k_sum / dg)
+            d = (k_sum - g_lo * dg) / dd
+            face = self._entropy(a_sum - g_lo, b_sum - d, g_lo, d, corner)
+            for g in np.linspace(g_lo, g_hi, 2001):
+                d = (k_sum - g * dg) / dd
+                if (a_sum - g) * d >= corner * corner:
+                    assert self._entropy(a_sum - g, b_sum - d, g, d, corner) <= face + 1e-12
 
 
 class TestSolverProperty:
