@@ -20,7 +20,9 @@ each running sum is a multiple of 1/8.  CPython's ``random()`` is
 ``((w1 >> 5) * 2**26 + (w2 >> 6)) / 2**53`` for two Mersenne-Twister words,
 so the top byte of w1 fixes the row ``choices`` picks.  The Monte-Carlo check
 counts those bytes of ``getrandbits`` (the same words, in order) in C, so its
-stream and every printed table are those of ``choices``.
+stream and every printed table are those of ``choices``.  A one-row table
+takes no draws, as every draw would land in its row, and each table's last
+row is the remainder of ``trials``; neither moves a printed number.
 """
 
 from __future__ import annotations
@@ -139,16 +141,20 @@ _BATCH = 10_000  # draws per getrandbits call: 80 kB of bits, however many trial
 
 
 def _count_draws(rng, cumulative, trials: int) -> list:
-    """Per-row counts of ``rng.choices(..., cum_weights=cumulative, k=trials)``, same stream."""
+    """Per-row counts of ``rng.choices(..., cum_weights=cumulative, k=trials)``, same stream.
+
+    The last row, the cross table's frequent 1/2 row, is ``trials`` minus the
+    others, which spares ``bytes.count`` its slowest count.
+    """
     if cumulative[-1] != 1.0 or any(c * 256 % 1 for c in cumulative):
         raise ValueError(f"running sums {cumulative} must be multiples of 1/256 ending at 1")
     rows = bytes(bisect.bisect(cumulative, t / 256, 0, len(cumulative) - 1) for t in range(256))
-    counts = [0] * len(cumulative)
+    counts = [0] * (len(cumulative) - 1)
     for done in range(0, trials, _BATCH):
         batch = min(_BATCH, trials - done)
         picked = rng.getrandbits(64 * batch).to_bytes(8 * batch, "little")[3::8].translate(rows)
         counts = [n + picked.count(row) for row, n in enumerate(counts)]
-    return counts
+    return [*counts, trials - sum(counts)]
 
 
 def monte_carlo_check(trials: int, seed: int):
@@ -156,16 +162,20 @@ def monte_carlo_check(trials: int, seed: int):
 
     Returns (rows, ok).  Each row is (pattern_name, outcome, expected,
     observed, bound, within); ``ok`` is True when every row is within its
-    bound.
+    bound.  A one-row table draws nothing: its count is ``trials``, as every
+    draw of ``choices`` would give, for any seed.
     """
     if trials <= 0:
         raise ValueError("trials must be positive")
     rows = []
     ok = True
     for index, (name, pattern) in enumerate(_VALIDATION_PATTERNS):
-        rng = random.Random((seed << 8) + index)
         outcomes, cumulative = _table(pattern)
-        counts = dict(zip(outcomes, _count_draws(rng, cumulative, trials)))
+        if len(outcomes) == 1:
+            counts = {outcomes[0]: trials}
+        else:
+            rng = random.Random((seed << 8) + index)
+            counts = dict(zip(outcomes, _count_draws(rng, cumulative, trials)))
         for outcome, p in sorted(squash_distribution(pattern).items(), key=lambda kv: kv[0].value):
             expected = float(p)
             observed = counts[outcome] / trials

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ubb84 import squash
 from ubb84.squash import (
     ClickPattern,
     _VALIDATION_PATTERNS,
@@ -172,6 +173,8 @@ class TestByteCounts:
            index=st.integers(min_value=0, max_value=len(_VALIDATION_PATTERNS) - 1))
     @example(seed=-7, trials=10_000, index=6)
     @example(seed=2**64 + 3, trials=20_001, index=2)
+    @example(seed=5, trials=10_001, index=0)  # one row: all remainder, stream still consumed
+    @example(seed=13, trials=12_345, index=6)  # 5 rows, partial last batch
     @settings(max_examples=60, deadline=None)
     def test_counts_and_state_match_choices(self, seed, trials, index):
         outcomes, cumulative = _table(_VALIDATION_PATTERNS[index][1])
@@ -190,6 +193,43 @@ class TestByteCounts:
     def test_rejects_sums_not_ending_at_one(self):
         with pytest.raises(ValueError):
             _count_draws(random.Random(1), (0.25, 0.5), 10)
+
+
+class TestOneRowPatternsSkipped:
+    # reference: every pattern, one-row tables too, draws with choices
+    @staticmethod
+    def reference(trials, seed):
+        rows = []
+        for index, (name, pattern) in enumerate(_VALIDATION_PATTERNS):
+            outcomes, cumulative = _table(pattern)
+            rng = random.Random((seed << 8) + index)
+            counts = Counter(rng.choices(outcomes, cum_weights=cumulative, k=trials))
+            for outcome, p in sorted(squash_distribution(pattern).items(),
+                                     key=lambda kv: kv[0].value):
+                expected = float(p)
+                observed = counts[outcome] / trials
+                bound = 3.0 * (expected * (1.0 - expected) / trials) ** 0.5
+                rows.append((name, outcome, expected, observed, bound,
+                             abs(observed - expected) <= bound))
+        return rows, all(row[-1] for row in rows)
+
+    @pytest.mark.parametrize("trials", [1, 9_999, 10_001, 12_345])
+    @pytest.mark.parametrize("seed", [1, 11, 21, 42, 54])
+    def test_matches_drawing_every_pattern(self, seed, trials):
+        assert monte_carlo_check(trials, seed) == self.reference(trials, seed)
+
+    def test_draws_only_multi_row_patterns(self, monkeypatch):
+        drawn = []
+
+        def spy(rng, cumulative, trials):
+            drawn.append(rng.getstate())
+            return _count_draws(rng, cumulative, trials)
+
+        monkeypatch.setattr(squash, "_count_draws", spy)
+        monte_carlo_check(1_000, 3)
+        multi = [index for index, (name, _) in enumerate(_VALIDATION_PATTERNS)
+                 if name in ("double-middle even", "double-middle odd", "cross c2+d1")]
+        assert drawn == [random.Random((3 << 8) + index).getstate() for index in multi]
 
 
 class TestStreamPinned:
