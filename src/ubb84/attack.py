@@ -21,7 +21,8 @@ result.  The tests hold it to the grid oracle in ``tests/reference.py``.
 
 Normalization.  The qubit rate 1 - h(Q) - chi_max is per postselected
 signal.  The receiver's row ``cfg.receiver`` supplies the filter weights
-(w0, w1) and xi = xi_effective.  The solver works in the normalized
+(w0, w1) and xi = xi_effective, read once by ``constraint_set``; the solver
+sees only the ``ConstraintSet``.  It works in the normalized
 sifted coordinates (alpha, beta, gamma, delta) = (w0 a, w1 b, w0 c, w1 d)/T
 and corner phi = sqrt(w0 w1) f / T, T the trace; ``_state`` maps a point
 back.  The error rate Q fixes Re phi = u (alpha+gamma) + v (beta+delta),
@@ -102,9 +103,10 @@ class InfeasibleError(ValueError):
 
 
 class ConstraintSet(NamedTuple):
-    """Feasible-region description for the attack optimization."""
+    """The solver's whole input: receiver xi and weights (w0, w1), error rate q, loss p_lost."""
 
     xi: float
+    weights: tuple[float, float]
     q: float
     p_lost: float = 0.0
 
@@ -137,7 +139,8 @@ def constraint_set(cfg: ProtocolConfig, q: float, p_lost: float = 0.0) -> Constr
         raise ValueError(f"error rate must be in [0, 0.5), got {q!r}")
     if not 0.0 <= p_lost < 1.0 + 1e-12:
         raise ValueError(f"p_lost must be in [0, 1), got {p_lost!r}")
-    return ConstraintSet(xi=cfg.receiver.xi_effective, q=float(q), p_lost=float(p_lost))
+    receiver = cfg.receiver
+    return ConstraintSet(receiver.xi_effective, receiver.weights, float(q), float(p_lost))
 
 
 def _h_term(x: float) -> float:
@@ -165,16 +168,16 @@ def chi_bar_of_params(alpha, beta, gamma, delta, phi) -> float:
     return s4 - s2
 
 
-def _error_relation(cfg: ProtocolConfig, cs: ConstraintSet):
+def _error_relation(cs: ConstraintSet):
     """(u, v) of the error-rate relation phi = u (alpha+gamma) + v (beta+delta)."""
-    w0, w1 = cfg.receiver.weights
+    w0, w1 = cs.weights
     k = math.sqrt(w0 * w1) * (1.0 - 2.0 * cs.q) / (2.0 * math.sqrt(cs.xi * (1.0 - cs.xi)))
     return k * (1.0 - cs.xi) / w0, k * cs.xi / w1
 
 
-def _state(cfg: ProtocolConfig, alpha, beta, gamma, delta, phi) -> SymmetricState:
+def _state(weights, alpha, beta, gamma, delta, phi) -> SymmetricState:
     """The state of trace 1 whose sifted point is (alpha, beta, gamma, delta, phi)."""
-    w0, w1 = cfg.receiver.weights
+    w0, w1 = weights
     a, b, c, d = alpha / w0, beta / w1, gamma / w0, delta / w1
     total = a + b + c + d
     return SymmetricState(a=a / total, b=b / total, c=c / total, d=d / total,
@@ -340,9 +343,9 @@ class _Search:
     slice's multipliers, the warm start of the next.
     """
 
-    def __init__(self, cfg: ProtocolConfig, cs: ConstraintSet, s=None):
-        self.uv = _error_relation(cfg, cs)
-        self.weights = cfg.receiver.weights
+    def __init__(self, cs: ConstraintSet, s=None):
+        self.uv = _error_relation(cs)
+        self.weights = cs.weights
         self.s, self.mu = s, None
         self.evals, self.chi, self.point = 0, -math.inf, None
 
@@ -449,10 +452,10 @@ class _Search:
         brent_max(self.a_slice, a, b, x, fx, span)
 
 
-def _maximize(cfg: ProtocolConfig, cs: ConstraintSet) -> OptimResult:
+def _maximize(cs: ConstraintSet) -> OptimResult:
     # min(chi, 1): one key bit bounds the Holevo quantity; PBS rounds above it at kappa < 1e-13
     lo, hi = cs.s_bounds()
-    free = _Search(cfg, cs)
+    free = _Search(cs)
     u, v = free.uv
     if abs(u - v) <= 1e-12:
         beta = cs.q * (1.0 - cs.q)
@@ -461,18 +464,18 @@ def _maximize(cfg: ProtocolConfig, cs: ConstraintSet) -> OptimResult:
     elif lo < hi:
         free.run()
     if free.point is not None:
-        state = _state(cfg, *free.point)
+        state = _state(cs.weights, *free.point)
         if lo - 1e-12 <= state.a + state.b <= hi + 1e-12:
             # the exact branch's point is evaluated only here, outside the count
             chi = free.chi if free.evals else chi_bar_of_params(*free.point)
             return OptimResult(chi_max=min(chi, 1.0), argmax=state, iterations=free.evals)
         # concavity puts the maximum on the s-bound that the free maximum violates
         lo = min(max(state.a + state.b, lo), hi)
-    pinned = _Search(cfg, cs, lo)
+    pinned = _Search(cs, lo)
     pinned.run()
     if pinned.point is None:
         raise InfeasibleError(f"no feasible attack state found (q={cs.q}, p_lost={cs.p_lost})")
-    return OptimResult(chi_max=min(pinned.chi, 1.0), argmax=_state(cfg, *pinned.point),
+    return OptimResult(chi_max=min(pinned.chi, 1.0), argmax=_state(cs.weights, *pinned.point),
                        iterations=free.evals + pinned.evals)
 
 
@@ -483,4 +486,4 @@ def maximize_holevo_qubit(cfg: ProtocolConfig, q: float, p_lost: float = 0.0) ->
     c+d = 1-xi), the qubit-level bound; above it the constraint is relaxed
     by the loss.  Re f is fixed by the error rate and Im f is free.
     """
-    return _maximize(cfg, constraint_set(cfg, q, p_lost))
+    return _maximize(constraint_set(cfg, q, p_lost))

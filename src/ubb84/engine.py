@@ -9,8 +9,9 @@ clicked with privacy amplification on the single-photon fraction only
 
 The 1/2 is the basis-sifting factor and appears exactly once, here; the
 qubit rate is per postselected signal and carries no 1/2.  Reported rates
-are floored at zero at this layer only; raw signed values are kept for
-threshold detection and for the CSV diagnostic column.
+are floored at zero in ``_point`` alone, the one builder of a CSV row; raw
+signed values are kept for threshold detection and for the CSV diagnostic
+column.
 """
 
 from __future__ import annotations
@@ -75,8 +76,7 @@ def _fmt(value) -> str:
 
 def format_csv(points) -> str:
     lines = [",".join(CSV_HEADER)]
-    for p in points:
-        lines.append(",".join(_fmt(getattr(p, field)) for field in CSV_HEADER))
+    lines.extend(",".join(map(_fmt, p)) for p in points)
     return "\n".join(lines) + "\n"
 
 
@@ -99,28 +99,20 @@ def _chi_s_max(cfg: ProtocolConfig, stats) -> float:
     return maximize_holevo_qubit(cfg, stats.q_single, stats.p_lost).chi_max
 
 
-def _point(cfg: ProtocolConfig, f_ec: float, distance_km: float, mu: float, stats,
-           chi: float) -> KeyRatePoint:
-    raw = _raw_rate(stats, chi, f_ec)
-    return KeyRatePoint(
-        variant=cfg.variant.value,
-        kappa=cfg.kappa,
-        distance_km=distance_km,
-        mu=mu,
-        qber_total=stats.q_tot,
-        q_single=stats.q_single,
-        p_lost=stats.p_lost,
-        chi_s_max=chi,
-        rate_raw=raw,
-        rate=max(0.0, raw),
-    )
+def _point(cfg: ProtocolConfig, distance_km: float | None, mu: float | None, q_tot: float,
+           q_single: float, p_lost: float, chi: float, rate_raw: float) -> KeyRatePoint:
+    """The CSV row of one point, its rate ``rate_raw`` floored at zero."""
+    return KeyRatePoint(cfg.variant.value, cfg.kappa, distance_km, mu, q_tot, q_single,
+                        p_lost, chi, rate_raw, max(0.0, rate_raw))
 
 
 def realistic_keyrate(cfg: ProtocolConfig, params: ChannelParams, distance_km: float,
                       mu: float) -> KeyRatePoint:
     """Tagged key rate per emitted signal at one distance and mean photon number."""
     stats = honest_statistics(cfg, params, distance_km, mu)
-    return _point(cfg, params.f_ec, distance_km, mu, stats, _chi_s_max(cfg, stats))
+    chi = _chi_s_max(cfg, stats)
+    return _point(cfg, distance_km, mu, stats.q_tot, stats.q_single, stats.p_lost, chi,
+                  _raw_rate(stats, chi, params.f_ec))
 
 
 def optimize_mu(cfg: ProtocolConfig, params: ChannelParams, distance_km: float) -> KeyRatePoint:
@@ -144,7 +136,8 @@ def optimize_mu(cfg: ProtocolConfig, params: ChannelParams, distance_km: float) 
     rates = {lo: _raw_rate(floor, chi, params.f_ec), hi: raw_of(hi), mu_star: raw_star}
     best = max(rates, key=rates.get)
     stats = honest_statistics(cfg, params, distance_km, best)
-    return _point(cfg, params.f_ec, distance_km, best, stats, chi)
+    return _point(cfg, distance_km, best, stats.q_tot, stats.q_single, stats.p_lost, chi,
+                  rates[best])
 
 
 def _scan(cfgs, params: ChannelParams, distances, threads: int):
@@ -199,19 +192,7 @@ def cutoff_distance(points):
 def qubit_point(cfg: ProtocolConfig, q: float) -> KeyRatePoint:
     """Qubit-level rate 1 - h(Q) - chi_max per postselected signal; no distance or mu."""
     chi = maximize_holevo_qubit(cfg, q).chi_max
-    raw = 1.0 - binary_entropy(q) - chi
-    return KeyRatePoint(
-        variant=cfg.variant.value,
-        kappa=cfg.kappa,
-        distance_km=None,
-        mu=None,
-        qber_total=q,
-        q_single=q,
-        p_lost=0.0,
-        chi_s_max=chi,
-        rate_raw=raw,
-        rate=max(0.0, raw),
-    )
+    return _point(cfg, None, None, q, q, 0.0, chi, 1.0 - binary_entropy(q) - chi)
 
 
 def qubit_scan(cfgs, q_list):

@@ -30,7 +30,7 @@ from ubb84.attack import (
 )
 from ubb84.channel import default_params, honest_statistics
 from ubb84.engine import qubit_point
-from ubb84.protocol import Variant, make_config
+from ubb84.protocol import ProtocolConfig, Variant, make_config
 from ubb84.qmath import binary_entropy
 from ubb84.sifting import SymmetricState
 
@@ -136,6 +136,23 @@ class TestQubitOptimizer:
             maximize_holevo_qubit(make_config(1.0), 0.5)
         with pytest.raises(ValueError):
             maximize_holevo_qubit(make_config(1.0), -0.01)
+
+
+class TestReceiverReadOnce:
+    @pytest.mark.parametrize("variant", list(Variant))
+    @pytest.mark.parametrize("q, p_lost", [(0.03, 0.0), (0.03, 0.96), (0.2, 0.3)])
+    def test_one_solve_builds_the_row_once(self, monkeypatch, variant, q, p_lost):
+        # constraint_set reads the receiver row; the solver works from the constraint set
+        builds = []
+        row = ProtocolConfig.receiver.fget
+
+        def counting(cfg):
+            builds.append(cfg)
+            return row(cfg)
+
+        monkeypatch.setattr(ProtocolConfig, "receiver", property(counting))
+        maximize_holevo_qubit(make_config(0.5, variant), q, p_lost)
+        assert len(builds) == 1
 
 
 class TestRealisticOptimizer:
@@ -335,8 +352,8 @@ class TestMaxEntropySlice:
     def test_feasible_and_largest_entropy(self, log_kappa, q, frac, seed):
         cfg = make_config(10.0 ** log_kappa, Variant.PBS)
         cs = constraint_set(cfg, q)
-        u, v = _error_relation(cfg, cs)
-        lo, hi = _Search(cfg, cs).a_range()
+        u, v = _error_relation(cs)
+        lo, hi = _Search(cs).a_range()
         a_sum = lo + frac * (hi - lo)
         b_sum = 1.0 - a_sum
         corner = u * a_sum + v * b_sum
@@ -374,8 +391,8 @@ class TestMaxEntropySlice:
         # delta = (k_sum - gamma dg) / dd, beta = b_sum - delta
         cfg = make_config(10.0 ** log_kappa, Variant.PBS if pbs else Variant.UNBALANCED)
         cs = constraint_set(cfg, q, p_lost)
-        u, v = _error_relation(cfg, cs)
-        search = _Search(cfg, cs, cs.s_bounds()[upper])
+        u, v = _error_relation(cs)
+        search = _Search(cs, cs.s_bounds()[upper])
         lo, hi = search.a_range()
         assume(lo < hi)
         a_sum = lo + frac * (hi - lo)

@@ -58,6 +58,17 @@ class TestRealisticKeyrate:
         assert point.q_single == pytest.approx(stats.q_single)
         assert point.p_lost == pytest.approx(stats.p_lost)
 
+    @pytest.mark.parametrize("kappa", [0.05, 0.5, 1.0])
+    def test_optimized_rows_match_realistic_keyrate(self, kappa):
+        # the mu search and the single-point path report the same row at the chosen mu,
+        # past the cutoff too (250 km)
+        params = default_params()
+        points = compare_variants(kappa, params, [0.0, 20.0, 100.0, 250.0])
+        assert len(points) == 16
+        for p in points:
+            cfg = make_config(p.kappa, p.variant)
+            assert realistic_keyrate(cfg, params, p.distance_km, p.mu) == p
+
     def test_qubit_bridge_at_unit_efficiency(self):
         # with eta = 1, no dark counts and e_d = Q the realistic single-photon
         # kernel reduces to the qubit rate formula
@@ -223,7 +234,10 @@ class TestScans:
         assert points == compare_variants(0.5, default_params(), distances, threads=1)
 
     def test_default_compare_runs_in_process(self, monkeypatch):
-        # 52 solves take about 15 ms, less than a pool costs to start
+        # 52 solves take about 15 ms, less than a pool costs to start.  The test relies on
+        # them finishing within POOL_START_S in-process, so it depends on the machine's
+        # speed: under a Python line tracer, or with more CPU-bound processes than cores,
+        # the serial loop can pass POOL_START_S and open a pool
         from concurrent.futures.process import ProcessPoolExecutor
 
         def refuse(self, *args, **kwargs):
