@@ -76,10 +76,14 @@ constraint (``_Search.pin``) alone describes the slice: a segment in gamma
 along which alpha delta falls from the face, gamma = 0 below the kink
 A_k = s w0 / (s w0 + (1-s) w1) and beta = 0 above it, where alpha delta is
 f1 = (1-s) A (1-A + A w1/w0) and f2 = s (1-A) (A + (1-A) w0/w1); A ranges
-where phi(A)^2 <= min(f1, f2) + _SLACK.  The face point answers slices no
-wider than 2 _SLACK and failed Newton solves: the multipliers diverge, and
-the solve fails, only where the slice's entropy peaks on the face, to
-rounding.  Free or pinned, every point takes its phi from the one relation.
+where phi(A)^2 <= min(f1, f2) + _SLACK.  Each of its two pieces, and the
+free interval, is where a quadratic is <= 0, found by one routine,
+``_reach``; above the kink with u = v and w0 = w1 the quadratic is a line,
+and its piece runs from the kink to the line's root.  The face point
+answers slices no wider than 2 _SLACK and failed Newton solves: the
+multipliers diverge, and the solve fails, only where the slice's entropy
+peaks on the face, to rounding.  Free or pinned, every point takes its phi
+from the one relation.
 """
 
 from __future__ import annotations
@@ -188,29 +192,14 @@ def _state(weights, alpha, beta, gamma, delta, phi) -> SymmetricState:
 # optimizer
 
 
-def _reach(c2: float, c1: float, c0: float, length: float):
+def _reach(c2: float, c1: float, c0: float, disc: float, length: float):
     """The piece of [0, length] where c2 t^2 + c1 t + c0 <= 0, from 0 if c0 <= 0, else
-    from the first positive root, as (lo, hi); lo > hi if there is none."""
-    disc = c1 * c1 - 4.0 * c2 * c0
+    from the first positive root, as (lo, hi); lo > hi if there is none.  ``disc`` is
+    c1^2 - 4 c2 c0, which the caller writes in the form that cancels least."""
     t = -0.5 * (c1 + math.copysign(math.sqrt(disc), c1)) if disc >= 0.0 else 0.0
     roots = (t / c2 if c2 and t else 0.0, c0 / t if t else 0.0)  # c2 = 0: the second, -c0/c1
     ends = ([0.0] if c0 <= 0.0 else []) + sorted(r for r in roots if r > 0.0) + [math.inf] * 2
     return ends[0], min(ends[1], length)
-
-
-def _face_range(a0: float, a1: float, f0: float, f1: float, length: float):
-    """The delta in [0, length] with phi^2 <= alpha delta + _SLACK on a face, as (lo, hi).
-
-    On the face alpha = a0 + a1 delta and phi = f0 + f1 delta; with a1 <= 0 it is a
-    convex quadratic, lo > hi without roots, solved by -(qb + sign(qb) sqrt(disc)) / 2.
-    """
-    qa, qb, qc = f1 * f1 - a1, 2.0 * f0 * f1 - a0, f0 * f0 - _SLACK
-    disc = a0 * (a0 - 4.0 * f0 * f1) + 4.0 * qa * _SLACK + 4.0 * a1 * f0 * f0
-    if not (disc >= 0.0 and qa > 0.0):
-        return 1.0, 0.0
-    t = -0.5 * (qb + math.copysign(math.sqrt(disc), qb))
-    r1, r2 = sorted((t / qa, qc / t)) if t != 0.0 else (0.0, 0.0)
-    return max(0.0, r1), min(length, r2)
 
 
 def _gibbs(m, a_sum: float, b_sum: float, corner: float, pin):
@@ -368,27 +357,37 @@ class _Search:
     def a_range(self):
         """The interval of A whose slices are feasible, lo > hi if none.
 
-        Above the kink, and free, the slices' face is beta = 0, where alpha
-        is affine in delta = 1-A and the relation gives phi = u + (v-u) delta
-        (``_face_range``), solved from delta = 0: at small kappa v is large,
-        and the interval sits near A = 1.  Below the kink, phi^2 - f1 is
-        expanded there.
+        ``_reach`` finds each piece.  Above the kink, and free, the slices'
+        face is beta = 0, where alpha = a0 + a1 delta is affine in delta =
+        1-A and the relation gives phi = u + (v-u) delta, solved from delta =
+        0: at small kappa v is large, and the interval sits near A = 1.  With
+        u = v and w0 = w1 (qa = 0) the quadratic is a line, <= 0 from its root
+        to b_k.  Below the kink, phi^2 - f1 is expanded there.
         """
         (u, v), (w0, w1), s = self.uv, self.weights, self.s
+        pieces = []
         if s is None:
-            d_lo, d_hi = _face_range(1.0, -1.0, u, v - u, 1.0)
-            return 1.0 - d_hi, 1.0 - d_lo
-        den = s * w0 + (1.0 - s) * w1
-        a_k, b_k = s * w0 / den, (1.0 - s) * w1 / den
-        d_lo, d_hi = _face_range(s, s * (w0 - w1) / w1, u, v - u, b_k)  # alpha along beta = 0
-        pieces = [(1.0 - d_hi, 1.0 - d_lo)] if d_lo <= d_hi else []
-        # below the kink, phi^2 - f1 - _SLACK in the distance t = A_k - A
-        du, r, phi = u - v, w1 / w0, u * a_k + v * b_k
-        t1, t2 = _reach(du * du - (1.0 - s) * (r - 1.0),
-                        (1.0 - s) * (b_k - a_k + 2.0 * r * a_k) - 2.0 * phi * du,
-                        phi * phi - a_k * b_k - _SLACK, a_k)
-        if t1 <= t2:
-            pieces.append((a_k - t2, a_k - t1))
+            a0, a1, length = 1.0, -1.0, 1.0
+        else:
+            den = s * w0 + (1.0 - s) * w1
+            a_k, b_k = s * w0 / den, (1.0 - s) * w1 / den
+            a0, a1, length = s, s * (w0 - w1) / w1, b_k
+            # below the kink, phi^2 - f1 - _SLACK in the distance t = A_k - A
+            du, r, phi = u - v, w1 / w0, u * a_k + v * b_k
+            c2 = du * du - (1.0 - s) * (r - 1.0)
+            c1 = (1.0 - s) * (b_k - a_k + 2.0 * r * a_k) - 2.0 * phi * du
+            c0 = phi * phi - a_k * b_k - _SLACK
+            t1, t2 = _reach(c2, c1, c0, c1 * c1 - 4.0 * c2 * c0, a_k)
+            if t1 <= t2:
+                pieces.append((a_k - t2, a_k - t1))
+        # phi^2 - alpha delta - _SLACK on the beta = 0 face, phi = f0 + f1 delta
+        f0, f1 = u, v - u
+        qa = f1 * f1 - a1  # 0 only if u = v and w0 = w1
+        d_lo, d_hi = _reach(qa, 2.0 * f0 * f1 - a0, f0 * f0 - _SLACK,
+                            a0 * (a0 - 4.0 * f0 * f1) + 4.0 * qa * _SLACK + 4.0 * a1 * f0 * f0,
+                            length)
+        if d_lo <= d_hi:
+            pieces.append((1.0 - d_hi, 1.0 - d_lo))
         lows, highs = zip(*pieces) if pieces else ((1.0,), (0.0,))
         return max(0.0, min(lows)), min(1.0, max(highs))
 

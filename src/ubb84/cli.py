@@ -31,6 +31,16 @@ def _add_common(parser: argparse.ArgumentParser):
                              "squash-validate run serially")
 
 
+def _add_scan(parser: argparse.ArgumentParser):
+    """The scan options of distance-scan and compare, then the common ones."""
+    parser.add_argument("--kappa", type=float, required=True)
+    parser.add_argument("--preset", metavar="FILE", help="key=value channel preset")
+    parser.add_argument("--lmin", type=float, default=0.0)
+    parser.add_argument("--lmax", type=float, default=60.0)
+    parser.add_argument("--lstep", type=float, default=5.0)
+    _add_common(parser)
+
+
 def _emit(text: str, out: str | None):
     if out:
         with open(out, "w", encoding="utf-8", newline="") as fh:
@@ -97,20 +107,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("distance-scan", help="mu-optimized realistic rates over distance")
     p.add_argument("--variant", choices=VARIANT_CHOICES, required=True)
-    p.add_argument("--kappa", type=float, required=True)
-    p.add_argument("--preset", metavar="FILE", help="key=value channel preset")
-    p.add_argument("--lmin", type=float, default=0.0)
-    p.add_argument("--lmax", type=float, default=60.0)
-    p.add_argument("--lstep", type=float, default=5.0)
-    _add_common(p)
+    _add_scan(p)
 
-    p = sub.add_parser("compare", help="distance scans of all four variants")
-    p.add_argument("--kappa", type=float, required=True)
-    p.add_argument("--preset", metavar="FILE")
-    p.add_argument("--lmin", type=float, default=0.0)
-    p.add_argument("--lmax", type=float, default=60.0)
-    p.add_argument("--lstep", type=float, default=5.0)
-    _add_common(p)
+    _add_scan(sub.add_parser("compare", help="distance scans of all four variants"))
 
     p = sub.add_parser("squash-validate", help="Monte-Carlo check of the click post-processing")
     p.add_argument("--trials", type=int, default=100_000)

@@ -15,8 +15,8 @@ statistics are preserved and multi-clicks are turned into random noise:
     nothing                       -> no-click
 
 Basis joins: even -> results {0, 2}, odd -> {1, 3}; c-detector clicks map
-to the lower label of the pair.  Table probabilities are exact rationals, so
-each running sum is a multiple of 1/8.  CPython's ``random()`` is
+to the lower label of the pair.  Table probabilities are dyadic floats, exact,
+so each running sum is a multiple of 1/8.  CPython's ``random()`` is
 ``((w1 >> 5) * 2**26 + (w2 >> 6)) / 2**53`` for two Mersenne-Twister words,
 so the top byte of w1 fixes the row ``choices`` picks.  The Monte-Carlo check
 counts those bytes of ``getrandbits`` (the same words, in order) in C, so its
@@ -32,7 +32,6 @@ import functools
 import itertools
 import random
 from enum import Enum
-from fractions import Fraction
 from typing import NamedTuple
 
 __all__ = [
@@ -99,19 +98,19 @@ def squash_distribution(pattern: ClickPattern) -> dict:
     mid, out = pattern.middle_clicks, pattern.outside_clicks
     pair = _RESULTS[0::2] if pattern.basis == "even" else _RESULTS[1::2]
     if mid and out:
-        return {**dict.fromkeys(_RESULTS, Fraction(1, 8)), EffectiveOutcome.OUT: Fraction(1, 2)}
+        return {**dict.fromkeys(_RESULTS, 0.125), EffectiveOutcome.OUT: 0.5}
     if mid == 2:
-        return dict.fromkeys(pair, Fraction(1, 2))
+        return dict.fromkeys(pair, 0.5)
     if mid == 1:
-        return {pair[0] if pattern.c2 else pair[1]: Fraction(1)}
-    return {EffectiveOutcome.OUT if out else EffectiveOutcome.NO_CLICK: Fraction(1)}
+        return {pair[0] if pattern.c2 else pair[1]: 1.0}
+    return {EffectiveOutcome.OUT if out else EffectiveOutcome.NO_CLICK: 1.0}
 
 
 @functools.cache
 def _table(pattern: ClickPattern) -> tuple:
     """(outcomes, running float sums) of the pattern's distribution."""
     dist = squash_distribution(pattern)
-    return tuple(dist), tuple(itertools.accumulate(map(float, dist.values())))
+    return tuple(dist), tuple(itertools.accumulate(dist.values()))
 
 
 def squash_sample(pattern: ClickPattern, seed) -> EffectiveOutcome:
@@ -176,8 +175,8 @@ def monte_carlo_check(trials: int, seed: int):
         else:
             rng = random.Random((seed << 8) + index)
             counts = dict(zip(outcomes, _count_draws(rng, cumulative, trials)))
-        for outcome, p in sorted(squash_distribution(pattern).items(), key=lambda kv: kv[0].value):
-            expected = float(p)
+        for outcome, expected in sorted(squash_distribution(pattern).items(),
+                                        key=lambda kv: kv[0].value):
             observed = counts[outcome] / trials
             bound = 3.0 * (expected * (1.0 - expected) / trials) ** 0.5
             within = abs(observed - expected) <= bound

@@ -455,6 +455,39 @@ class TestMaxEntropySlice:
                     assert self._entropy(a_sum - g, b_sum - d, g, d, corner) <= face + 1e-12
 
 
+class TestARange:
+    """The closed-form A-interval of ``_Search.a_range`` leaves out no feasible slice."""
+
+    @staticmethod
+    def _margin(search, a_sum):
+        """alpha delta + _SLACK - phi^2 at the slice's face point, >= 0 where it is feasible."""
+        alpha, _, _, delta, phi = search.face(a_sum, 1.0 - a_sum)
+        return alpha * delta + attack._SLACK - phi * phi
+
+    @settings(max_examples=250, deadline=None)
+    @given(variant=st.sampled_from(list(Variant)),
+           log_kappa=st.one_of(st.just(0.0), st.floats(-12.0, 0.0)), q=st.floats(0.0, 0.45),
+           p_lost=st.one_of(st.just(0.0), st.floats(0.0, 1.0), st.just(1.0 - 1e-9)),
+           bound=st.sampled_from((None, 0, 1)))
+    # u = v and w0 = w1: the beta = 0 face's quadratic is a line, and its piece
+    # (0.5, 0.595) of the interval (0.405, 0.595) must not be dropped
+    @example(variant=Variant.UNBALANCED, log_kappa=0.0, q=0.05, p_lost=0.0, bound=0)
+    def test_no_feasible_slice_outside(self, variant, log_kappa, q, p_lost, bound):
+        # bound: None for the free search, else the index of the pinned s-bound
+        cs = constraint_set(make_config(10.0 ** log_kappa, variant), q, p_lost)
+        search = _Search(cs, None if bound is None else cs.s_bounds()[bound])
+        lo, hi = search.a_range()
+        offsets = np.geomspace(1e-13, 1e-2, 400).tolist()
+        near = [end + o for end in (lo, hi) for o in [0.0, *offsets, *(-o for o in offsets)]]
+        for a_sum in np.linspace(0.0, 1.0, 2001).tolist() + near:
+            # feasible by more than the margin's rounding: where the margin is
+            # tangent to 0 that rounding alone spans 2e-10 of A around an end
+            if 0.0 <= a_sum <= 1.0 and self._margin(search, a_sum) >= 1e-15:
+                assert lo - 1e-12 <= a_sum <= hi + 1e-12, (a_sum, lo, hi)
+        if lo <= hi:
+            assert min(self._margin(search, lo), self._margin(search, hi)) >= -1e-15, (lo, hi)
+
+
 class TestSolverProperty:
     """Every variant, kappa down to 1e-15, Q and p_lost at their extremes."""
 

@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from ubb84.channel import default_params
-from ubb84.cli import VARIANT_CHOICES, main
+from ubb84.cli import VARIANT_CHOICES, build_parser, main
 from ubb84.engine import CSV_HEADER, compare_variants, cutoff_distance, format_csv
 from ubb84.qmath import binary_entropy
 
@@ -253,6 +253,33 @@ class TestRealisticCommands:
                                     for v in VARIANT_CHOICES]
 
 
+class TestParser:
+    @pytest.mark.parametrize("command", ["qubit-rate", "qubit-scan", "distance-scan", "compare",
+                                         "squash-validate"])
+    def test_help_exits_0(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: ubb84 {command} ")
+
+    def test_scan_commands_share_their_scan_options(self, capsys):
+        parser = build_parser()
+        # the defaults, then every scan and common option given
+        for scan in (["--kappa", "0.3"],
+                     ["--kappa", "0.3", "--preset", "p.preset", "--lmin", "1", "--lmax", "2",
+                      "--lstep", "0.5", "--threads", "1", "--out", "rows.csv"]):
+            scanned = vars(parser.parse_args(["distance-scan", "--variant", "pbs", *scan]))
+            compared = vars(parser.parse_args(["compare", *scan]))
+            assert scanned.pop("variant") == "pbs"
+            assert (scanned.pop("command"), compared.pop("command")) == ("distance-scan", "compare")
+            assert scanned == compared
+        for command in ("distance-scan", "compare"):
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            help_text = " ".join(capsys.readouterr().out.split())
+            assert "--preset FILE key=value channel preset" in help_text, command
+
+
 class TestSquashValidate:
     def test_pass_and_exit_zero(self, capsys):
         code, out, _ = run_cli(capsys, "squash-validate", "--trials", "5000", "--seed", "2")
@@ -291,7 +318,7 @@ def test_cli_import_leaves_module_unloaded(module):
     (["qubit-rate", "--kappa", "0.5", "--qber", "0.03"],
      ["ubb84.squash", "concurrent.futures.process", "dataclasses", "inspect"]),
     (["squash-validate", "--trials", "1000"],
-     ["ubb84.attack", "ubb84.engine", "dataclasses", "inspect"]),
+     ["ubb84.attack", "ubb84.engine", "dataclasses", "inspect", "fractions", "decimal"]),
     (["compare", "--kappa", "0.5", "--lmax", "10"],
      ["concurrent.futures.process", "dataclasses", "inspect"]),
 ])

@@ -15,6 +15,9 @@ from ubb84.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
+_EXTREME = ["--kappas", "1e-12,1e-4,0.01", "--qber-start", "0", "--qber-stop", "0.45",
+            "--qber-step", "0.05"]
+
 CASES = [
     ("compare_kappa0.5.csv", ["compare", "--kappa", "0.5", "--threads", "2"]),
     ("qubit-scan_unbalanced.csv", ["qubit-scan", "--kappas", "0.3,0.5,0.8,1.0"]),
@@ -23,6 +26,10 @@ CASES = [
     # cutoff, where every rate is negative and the bracket's floor is the answer
     ("distance-scan_pbs_kappa0.05.csv",
      ["distance-scan", "--variant", "pbs", "--kappa", "0.05", "--lmax", "300", "--lstep", "10"]),
+    # the pinned search at its extremes, kappa down to 1e-12 and Q from 0 to 0.45
+    ("qubit-scan_extreme_unbalanced.csv", ["qubit-scan", "--variant", "unbalanced", *_EXTREME]),
+    # recorded from the PBS receiver row that ROADMAP item 2 replaces; item 2 re-records it
+    ("qubit-scan_extreme_pbs.csv", ["qubit-scan", "--variant", "pbs", *_EXTREME]),
 ]
 
 SQUASH_CASES = [

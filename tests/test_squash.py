@@ -105,7 +105,8 @@ class TestDistribution:
             dist = squash_distribution(pattern)
             assert sum(dist.values()) == Fraction(1), pattern
             for p in dist.values():
-                assert p.denominator & (p.denominator - 1) == 0, (pattern, p)
+                den = p.as_integer_ratio()[1]
+                assert den & (den - 1) == 0, (pattern, p)
 
     def test_returns_a_fresh_dict(self):
         pattern = ClickPattern(c2=True, d2=True, basis="odd")
