@@ -1,7 +1,8 @@
 """Key-rate analysis for phase-encoded BB84 with an unbalanced interferometer.
 
-Each public name is imported from its module on first access (PEP 562), so
-importing the package, or one command of its CLI, loads only what is used.
+``_EXPORTS`` is the one list of public names; the modules keep no ``__all__``.
+Each is imported from its module on first access (PEP 562), so importing
+the package, or one command of its CLI, loads only what is used.
 """
 
 import importlib

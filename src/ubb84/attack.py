@@ -65,7 +65,7 @@ of a convex set, a concave objective), so one Brent search over A
 where phi(A)^2 <= A(1-A), the slice's largest alpha delta, at
 beta = gamma = 0.  The range allows a slack, phi^2 <= alpha delta +
 _SLACK, and the largest-entropy state takes the corner
-sqrt(phi^2 - _SLACK), so every point evaluated keeps within it.
+sqrt(max(phi^2 - _SLACK, 0)), so every point evaluated keeps within it.
 
 Pinned s.  The s-constraint (1-s)(a+b) = s(c+d) reads gamma/w0 +
 delta/w1 = K(A) = (1-s)(A/w0 + (1-A)/w1) at fixed A, a third linear
@@ -92,11 +92,8 @@ import math
 from typing import NamedTuple
 
 from .protocol import ProtocolConfig
-from .qmath import GOLD, ULPS, brent_max
+from .qmath import GOLD, ULPS, brent_max, entropy_term
 from .sifting import SymmetricState
-
-__all__ = ["ConstraintSet", "InfeasibleError", "OptimResult", "chi_bar_of_params",
-           "constraint_set", "maximize_holevo_qubit"]
 
 # corner-condition slack of the search, in sifted units; SymmetricState allows 1e-12
 _SLACK = 1e-14
@@ -147,10 +144,6 @@ def constraint_set(cfg: ProtocolConfig, q: float, p_lost: float = 0.0) -> Constr
     return ConstraintSet(receiver.xi_effective, receiver.weights, float(q), float(p_lost))
 
 
-def _h_term(x: float) -> float:
-    return 0.0 if x <= 1e-18 else -x * math.log2(x)
-
-
 def chi_bar_of_params(alpha, beta, gamma, delta, phi) -> float:
     """Closed-form chi-bar of a sifted symmetric state (optimizer fast path).
 
@@ -165,10 +158,11 @@ def chi_bar_of_params(alpha, beta, gamma, delta, phi) -> float:
     half = 0.5 * (alpha - delta)
     disc = math.sqrt(half * half + f2)
     mid = 0.5 * (alpha + delta)
-    s4 = _h_term(beta) + _h_term(gamma) + _h_term(mid + disc) + _h_term(max(mid - disc, 0.0))
+    s4 = (entropy_term(beta) + entropy_term(gamma) + entropy_term(mid + disc)
+          + entropy_term(max(mid - disc, 0.0)))
     gap = alpha + gamma - beta - delta
     r = min(1.0, math.sqrt(gap * gap + 4.0 * f2))
-    s2 = _h_term(0.5 * (1.0 + r)) + _h_term(0.5 * (1.0 - r))
+    s2 = entropy_term(0.5 * (1.0 + r)) + entropy_term(0.5 * (1.0 - r))
     return s4 - s2
 
 
@@ -325,9 +319,10 @@ def _max_entropy(a_sum: float, b_sum: float, corner: float, pin=None, mu=None):
 class _Search:
     """One Brent search over A = alpha+gamma of the A-slices' largest-entropy points.
 
-    Free when ``s`` is None, else at pinned s, where ``face`` and the Newton
-    solve build each slice's points from its s-constraint (``pin``).  Every
-    point takes its corner phi from the one error-rate relation (``relation``).
+    Free when ``s`` is None, else at pinned s.  Each slice's constraint,
+    ``pin`` (None when free), is built once and passed to ``face`` and the
+    Newton solve.  Every point takes its corner phi from the one error-rate
+    relation (``relation``).
     Keeps the best point, the evaluation count and, in ``mu``, the last
     slice's multipliers, the warm start of the next.
     """
@@ -343,12 +338,12 @@ class _Search:
         u, v = self.uv
         return alpha, beta, gamma, delta, u * (alpha + gamma) + v * (beta + delta)
 
-    def face(self, a_sum: float, b_sum: float):
-        """The A-slice's point of largest alpha delta: beta = gamma = 0 when free, and at
-        pinned s from ``pin``: gamma = 0 if delta = k_sum/dd fits in b_sum, else beta = 0."""
-        if self.s is None:
+    def face(self, a_sum: float, b_sum: float, pin):
+        """The A-slice's point of largest alpha delta: beta = gamma = 0 when free (pin None),
+        else from ``pin``: gamma = 0 if delta = k_sum/dd fits in b_sum, else beta = 0."""
+        if pin is None:
             return self.relation(a_sum, 0.0, 0.0, b_sum)
-        dg, dd, k_sum, _ = self.pin(a_sum, b_sum)
+        dg, dd, k_sum, _ = pin
         if k_sum <= dd * b_sum:
             return self.relation(a_sum, b_sum - k_sum / dd, 0.0, k_sum / dd)
         gamma = (k_sum - dd * b_sum) / dg
@@ -392,7 +387,9 @@ class _Search:
         return max(0.0, min(lows)), min(1.0, max(highs))
 
     def pin(self, a_sum: float, b_sum: float):
-        """A pinned slice's s-constraint for ``_max_entropy``, D scaled to a largest entry of 1."""
+        """A slice's s-constraint (dg, dd, k_sum, k_rest), D's largest entry 1; None when free."""
+        if self.s is None:
+            return None
         w0, w1 = self.weights
         dg, dd = (1.0, w0 / w1) if w0 <= w1 else (w1 / w0, 1.0)
         total = a_sum * dg + b_sum * dd
@@ -401,22 +398,20 @@ class _Search:
     def a_slice(self, a_sum: float) -> float:
         """chi-bar of the largest-entropy point with alpha+gamma = a_sum, where S2 is fixed.
 
-        Free or pinned, the corner comes from ``relation``.  The face point stands in
-        where sqrt(phi^2 - _SLACK) meets the face (within 2 _SLACK when pinned) or the
-        solve fails ("Pinned s"); a free corner within the slack leaves the diagonal point.
+        The slice's ``pin`` is built once and serves both the face point and the Newton
+        solve; the corner comes from ``relation``.  The face point stands in where
+        sqrt(phi^2 - _SLACK) meets the face (within 2 _SLACK when pinned) or the solve
+        fails ("Pinned s").
         """
-        (u, v), s, b_sum = self.uv, self.s, 1.0 - a_sum
+        (u, v), b_sum = self.uv, 1.0 - a_sum
         corner2 = (u * a_sum + v * b_sum) ** 2 - _SLACK
-        if s is None and corner2 <= 0.0:
-            point = self.relation(0.5 * a_sum, 0.5 * b_sum, 0.5 * a_sum, 0.5 * b_sum)
-        else:
-            point = self.face(a_sum, b_sum)
-            thin = 0.0 if s is None else 2.0 * _SLACK
-            if a_sum * b_sum and corner2 + thin < point[0] * point[3]:
-                pin = None if s is None else self.pin(a_sum, b_sum)
-                solved = _max_entropy(a_sum, b_sum, math.sqrt(max(corner2, 0.0)), pin, self.mu)
-                point, self.mu = solved or (point, self.mu)
-            point = self.relation(*point[:4])
+        pin = self.pin(a_sum, b_sum)
+        point = self.face(a_sum, b_sum, pin)
+        thin = 0.0 if pin is None else 2.0 * _SLACK
+        if a_sum * b_sum and corner2 + thin < point[0] * point[3]:
+            solved = _max_entropy(a_sum, b_sum, math.sqrt(max(corner2, 0.0)), pin, self.mu)
+            point, self.mu = solved or (point, self.mu)
+        point = self.relation(*point[:4])
         chi = chi_bar_of_params(*point)
         self.evals += 1
         if chi > self.chi:

@@ -25,15 +25,6 @@ from typing import NamedTuple
 
 from .protocol import ProtocolConfig
 
-__all__ = [
-    "ChannelParams",
-    "ObservedStats",
-    "default_params",
-    "honest_statistics",
-    "load_params",
-    "parse_params",
-    "transmittance",
-]
 
 class _ParamFields(NamedTuple):
     alpha_db_per_km: float

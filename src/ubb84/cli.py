@@ -26,9 +26,9 @@ def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--threads", type=int, default=0,
                         help="worker processes for distance-scan and compare, at most one "
                              "per job and per usable core; 0 = all usable cores (default). "
-                             "Jobs run in-process until the work outlasts a pool's start-up, "
-                             "then the rest fans out in chunks; qubit-rate, qubit-scan and "
-                             "squash-validate run serially")
+                             "Jobs run in-process until their CPU time outlasts a pool's "
+                             "start-up, then the rest fans out in chunks; qubit-rate, "
+                             "qubit-scan and squash-validate run serially")
 
 
 def _add_scan(parser: argparse.ArgumentParser):

@@ -25,19 +25,6 @@ from .channel import ChannelParams, honest_statistics
 from .protocol import ProtocolConfig, Variant, make_config
 from .qmath import GOLD, binary_entropy, brent_max
 
-__all__ = [
-    "CSV_HEADER",
-    "KeyRatePoint",
-    "compare_variants",
-    "cutoff_distance",
-    "distance_scan",
-    "format_csv",
-    "optimize_mu",
-    "qubit_point",
-    "qubit_scan",
-    "realistic_keyrate",
-]
-
 # What a pool costs before it does any work: importing concurrent.futures.process,
 # forking two workers, one round trip and shutdown took 40-65 ms (median 47 ms)
 # over 8 fresh interpreters on 2 vCPU.  Serial work shorter than this is cheaper
@@ -145,7 +132,8 @@ def _scan(cfgs, params: ChannelParams, distances, threads: int):
 
     ``threads`` = 0 asks for one worker per usable core, and the workers never
     exceed the jobs left or the usable cores.  Jobs run in order in-process
-    until they are done or the in-process time passes ``POOL_START_S``, what a
+    until they are done or their CPU time (``time.process_time``, which load
+    from other processes does not advance) passes ``POOL_START_S``, what a
     pool costs to start; the rest then fan out to a pool in about
     ``CHUNKS_PER_WORKER`` chunks per worker.  Below two workers every job runs
     in-process.  Results keep the job order either way.
@@ -158,9 +146,9 @@ def _scan(cfgs, params: ChannelParams, distances, threads: int):
              else os.cpu_count() or 1)
     workers = min(threads or cores, cores)
     points = []
-    start = time.perf_counter()
+    start = time.process_time()
     while len(points) < len(jobs) and (min(workers, len(jobs) - len(points)) < 2
-                                       or time.perf_counter() - start < POOL_START_S):
+                                       or time.process_time() - start < POOL_START_S):
         cfg, d = jobs[len(points)]
         points.append(optimize_mu(cfg, params, d))
     rest = jobs[len(points):]

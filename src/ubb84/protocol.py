@@ -29,13 +29,6 @@ from __future__ import annotations
 from enum import Enum
 from typing import NamedTuple
 
-__all__ = [
-    "ProtocolConfig",
-    "Receiver",
-    "Variant",
-    "make_config",
-]
-
 
 class Variant(str, Enum):
     UNBALANCED = "unbalanced"

@@ -1,8 +1,9 @@
-"""Binary entropy and Brent's 1-D maximizer, shared by the rates and the solver.
+"""The entropy term, binary entropy and Brent's 1-D maximizer, shared by the rates and the solver.
 
-All entropies and logarithms are base 2 (bits) throughout.  The matrix
-toolkit (Hermitian eigenvalues, von Neumann entropy, partial trace) that
-the tests' reference route uses lives in ``tests/reference.py``.
+All entropies and logarithms are base 2 (bits); ``entropy_term`` takes the
+only log2.  The matrix toolkit (Hermitian eigenvalues, von Neumann entropy,
+partial trace) that the tests' reference route uses lives in
+``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -10,22 +11,23 @@ from __future__ import annotations
 import math
 import sys
 
-__all__ = ["GOLD", "ULPS", "binary_entropy", "brent_max"]
-
 # the golden-section fraction (3 - sqrt 5) / 2 of a bracket
 GOLD = 0.5 * (3.0 - math.sqrt(5.0))
 # a few ulps: the relative part of brent_max's least step
 ULPS = 4.0 * sys.float_info.epsilon
 
 
+def entropy_term(x: float) -> float:
+    """-x log2 x, taken as 0 at or below x = 1e-18: one eigenvalue's share of an entropy."""
+    return 0.0 if x <= 1e-18 else -x * math.log2(x)
+
+
 def binary_entropy(p: float) -> float:
-    """h(p) = -p log2 p - (1-p) log2 (1-p), with h(0) = h(1) = 0."""
+    """h(p) = -p log2 p - (1-p) log2 (1-p) by ``entropy_term``: 0 at p = 1 and p <= 1e-18."""
     if not -1e-12 <= p <= 1.0 + 1e-12:
         raise ValueError(f"probability out of range: {p!r}")
     p = min(max(p, 0.0), 1.0)
-    if p == 0.0 or p == 1.0:
-        return 0.0
-    return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
+    return entropy_term(p) + entropy_term(1.0 - p)
 
 
 def brent_max(fn, a: float, b: float, x: float, fx: float, span: float):

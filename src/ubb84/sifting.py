@@ -16,10 +16,6 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-__all__ = [
-    "SymmetricState",
-]
-
 
 class _StateFields(NamedTuple):
     a: float

@@ -155,6 +155,24 @@ class TestReceiverReadOnce:
         assert len(builds) == 1
 
 
+class TestSliceConstraintBuiltOnce:
+    @pytest.mark.parametrize("variant", [Variant.UNBALANCED, Variant.PBS])
+    @pytest.mark.parametrize("p_lost", [0.0, 0.3])
+    def test_one_pin_per_slice(self, monkeypatch, variant, p_lost):
+        # each A-slice builds its s-constraint once, for the face point and the solve alike;
+        # iterations counts the slices (unbalanced at p_lost = 0.3 takes the exact branch)
+        pins = []
+        pin = _Search.pin
+
+        def counting(self, a_sum, b_sum):
+            pins.append(a_sum)
+            return pin(self, a_sum, b_sum)
+
+        monkeypatch.setattr(_Search, "pin", counting)
+        result = maximize_holevo_qubit(make_config(0.5, variant), 0.03, p_lost)
+        assert len(pins) == result.iterations
+
+
 class TestRealisticOptimizer:
     def test_nondecreasing_in_loss(self):
         cfg = make_config(1.0)
@@ -398,9 +416,9 @@ class TestMaxEntropySlice:
         a_sum = lo + frac * (hi - lo)
         b_sum = 1.0 - a_sum
         corner = u * a_sum + v * b_sum
-        face = search.face(a_sum, b_sum)
-        assume(corner * corner < face[0] * face[3] * (1.0 - 1e-6))
         dg, dd, k_sum, k_rest = pin = search.pin(a_sum, b_sum)
+        face = search.face(a_sum, b_sum, pin)
+        assume(corner * corner < face[0] * face[3] * (1.0 - 1e-6))
         solved = _max_entropy(a_sum, b_sum, corner, pin)
         # where dd is tiny (unbalanced, small kappa) gamma can be a sliver of
         # the slice, whose entropy then peaks at the face gamma = 0 and whose
@@ -461,7 +479,7 @@ class TestARange:
     @staticmethod
     def _margin(search, a_sum):
         """alpha delta + _SLACK - phi^2 at the slice's face point, >= 0 where it is feasible."""
-        alpha, _, _, delta, phi = search.face(a_sum, 1.0 - a_sum)
+        alpha, _, _, delta, phi = search.face(a_sum, 1.0 - a_sum, search.pin(a_sum, 1.0 - a_sum))
         return alpha * delta + attack._SLACK - phi * phi
 
     @settings(max_examples=250, deadline=None)

@@ -226,7 +226,7 @@ class TestScans:
         # the other 50 go to three workers in four chunks each, 5 jobs a chunk
         opened = self.fake_pool(monkeypatch)
         ticks = iter(range(10**6))
-        monkeypatch.setattr(engine, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))
+        monkeypatch.setattr(engine, "time", SimpleNamespace(process_time=lambda: next(ticks)))
         monkeypatch.setattr(engine, "POOL_START_S", 2.5)
         distances = [5.0 * i for i in range(13)]
         points = compare_variants(0.5, default_params(), distances, threads=0)
@@ -234,10 +234,10 @@ class TestScans:
         assert points == compare_variants(0.5, default_params(), distances, threads=1)
 
     def test_default_compare_runs_in_process(self, monkeypatch):
-        # 52 solves take about 15 ms, less than a pool costs to start.  The test relies on
-        # them finishing within POOL_START_S in-process, so it depends on the machine's
-        # speed: under a Python line tracer, or with more CPU-bound processes than cores,
-        # the serial loop can pass POOL_START_S and open a pool
+        # 52 solves take about 15 ms of CPU time, less than a pool costs to start.  The
+        # test relies on them finishing within POOL_START_S of the process's CPU time, so
+        # it depends on the machine's speed, not its load: a Python line tracer still
+        # inflates the CPU time, and under one the serial loop can open a pool
         from concurrent.futures.process import ProcessPoolExecutor
 
         def refuse(self, *args, **kwargs):

@@ -26,6 +26,10 @@ CASES = [
     # cutoff, where every rate is negative and the bracket's floor is the answer
     ("distance-scan_pbs_kappa0.05.csv",
      ["distance-scan", "--variant", "pbs", "--kappa", "0.05", "--lmax", "300", "--lstep", "10"]),
+    # CI's solver extreme: multipliers near overflow, and free slices whose corner
+    # lies within the slack, answered by the max-entropy solve at corner 0
+    ("distance-scan_pbs_kappa1e-15.csv",
+     ["distance-scan", "--variant", "pbs", "--kappa", "1e-15", "--lmax", "10"]),
     # the pinned search at its extremes, kappa down to 1e-12 and Q from 0 to 0.45
     ("qubit-scan_extreme_unbalanced.csv", ["qubit-scan", "--variant", "unbalanced", *_EXTREME]),
     # recorded from the PBS receiver row that ROADMAP item 2 replaces; item 2 re-records it

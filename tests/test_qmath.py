@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import random_density
 from reference import eig_hermitian, kron, partial_trace, symmetry_group, von_neumann_entropy
-from ubb84.qmath import binary_entropy
+from ubb84.qmath import binary_entropy, entropy_term
 
 
 class TestEigHermitian:
@@ -101,6 +101,11 @@ class TestBinaryEntropy:
         h = binary_entropy(p)
         assert 0.0 <= h <= 1.0 + 1e-12
         assert h == pytest.approx(binary_entropy(1.0 - p), abs=1e-12)
+        assert h == entropy_term(p) + entropy_term(1.0 - p)
+
+    def test_floor_below_1e_18(self):
+        # the solver's entropy term floors at 1e-18, and h shares it
+        assert binary_entropy(1e-20) == 0.0
 
 
 class TestPartialTrace:
