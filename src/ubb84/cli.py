@@ -72,7 +72,8 @@ def _parse_kappas(raw: str):
 
 
 def _grid(start: float, stop: float, step: float, names: str):
-    """start, start + step, ... up to stop, each point computed from its index."""
+    """start, start + step, ... up to stop, each point computed from its index and
+    rounded to 12 significant digits, so that a fine step keeps its points apart."""
     if not all(map(math.isfinite, (start, stop, step))):
         raise ValueError(f"{names} must be finite")
     if step <= 0 or stop < start:
@@ -80,7 +81,7 @@ def _grid(start: float, stop: float, step: float, names: str):
     intervals = (stop - start) / step + 1e-9
     if intervals >= MAX_GRID_POINTS:
         raise ValueError(f"{names} give more than {MAX_GRID_POINTS} grid points")
-    return [round(start + i * step, 12) for i in range(int(intervals) + 1)]
+    return [float(f"{start + i * step:.12g}") for i in range(int(intervals) + 1)]
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -7,6 +7,10 @@ clicked with privacy amplification on the single-photon fraction only
     R = 1/2 * ( -p_click_total * f_ec * h(Q_tot)
                 + p_click_s * (1 - chi_s_max[q, p_lost, kappa]) )
 
+The single photons are credited with the honest channel's q_single, p_lost
+and p_click_s = mu e^-mu d1: the asymptotic decoy-state assumption (Hwang
+2003; Lo, Ma and Chen 2005), under which GLLP tagging applies.
+
 The 1/2 is the basis-sifting factor and appears exactly once, here; the
 qubit rate is per postselected signal and carries no 1/2.  Reported rates
 are floored at zero in ``_point`` alone, the one builder of a CSV row; raw

@@ -46,6 +46,14 @@ class TestQubitCommands:
         assert lines[0] == ",".join(CSV_HEADER)
         assert len(lines) == 1 + 2 * 3
 
+    def test_fine_qber_step_keeps_its_points_apart(self, capsys):
+        # rounding to 12 decimals put six of these points on 0 and five on 1e-12
+        code, out, _ = run_cli(capsys, "qubit-scan", "--kappas", "0.5", "--qber-start", "0",
+                               "--qber-stop", "1e-12", "--qber-step", "1e-13")
+        assert code == 0
+        rows = [dict(zip(CSV_HEADER, line.split(","))) for line in out.splitlines()[1:]]
+        assert len({float(row["qber_total"]) for row in rows}) == len(rows) == 11
+
     def test_small_kappa_is_not_underestimated(self, capsys):
         # Nelder-Mead reported chi_s_max 0.00184 and rate 0.917 here
         code, out, _ = run_cli(capsys, "qubit-rate", "--kappa", "1e-3", "--qber", "0.01")
