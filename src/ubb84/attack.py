@@ -274,45 +274,43 @@ def _max_entropy(a_sum: float, b_sum: float, corner: float, pin=None, mu=None):
     and at pinned s gamma dg + delta dd = k_sum, alpha dg + beta dd = k_rest,
     from pin = (dg, dd, k_sum, k_rest).  Newton's method with backtracking on the
     dual of ``_gibbs`` starts from ``mu`` (a previous solve's multipliers)
-    or from (log(a_sum/b_sum), 0, 0), whichever has the lower dual, and from
-    the latter again if the former does not reach 1e-14 relative.
+    or from (log(a_sum/b_sum), 0, 0), whichever has the lower dual.
     """
     dg, dd, k_sum, k_rest = pin or (0.0, 0.0, 0.0, 0.0)
-    cold = (math.log(a_sum / b_sum), 0.0, 0.0)
-    starts = [(cold, _gibbs(cold, a_sum, b_sum, corner, pin))]
+    m1, m2, m3 = math.log(a_sum / b_sum), 0.0, 0.0
+    dual, point, hess = _gibbs((m1, m2, m3), a_sum, b_sum, corner, pin)
     if mu is not None:
         warm = _gibbs(mu, a_sum, b_sum, corner, pin)
-        if warm[0] < starts[0][1][0]:
-            starts.insert(0, (mu, warm))
-    for (m1, m2, m3), (dual, point, hess) in starts:
-        for _ in range(60):
-            alpha, beta, gamma, delta, phi = point
-            # the residual of the smaller side keeps its relative precision
-            g1 = alpha + gamma - a_sum if a_sum <= b_sum else b_sum - beta - delta
-            g2 = (gamma * dg + delta * dd - k_sum if k_sum <= k_rest
-                  else k_rest - alpha * dg - beta * dd + (dg - dd) * g1)
-            g3 = 2.0 * (phi - corner)
-            if (abs(g1) <= 1e-14 * min(a_sum, b_sum) and abs(g2) <= 1e-14 * min(k_sum, k_rest)
-                    and abs(g3) <= 1e-14 * corner):
-                return point, (m1, m2, m3)
-            e2 = g2 + dd * g1  # E's residual, the dual's gradient in m2
-            d = _descent(hess, g1, e2, g3)
-            if d is None:
+        if warm[0] < dual:
+            (m1, m2, m3), (dual, point, hess) = mu, warm
+    for _ in range(60):
+        alpha, beta, gamma, delta, phi = point
+        # the residual of the smaller side keeps its relative precision
+        g1 = alpha + gamma - a_sum if a_sum <= b_sum else b_sum - beta - delta
+        g2 = (gamma * dg + delta * dd - k_sum if k_sum <= k_rest
+              else k_rest - alpha * dg - beta * dd + (dg - dd) * g1)
+        g3 = 2.0 * (phi - corner)
+        if (abs(g1) <= 1e-14 * min(a_sum, b_sum) and abs(g2) <= 1e-14 * min(k_sum, k_rest)
+                and abs(g3) <= 1e-14 * corner):
+            return point, (m1, m2, m3)
+        e2 = g2 + dd * g1  # E's residual, the dual's gradient in m2
+        d = _descent(hess, g1, e2, g3)
+        if d is None:
+            return None
+        d1, d2, d3 = d
+        slope = g1 * d1 + e2 * d2 + g3 * d3
+        # a near-singular Hessian can ask for any length; at most double the multipliers
+        step = min(1.0, max(16.0, abs(m1), abs(m2), abs(m3)) / max(abs(d1), abs(d2), abs(d3)))
+        noise = 1e-14 * (1.0 + abs(m1) + abs(m2) + abs(m3))  # rounding of the dual's terms
+        for _ in range(40):
+            trial_m = (m1 + step * d1, m2 + step * d2, m3 + step * d3)
+            trial = _gibbs(trial_m, a_sum, b_sum, corner, pin)
+            if trial[0] <= dual + 1e-4 * step * slope + noise:
                 break
-            d1, d2, d3 = d
-            slope = g1 * d1 + e2 * d2 + g3 * d3
-            # a near-singular Hessian can ask for any length; at most double the multipliers
-            step = min(1.0, max(16.0, abs(m1), abs(m2), abs(m3)) / max(abs(d1), abs(d2), abs(d3)))
-            noise = 1e-14 * (1.0 + abs(m1) + abs(m2) + abs(m3))  # rounding of the dual's terms
-            for _ in range(40):
-                trial_m = (m1 + step * d1, m2 + step * d2, m3 + step * d3)
-                trial = _gibbs(trial_m, a_sum, b_sum, corner, pin)
-                if trial[0] <= dual + 1e-4 * step * slope + noise:
-                    break
-                step *= 0.5
-            else:
-                break
-            (m1, m2, m3), (dual, point, hess) = trial_m, trial
+            step *= 0.5
+        else:
+            return None
+        (m1, m2, m3), (dual, point, hess) = trial_m, trial
     return None
 
 

@@ -64,16 +64,17 @@ class _ConfigFields(NamedTuple):
 class ProtocolConfig(_ConfigFields):
     """Protocol variant plus the phase-modulator transmissivity ``kappa``.
 
-    Requires kappa in (0, 1].  Below about 1.1e-16, xi = 1/(1+kappa) rounds
-    to 1 and the skewed filter weight 1 - xi vanishes, so such a kappa is
-    rejected too.
+    Takes kappa as any number and the variant as a ``Variant`` or its name;
+    ``make_config`` is this constructor.  Requires kappa in (0, 1].  Below
+    about 1.1e-16, xi = 1/(1+kappa) rounds to 1 and the skewed filter weight
+    1 - xi vanishes, so such a kappa is rejected too.
     """
 
     __slots__ = ()
     _make = classmethod(lambda cls, values: cls(*values))  # so that _replace validates
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def __new__(cls, kappa: float, variant: Variant | str = Variant.UNBALANCED):
+        self = super().__new__(cls, float(kappa), Variant(variant))
         if not 0.0 < self.kappa <= 1.0:
             raise ValueError(f"kappa must be in (0, 1], got {self.kappa!r}")
         if self.xi == 1.0:
@@ -105,6 +106,4 @@ class ProtocolConfig(_ConfigFields):
         return Receiver(0.5, (1.0, 1.0), survival=2.0 * k / (1.0 + k), kept=k / (1.0 + k))
 
 
-def make_config(kappa: float, variant: Variant | str = Variant.UNBALANCED) -> ProtocolConfig:
-    """Build a configuration from a number and a variant or its name."""
-    return ProtocolConfig(kappa=float(kappa), variant=Variant(variant))
+make_config = ProtocolConfig

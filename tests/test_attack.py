@@ -139,6 +139,8 @@ class TestQubitOptimizer:
             maximize_holevo_qubit(make_config(1.0), 0.5)
         with pytest.raises(ValueError):
             maximize_holevo_qubit(make_config(1.0), -0.01)
+        with pytest.raises(ValueError, match="p_lost"):
+            maximize_holevo_qubit(make_config(1.0), 0.03, p_lost=1.5)
 
 
 class TestReceiverReadOnce:

@@ -35,6 +35,10 @@ class TestConfig:
         with pytest.raises(ValueError, match="kappa"):
             ProtocolConfig(kappa=2.0, variant=Variant.PBS)
         assert ProtocolConfig(kappa=0.5, variant=Variant.PBS) == make_config(0.5, "pbs")
+        # one constructor: a variant's name selects its own receiver row either way
+        assert make_config is ProtocolConfig
+        for name in [variant.value for variant in Variant]:
+            assert ProtocolConfig(0.5, name).receiver == make_config(0.5, name).receiver
 
     def test_xi_range(self):
         for kappa in np.linspace(0.01, 1.0, 25):

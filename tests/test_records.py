@@ -42,6 +42,7 @@ IDS = [type(r).__name__ for r in RECORDS]
 BAD = [
     (make_config(0.5), {"kappa": 0.0}, "kappa must be in"),
     (make_config(0.5), {"kappa": 1e-17}, "too small"),
+    (make_config(0.5), {"variant": "diagonal"}, "is not a valid Variant"),
     (default_params(), {"eta_det": 0.0}, "eta_det must be in"),
     (default_params(), {"y0": float("nan")}, "y0 must be finite"),
     (SymmetricState(0.25, 0.25, 0.25, 0.25, 0.1j), {"a": -0.1}, "negative"),
