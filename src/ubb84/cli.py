@@ -24,11 +24,12 @@ MAX_GRID_POINTS = 100_000
 def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--out", metavar="FILE", help="write CSV here instead of stdout")
     parser.add_argument("--threads", type=int, default=0,
-                        help="worker processes for distance-scan and compare, at most one "
-                             "per job and per usable core; 0 = all usable cores (default). "
-                             "Jobs run in-process until their CPU time outlasts a pool's "
-                             "start-up, then the rest fans out in chunks; qubit-rate, "
-                             "qubit-scan and squash-validate run serially")
+                        help="worker processes for qubit-scan, distance-scan and compare, at "
+                             "most one per job and per usable core; 0 = all usable cores "
+                             "(default).  Jobs run in-process until the CPU time of those "
+                             "done, projected onto the rest, shows that the workers would "
+                             "save more than a pool costs; then the rest fans out in chunks. "
+                             "qubit-rate and squash-validate ignore it")
 
 
 def _add_scan(parser: argparse.ArgumentParser):
@@ -138,7 +139,7 @@ def main(argv=None) -> int:
             cfgs = [make_config(k, args.variant) for k in _parse_kappas(args.kappas)]
             qs = _grid(args.qber_start, args.qber_stop, args.qber_step,
                        "--qber-start, --qber-stop and --qber-step")
-            _emit(format_csv(qubit_scan(cfgs, qs)), args.out)
+            _emit(format_csv(qubit_scan(cfgs, qs, threads=args.threads)), args.out)
         elif args.command in ("distance-scan", "compare"):
             from .channel import default_params, load_params
             from .engine import compare_variants, distance_scan, format_csv

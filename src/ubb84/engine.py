@@ -29,11 +29,14 @@ from .channel import ChannelParams, honest_statistics
 from .protocol import ProtocolConfig, Variant, make_config
 from .qmath import GOLD, binary_entropy, brent_max
 
-# What a pool costs before it does any work: importing concurrent.futures.process,
-# forking two workers, one round trip and shutdown took 40-65 ms (median 47 ms)
-# over 8 fresh interpreters on 2 vCPU.  Serial work shorter than this is cheaper
-# in-process.
-POOL_START_S = 0.05
+# What a pool costs against running its jobs in-process: importing
+# concurrent.futures.process, forking the workers, pickling jobs and rows, and the
+# last chunk's tail.  Pooling compare and qubit-scan jobs after the first one took
+# 0.04-0.06 s longer than their serial time split over two workers for 0.05-0.2 s
+# of work, and 0.10-0.17 s for 0.3-1.4 s, as two workers reach about 1.6x (medians
+# of 7 fresh interpreters, 2 vCPU).  Near the top of that range, a scan pools only
+# where the saving clearly exceeds the cost.
+POOL_COST_S = 0.15
 # chunks per worker: enough to even out solves of unequal cost, few enough that
 # pickling one chunk per round trip stays small against its solves
 CHUNKS_PER_WORKER = 4
@@ -97,13 +100,21 @@ def _point(cfg: ProtocolConfig, distance_km: float | None, mu: float | None, q_t
                         p_lost, chi, rate_raw, max(0.0, rate_raw))
 
 
+def _realistic_point(cfg: ProtocolConfig, params: ChannelParams, distance_km: float,
+                     mu: float, chi: float | None = None) -> KeyRatePoint:
+    """The CSV row at one distance and mean photon number; chi is solved from the
+    statistics unless given, and it does not depend on mu."""
+    stats = honest_statistics(cfg, params, distance_km, mu)
+    if chi is None:
+        chi = _chi_s_max(cfg, stats)
+    return _point(cfg, distance_km, mu, stats.q_tot, stats.q_single, stats.p_lost, chi,
+                  _raw_rate(stats, chi, params.f_ec))
+
+
 def realistic_keyrate(cfg: ProtocolConfig, params: ChannelParams, distance_km: float,
                       mu: float) -> KeyRatePoint:
     """Tagged key rate per emitted signal at one distance and mean photon number."""
-    stats = honest_statistics(cfg, params, distance_km, mu)
-    chi = _chi_s_max(cfg, stats)
-    return _point(cfg, distance_km, mu, stats.q_tot, stats.q_single, stats.p_lost, chi,
-                  _raw_rate(stats, chi, params.f_ec))
+    return _realistic_point(cfg, params, distance_km, mu)
 
 
 def optimize_mu(cfg: ProtocolConfig, params: ChannelParams, distance_km: float) -> KeyRatePoint:
@@ -125,52 +136,54 @@ def optimize_mu(cfg: ProtocolConfig, params: ChannelParams, distance_km: float) 
     x = lo + GOLD * (hi - lo)
     mu_star, raw_star = brent_max(raw_of, lo, hi, x, raw_of(x), 1.5e-8 * (hi - lo))
     rates = {lo: _raw_rate(floor, chi, params.f_ec), hi: raw_of(hi), mu_star: raw_star}
-    best = max(rates, key=rates.get)
-    stats = honest_statistics(cfg, params, distance_km, best)
-    return _point(cfg, distance_km, best, stats.q_tot, stats.q_single, stats.p_lost, chi,
-                  rates[best])
+    return _realistic_point(cfg, params, distance_km, max(rates, key=rates.get), chi)
 
 
-def _scan(cfgs, params: ChannelParams, distances, threads: int):
-    """Mu-optimized points for every (config, distance) pair, row-major in cfgs.
+def _scan(fn, jobs, threads: int):
+    """``fn(*job)`` for every job, in job order.
 
     ``threads`` = 0 asks for one worker per usable core, and the workers never
-    exceed the jobs left or the usable cores.  Jobs run in order in-process
-    until they are done or their CPU time (``time.process_time``, which load
-    from other processes does not advance) passes ``POOL_START_S``, what a
-    pool costs to start; the rest then fan out to a pool in about
-    ``CHUNKS_PER_WORKER`` chunks per worker.  Below two workers every job runs
-    in-process.  Results keep the job order either way.
+    exceed the jobs left or the usable cores; a negative value means one.  Jobs run in order in-process
+    while a pool would save less than ``POOL_COST_S``: with w workers it saves
+    (1 - 1/w) of the work left, projected from the CPU time per finished job
+    (``time.process_time``, which load from other processes does not
+    advance), so one worker never pools.  The rest then fans out to a pool in
+    about ``CHUNKS_PER_WORKER`` chunks per worker.
     """
-    distances = list(distances)
-    if not distances:
-        raise ValueError("distance list is empty")
-    jobs = [(cfg, d) for cfg in cfgs for d in distances]
     cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
              else os.cpu_count() or 1)
-    workers = min(threads or cores, cores)
+    workers = max(1, min(threads or cores, cores))
     points = []
     start = time.process_time()
-    while len(points) < len(jobs) and (min(workers, len(jobs) - len(points)) < 2
-                                       or time.process_time() - start < POOL_START_S):
-        cfg, d = jobs[len(points)]
-        points.append(optimize_mu(cfg, params, d))
+    while len(points) < len(jobs):
+        left = len(jobs) - len(points)
+        if points and ((1.0 - 1.0 / min(workers, left)) * left
+                       * (time.process_time() - start) / len(points) > POOL_COST_S):
+            break
+        points.append(fn(*jobs[len(points)]))
     rest = jobs[len(points):]
     if rest:
         from concurrent.futures import ProcessPoolExecutor
 
         workers = min(workers, len(rest))
-        cfg_column, distance_column = zip(*rest)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            points.extend(pool.map(optimize_mu, cfg_column, [params] * len(rest), distance_column,
+            points.extend(pool.map(fn, *zip(*rest),
                                    chunksize=-(-len(rest) // (CHUNKS_PER_WORKER * workers))))
     return points
+
+
+def _mu_jobs(cfgs, params: ChannelParams, distances):
+    """The ``optimize_mu`` jobs for every (config, distance) pair, row-major in cfgs."""
+    distances = list(distances)
+    if not distances:
+        raise ValueError("distance list is empty")
+    return [(cfg, params, d) for cfg in cfgs for d in distances]
 
 
 def distance_scan(cfg: ProtocolConfig, params: ChannelParams, distances, *,
                   threads: int = 1):
     """Mu-optimized key-rate points, one per distance, in input order."""
-    return _scan([cfg], params, distances, threads)
+    return _scan(optimize_mu, _mu_jobs([cfg], params, distances), threads)
 
 
 def cutoff_distance(points):
@@ -187,12 +200,13 @@ def qubit_point(cfg: ProtocolConfig, q: float) -> KeyRatePoint:
     return _point(cfg, None, None, q, q, 0.0, chi, 1.0 - binary_entropy(q) - chi)
 
 
-def qubit_scan(cfgs, q_list):
+def qubit_scan(cfgs, q_list, *, threads: int = 1):
     """Qubit rates for every (config, error rate) pair, row-major in cfgs."""
-    return [qubit_point(cfg, q) for cfg in cfgs for q in q_list]
+    return _scan(qubit_point, [(cfg, q) for cfg in cfgs for q in q_list], threads)
 
 
 def compare_variants(kappa: float, params: ChannelParams, distances, *,
                      threads: int = 1):
     """Distance scans of all four variants at one kappa, concatenated."""
-    return _scan([make_config(kappa, v) for v in Variant], params, distances, threads)
+    return _scan(optimize_mu, _mu_jobs([make_config(kappa, v) for v in Variant], params,
+                                        distances), threads)

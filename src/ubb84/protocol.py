@@ -7,8 +7,11 @@ transmissivity ``xi = 1/(1+kappa)``.  Four protocol variants are supported:
 
 * ``unbalanced`` - the skewed protocol; the receiver keeps interfering
   middle-slot clicks and lumps non-interfering events into an "out" outcome.
-* ``pbs`` - pulses polarization-multiplexed so everything interferes; the
-  receiver's measurement is balanced BB84 on the incoming qubit.
+* ``pbs`` - pulses polarization-multiplexed so everything interferes.  Its
+  receiver row (below) pairs the balanced filter weights (1, 1) with the
+  skewed xi, so its error relation has u != v.  ``tests/reference.py``
+  builds a balanced BB84 POVM for PBS instead of one derived from the
+  polarization routing; ROADMAP item 2 settles the difference.
 * ``fix-loss`` / ``fix-uneven-bs`` - hardware rebalancing fixes.  At the
   qubit level both behave as ideal balanced BB84 (xi_effective = 1/2); only
   their extra apparatus loss sets them apart.
@@ -44,10 +47,12 @@ class Receiver(NamedTuple):
     and the error rate: the hardware fixes restore balanced BB84, so theirs
     is 1/2 regardless of kappa.  ``weights`` is the diagonal (w0, w1) of
     2 F_B^2: the unbalanced receiver keeps its same-basis middle clicks,
-    B_0 + B_2 = diag(1-xi, xi) / 2, and the others measure balanced BB84,
-    B_0 + B_2 = I / 2.  ``survival`` is the probability that a photon
-    reaches a detector at all (outside slots included); ``kept`` the
-    probability that it lands in a kept slot.
+    B_0 + B_2 = diag(1-xi, xi) / 2, and the others have balanced weights,
+    B_0 + B_2 = I / 2.  With xi = 1/2 that is balanced BB84; PBS pairs the
+    balanced weights with the skewed xi, so its error relation
+    phi = u (alpha+gamma) + v (beta+delta) alone has u != v.  ``survival``
+    is the probability that a photon reaches a detector at all (outside
+    slots included); ``kept`` the probability that it lands in a kept slot.
     """
 
     xi_effective: float

@@ -46,6 +46,20 @@ class TestQubitCommands:
         assert lines[0] == ",".join(CSV_HEADER)
         assert len(lines) == 1 + 2 * 3
 
+    def test_qubit_scan_passes_threads(self, capsys, monkeypatch):
+        from ubb84 import engine
+
+        seen = []
+
+        def recording(cfgs, qs, *, threads):
+            seen.append(threads)
+            return []
+
+        monkeypatch.setattr(engine, "qubit_scan", recording)
+        for threads in ("0", "3"):
+            assert run_cli(capsys, "qubit-scan", "--kappas", "0.5", "--threads", threads)[0] == 0
+        assert seen == [0, 3]
+
     def test_fine_qber_step_keeps_its_points_apart(self, capsys):
         # rounding to 12 decimals put six of these points on 0 and five on 1e-12
         code, out, _ = run_cli(capsys, "qubit-scan", "--kappas", "0.5", "--qber-start", "0",

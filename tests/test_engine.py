@@ -1,4 +1,5 @@
 import concurrent.futures
+import itertools
 import math
 from types import SimpleNamespace
 
@@ -58,13 +59,13 @@ class TestRealisticKeyrate:
         assert point.q_single == pytest.approx(stats.q_single)
         assert point.p_lost == pytest.approx(stats.p_lost)
 
-    @pytest.mark.parametrize("kappa", [0.05, 0.5, 1.0])
+    @pytest.mark.parametrize("kappa", [1e-14, 0.05, 0.5, 1.0])
     def test_optimized_rows_match_realistic_keyrate(self, kappa):
-        # the mu search and the single-point path report the same row at the chosen mu,
-        # past the cutoff too (250 km)
+        # the mu search and the single-point path report the same row, every field, at
+        # the chosen mu; past the cutoff too (250-900 km, where q_single nears 1/2)
         params = default_params()
-        points = compare_variants(kappa, params, [0.0, 20.0, 100.0, 250.0])
-        assert len(points) == 16
+        points = compare_variants(kappa, params, [0.0, 20.0, 100.0, 250.0, 500.0, 900.0])
+        assert len(points) == 24
         for p in points:
             cfg = make_config(p.kappa, p.variant)
             assert realistic_keyrate(cfg, params, p.distance_km, p.mu) == p
@@ -175,12 +176,38 @@ class TestScans:
         assert cutoff_distance(points) == 10.0
         assert cutoff_distance(points[:1]) is None
 
+    @staticmethod
+    def spy_pool(monkeypatch):
+        """Count the jobs each real pool maps; a pool opens after the first job."""
+        from concurrent.futures.process import ProcessPoolExecutor
+
+        pooled = []
+
+        class SpyPool(ProcessPoolExecutor):
+            def map(self, fn, *columns, chunksize=1):
+                pooled.append(len(columns[0]))
+                return super().map(fn, *columns, chunksize=chunksize)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SpyPool)
+        monkeypatch.setattr(engine, "POOL_COST_S", 0.0)
+        monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        return pooled
+
     def test_parallel_matches_serial(self, monkeypatch):
-        monkeypatch.setattr(engine, "POOL_START_S", 0.0)  # open the pool at once
+        pooled = self.spy_pool(monkeypatch)
         cfg = make_config(0.8, Variant.PBS)
-        serial = distance_scan(cfg, default_params(), [0.0, 20.0], threads=1)
-        parallel = distance_scan(cfg, default_params(), [0.0, 20.0], threads=2)
+        serial = distance_scan(cfg, default_params(), [0.0, 20.0, 40.0], threads=1)
+        parallel = distance_scan(cfg, default_params(), [0.0, 20.0, 40.0], threads=2)
         assert serial == parallel
+        assert pooled == [2]
+
+    def test_qubit_scan_parallel_matches_serial(self, monkeypatch):
+        pooled = self.spy_pool(monkeypatch)
+        cfgs = [make_config(0.3), make_config(1.0, Variant.PBS)]
+        qs = [0.0, 0.02, 0.07, 0.2]
+        serial = qubit_scan(cfgs, qs, threads=1)
+        assert qubit_scan(cfgs, qs, threads=2) == serial
+        assert pooled == [7]
 
     @staticmethod
     def fake_pool(monkeypatch):
@@ -211,33 +238,41 @@ class TestScans:
         return opened
 
     def test_pool_capped_at_jobs_and_usable_cores(self, monkeypatch):
+        # the first job runs in-process, so 3 distances leave 2 jobs and 4 variants 3
         opened = self.fake_pool(monkeypatch)
-        monkeypatch.setattr(engine, "POOL_START_S", 0.0)
+        monkeypatch.setattr(engine, "POOL_COST_S", 0.0)
         cfg = make_config(1.0)
-        serial = distance_scan(cfg, default_params(), [0.0, 20.0], threads=1)
-        assert distance_scan(cfg, default_params(), [0.0, 20.0], threads=10**6) == serial
+        distances = [0.0, 20.0, 40.0]
+        serial = distance_scan(cfg, default_params(), distances, threads=1)
+        assert distance_scan(cfg, default_params(), distances, threads=10**6) == serial
+        assert distance_scan(cfg, default_params(), distances, threads=-1) == serial
         compare_variants(1.0, default_params(), [0.0], threads=10**6)
         compare_variants(1.0, default_params(), [0.0], threads=0)
         sizes = [workers for workers, _, _ in opened]
         assert sizes == [2, 3, 3]
 
     def test_pool_takes_the_rest_in_chunks(self, monkeypatch):
-        # a clock that ticks once per reading: two jobs run in-process, then
-        # the other 50 go to three workers in four chunks each, 5 jobs a chunk
+        # a clock under which the k-th job takes k CPU seconds, against a pool that
+        # costs 40 s.  After one job the 51 left project to 51 s; three workers would
+        # save 2/3 of that, 34 s, so the scan goes on in-process.  After two the 50 left
+        # project to 75 s and three workers save 50 s: the rest goes to them in four
+        # chunks each, 5 jobs a chunk.  Two workers save half, 37.5 s, so they wait for
+        # a third job: 49 left project to 98 s and save 49 s, in chunks of 7.
         opened = self.fake_pool(monkeypatch)
-        ticks = iter(range(10**6))
-        monkeypatch.setattr(engine, "time", SimpleNamespace(process_time=lambda: next(ticks)))
-        monkeypatch.setattr(engine, "POOL_START_S", 2.5)
         distances = [5.0 * i for i in range(13)]
-        points = compare_variants(0.5, default_params(), distances, threads=0)
-        assert opened == [(3, 50, 5)]
-        assert points == compare_variants(0.5, default_params(), distances, threads=1)
+        serial = compare_variants(0.5, default_params(), distances, threads=1)
+        monkeypatch.setattr(engine, "POOL_COST_S", 40.0)
+        for threads, expected in ((0, (3, 50, 5)), (2, (2, 49, 7))):
+            readings = itertools.accumulate(itertools.count())  # 0, 1, 3, 6, ...
+            monkeypatch.setattr(engine, "time",
+                                SimpleNamespace(process_time=lambda: next(readings)))
+            opened.clear()
+            assert compare_variants(0.5, default_params(), distances, threads=threads) == serial
+            assert opened == [expected]
 
-    def test_default_compare_runs_in_process(self, monkeypatch):
-        # 52 solves take about 15 ms of CPU time, less than a pool costs to start.  The
-        # test relies on them finishing within POOL_START_S of the process's CPU time, so
-        # it depends on the machine's speed, not its load: a Python line tracer still
-        # inflates the CPU time, and under one the serial loop can open a pool
+    @staticmethod
+    def refuse_pool(monkeypatch):
+        """Fail on any pool the scan opens; the scan sees three usable cores."""
         from concurrent.futures.process import ProcessPoolExecutor
 
         def refuse(self, *args, **kwargs):
@@ -246,7 +281,21 @@ class TestScans:
         monkeypatch.setattr(ProcessPoolExecutor, "__init__", refuse)
         monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: {0, 1, 2},
                             raising=False)
+
+    # The two default 52-job shapes of the benchmark take about 15 ms of CPU time
+    # each, so three workers would save about 10 ms, far less than POOL_COST_S.  The
+    # tests rely on the first jobs' CPU time, so they depend on the machine's speed,
+    # not its load: a Python line tracer still inflates the CPU time, and under one
+    # the scan can open a pool.
+
+    def test_default_compare_runs_in_process(self, monkeypatch):
+        self.refuse_pool(monkeypatch)
         compare_variants(0.5, default_params(), [5.0 * i for i in range(13)], threads=0)
+
+    def test_default_qubit_scan_runs_in_process(self, monkeypatch):
+        self.refuse_pool(monkeypatch)
+        cfgs = [make_config(k) for k in (0.2, 0.5, 0.8, 1.0)]
+        qubit_scan(cfgs, [0.01 * i for i in range(13)], threads=0)
 
     def test_empty_distance_list_rejected(self):
         with pytest.raises(ValueError):
