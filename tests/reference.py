@@ -492,9 +492,9 @@ def _chi_bar_batch(cfg: ProtocolConfig, a, b, c, d, f):
     """chi-bar for stacked parameter arrays via explicit sifted matrices.
 
     Independent check path for the optimizer: builds the normalized sifted
-    states, takes batched eigendecompositions for S(sigma), and forms every
-    postselected conditional state through the partial inner products with
-    the sender directions.
+    states, takes batched eigendecompositions of their corner blocks for
+    S(sigma), and forms every postselected conditional state through the
+    partial inner products with the sender directions.
     """
     w0, w1 = cfg.receiver.weights
     t = w0 * (a + c) + w1 * (b + d)
@@ -508,13 +508,19 @@ def _chi_bar_batch(cfg: ProtocolConfig, a, b, c, d, f):
     sig[:, 3, 0] = corner
     sig[:, 0, 3] = np.conj(corner)
 
-    def batch_entropy(mats):
-        lam = np.linalg.eigvalsh(mats)
+    def batch_entropy(lam):
         lam = np.clip(lam, 0.0, None)
         mask = lam > 0.0
         return -np.sum(np.where(mask, lam * np.log2(np.where(mask, lam, 1.0)), 0.0), axis=-1)
 
-    chi = batch_entropy(sig)
+    # sigma is diagonal outside its (|00>, |11>) block, so its spectrum is that
+    # block's eigenvalues and the two middle diagonal entries; a diagonal phase
+    # makes the block's corner real, |phi|
+    block = np.empty((n, 2, 2))
+    block[:, 0, 0], block[:, 1, 1] = sig[:, 0, 0].real, sig[:, 3, 3].real
+    block[:, 0, 1] = block[:, 1, 0] = np.abs(sig[:, 3, 0])
+    chi = batch_entropy(np.concatenate([np.linalg.eigvalsh(block), sig[:, [1, 2], [1, 2]].real],
+                                       axis=1))
     sig_r = sig.reshape(n, 2, 2, 2, 2)
     for x in range(4):
         v = np.array([1.0, np.exp(-1j * math.pi * x / 2)]) / math.sqrt(2.0)
@@ -566,6 +572,35 @@ def _b_interval(s: float, c, im, cs: ConstraintSet):
     return np.maximum(lo, 0.0), np.minimum(hi, s)
 
 
+def _c_interval(s: float, cs: ConstraintSet):
+    """The c in [0, 1-s] where s d >= Re f^2 at b = 0, as (lo, hi); lo > hi if none.
+
+    With d = 1-s-c, Re f at b = 0 is K (A00 - e c), where K and e are those
+    of ``_b_interval`` and A00 = xi - e s, so the condition reads
+    K^2 e^2 c^2 + (s - 2 K^2 A00 e) c + K^2 A00^2 - s (1-s) <= 0, with s d
+    relaxed by ``PSD_TOL`` as there.  Outside this interval a d - Re f^2 < 0
+    for every b in [0, s] (its maximum is at b = 0), so no point is feasible.
+    """
+    xi = cs.xi
+    k = (1.0 - 2.0 * cs.q) / (2.0 * math.sqrt(xi * (1.0 - xi)))
+    e = 2.0 * xi - 1.0
+    a00 = xi - e * s
+    slack = s * (1.0 + PSD_TOL)
+    qa = k * k * e * e
+    qb = slack - 2.0 * k * k * a00 * e
+    qc = k * k * a00 * a00 - slack * (1.0 - s)
+    if qa == 0.0:  # xi = 1/2: linear in c, and qb = s >= 0
+        lo, hi = 0.0, (-qc / qb if qb > 0.0 else (math.inf if qc <= 0.0 else -math.inf))
+    else:
+        disc = qb * qb - 4.0 * qa * qc
+        if disc < 0.0:
+            return 1.0, 0.0
+        qq = -0.5 * (qb + math.copysign(math.sqrt(disc), qb))  # cancellation-free roots
+        roots = (qq / qa, qc / qq if qq else 0.0)
+        lo, hi = min(roots), max(roots)
+    return max(lo, 0.0), min(hi, 1.0 - s)
+
+
 def grid_oracle(cfg: ProtocolConfig, constraints: ConstraintSet, resolution: int):
     """Exhaustive chi-bar lower bound on a feasibility-filtered grid.
 
@@ -576,7 +611,10 @@ def grid_oracle(cfg: ProtocolConfig, constraints: ConstraintSet, resolution: int
     [0, max over b of sqrt(a d - Re f^2)] (Im f >= 0 only, since chi-bar
     is even in Im f); a d - Re f^2 is a concave quadratic in b whose
     vertex lies at b <= 0 (``_b_interval``: B >= 0), so the maximum over
-    [0, s] is at b = 0.  The b points are then spread across the feasible
+    [0, s] is at b = 0.  Per s, the c axis keeps the spacing of
+    ``resolution`` points over [0, 1-s] but spans only the c where that
+    maximum is >= 0 (``_c_interval``), since no b or Im f is feasible
+    elsewhere.  The b points are then spread across the feasible
     b-interval of each (s, c, Im f), solved in closed form by
     ``_b_interval``.  Returns (chi_max, argmax).
     """
@@ -588,7 +626,12 @@ def grid_oracle(cfg: ProtocolConfig, constraints: ConstraintSet, resolution: int
     best_chi = -math.inf
     best = None
     for s in s_axis:
-        c_axis = np.linspace(0.0, 1.0 - s, resolution)
+        c_lo, c_hi = _c_interval(s, constraints)
+        if c_lo > c_hi:
+            continue
+        # the spacing of resolution points over [0, 1-s], inside the feasible interval
+        width = c_hi - c_lo
+        c_axis = np.linspace(c_lo, c_hi, 2 + int(resolution * width / (1.0 - s)) if width else 1)
         d_axis = (1.0 - s) - c_axis
         re_b0 = re_f_from_Q(s, 0.0, c_axis, d_axis, constraints.q, constraints.xi)
         im_cap = np.sqrt(np.maximum(s * d_axis - re_b0 * re_b0, 0.0))
