@@ -274,13 +274,14 @@ class TestOracleSweep:
             assert is_feasible(cs, s.a, s.b, s.c, s.d, s.f, tol=1e-8), q
 
 
-def _pbs_grid():
-    """Rows (kappa, q, p_lost, chi_s_max) of ``golden/pbs_chi_grid.csv``, by kappa.
+def _chi_grid(name):
+    """Rows (kappa, q, p_lost, chi_s_max) of ``golden/<name>``, by kappa.
 
-    Recorded from the nested s-search solver over kappa x Q x p_lost,
-    7 x 7 x 7 points, values printed with ``repr``.
+    ``pbs_chi_grid.csv`` was recorded from the nested s-search solver over
+    kappa x Q x p_lost, 7 x 7 x 7 points, and ``unbalanced_chi_grid.csv``
+    from the Brent A-search, 6 x 7 x 3 points; values printed with ``repr``.
     """
-    path = Path(__file__).resolve().parent / "golden" / "pbs_chi_grid.csv"
+    path = Path(__file__).resolve().parent / "golden" / name
     with path.open(encoding="utf-8") as fh:
         rows = [tuple(map(float, row)) for row in csv.reader(fh) if row[0] != "kappa"]
     kappas = sorted({row[0] for row in rows})
@@ -291,7 +292,7 @@ class TestPbsChiGrid:
     # PBS is the one variant with u != v; the grid runs from kappa = 1e-12
     # (where the corner slack of the search is a sizeable part of the set)
     # through single-point sets (Q = 0) to no loss constraint (p_lost = 1)
-    GRID = _pbs_grid()
+    GRID = _chi_grid("pbs_chi_grid.csv")
     # (kappa, Q, p_lost) whose recorded argmax, with phi recomputed from the
     # error-rate relation, exceeds the corner slack by 0.2-1.5%; at these
     # kappa the slack is much of the set, and the recorded value lies
@@ -324,6 +325,23 @@ class TestPbsChiGrid:
                 stats = honest_statistics(cfg, params, float(distance), 0.5)
                 result = maximize_holevo_qubit(cfg, stats.q_single, stats.p_lost)
                 assert result.iterations <= 40, (kappa, distance, result.iterations)
+
+
+class TestUnbalancedChiGrid:
+    # the qubit-scan's variant over its kappa range, from Q near 0 to 0.45 and
+    # from the exact qubit constraint (p_lost = 0) to a loose one
+    GRID = _chi_grid("unbalanced_chi_grid.csv")
+
+    @pytest.mark.parametrize("kappa, rows", GRID, ids=[repr(kappa) for kappa, _ in GRID])
+    def test_never_below_recorded(self, kappa, rows):
+        cfg = make_config(kappa, Variant.UNBALANCED)
+        assert len(rows) == 21
+        for q, p_lost, recorded in rows:
+            result = maximize_holevo_qubit(cfg, q, p_lost)
+            assert result.chi_max >= recorded - 1e-13, (q, p_lost)
+            s = result.argmax
+            assert is_feasible(constraint_set(cfg, q, p_lost), s.a, s.b, s.c, s.d, s.f,
+                               tol=1e-8), (q, p_lost)
 
 
 def _pinned_grid():
