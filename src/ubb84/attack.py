@@ -60,10 +60,19 @@ X = |00><11| + |11><00|, whose multipliers minimize the convex dual
 log Z - m1 A - 2 m3 phi(A) (the dual view of Coles, Metodiev and
 Lutkenhaus, Nat. Commun. 7, 11712 (2016)); ``_max_entropy`` finds them by
 Newton's method.  The best value of an A-slice is concave in A (sections
-of a convex set, a concave objective), so one Brent search over A
-(``qmath.brent_max``, after both ends) finds the maximum.  Free, A ranges
-where phi(A)^2 <= A(1-A), the slice's largest alpha delta, at
-beta = gamma = 0.  The range allows a slack, phi^2 <= alpha delta +
+of a convex set, a concave objective), and its slope comes with the
+multipliers: by the envelope theorem the slice entropy moves with A as
+-m.c'/ln 2, c' the derivative of the dual's constraint values, and its
+curvature follows from the dual Hessian H, since the multipliers move by
+H^-1 c' (``_Search._slope``), which also predicts the next slice's
+multipliers.  So a safeguarded Newton search on that slope, inside the
+bracket its signs keep, finds the maximum in a few slices.  Where a slice
+has no slope (a face point, a failed solve, r >= 1, or a slice that the
+slack below shapes), or the Newton point lies past an untried end of the
+A-range, Brent's search (``qmath.brent_max``, after the ends) takes over
+on the bracket left, and Newton steps then resume from the best slice.
+Free, A ranges where phi(A)^2 <= A(1-A), the slice's largest alpha delta,
+at beta = gamma = 0.  The range allows a slack, phi^2 <= alpha delta +
 _SLACK, and the largest-entropy state takes the corner
 sqrt(max(phi^2 - _SLACK, 0)), so every point evaluated keeps within it.
 
@@ -97,6 +106,7 @@ from .sifting import SymmetricState
 
 # corner-condition slack of the search, in sifted units; SymmetricState allows 1e-12
 _SLACK = 1e-14
+_LN2 = math.log(2.0)
 
 
 class InfeasibleError(ValueError):
@@ -268,13 +278,15 @@ def _descent(hess, g1: float, g2: float, g3: float):
 
 
 def _max_entropy(a_sum: float, b_sum: float, corner: float, pin=None, mu=None):
-    """The largest-entropy sifted point of an A-slice and its multipliers, or None.
+    """The largest-entropy sifted point of an A-slice, its multipliers and dual Hessian, or None.
 
     The slice: alpha+gamma = a_sum, beta+delta = b_sum, corner ``corner``,
     and at pinned s gamma dg + delta dd = k_sum, alpha dg + beta dd = k_rest,
     from pin = (dg, dd, k_sum, k_rest).  Newton's method with backtracking on the
-    dual of ``_gibbs`` starts from ``mu`` (a previous solve's multipliers)
-    or from (log(a_sum/b_sum), 0, 0), whichever has the lower dual.
+    dual of ``_gibbs`` starts from ``mu`` (multipliers predicted from a solved
+    slice) or from (log(a_sum/b_sum), 0, 0), whichever has the lower dual.
+    The Hessian, (h11, h12, h13, h22, h23, h33) at the returned multipliers,
+    gives the slice's slope and curvature in A (``_Search.a_slice``).
     """
     dg, dd, k_sum, k_rest = pin or (0.0, 0.0, 0.0, 0.0)
     m1, m2, m3 = math.log(a_sum / b_sum), 0.0, 0.0
@@ -292,7 +304,7 @@ def _max_entropy(a_sum: float, b_sum: float, corner: float, pin=None, mu=None):
         g3 = 2.0 * (phi - corner)
         if (abs(g1) <= 1e-14 * min(a_sum, b_sum) and abs(g2) <= 1e-14 * min(k_sum, k_rest)
                 and abs(g3) <= 1e-14 * corner):
-            return point, (m1, m2, m3)
+            return point, (m1, m2, m3), hess
         e2 = g2 + dd * g1  # E's residual, the dual's gradient in m2
         d = _descent(hess, g1, e2, g3)
         if d is None:
@@ -315,21 +327,24 @@ def _max_entropy(a_sum: float, b_sum: float, corner: float, pin=None, mu=None):
 
 
 class _Search:
-    """One Brent search over A = alpha+gamma of the A-slices' largest-entropy points.
+    """One search over A = alpha+gamma of the A-slices' largest-entropy points.
 
     Free when ``s`` is None, else at pinned s.  Each slice's constraint,
     ``pin`` (None when free), is built once and passed to ``face`` and the
     Newton solve.  Every point takes its corner phi from the one error-rate
     relation (``relation``).
-    Keeps the best point, the evaluation count and, in ``mu``, the last
-    slice's multipliers, the warm start of the next.
+    Keeps the best point and its A, the evaluation count, each evaluated
+    slice by A (``slices``), and in ``warm`` the last solved slice's A,
+    multipliers and their derivative in A, from which the next slice's
+    solve starts.  ``run`` sets the A-interval (lo, hi).
     """
 
     def __init__(self, cs: ConstraintSet, s=None):
         self.uv = _error_relation(cs)
         self.weights = cs.weights
-        self.s, self.mu = s, None
-        self.evals, self.chi, self.point = 0, -math.inf, None
+        self.s, self.warm, self.slices = s, None, {}
+        self.evals, self.chi, self.point, self.best_a = 0, -math.inf, None, None
+        self.lo = self.hi = None
 
     def relation(self, alpha: float, beta: float, gamma: float, delta: float):
         """The sifted point with the relation's corner phi = u (alpha+gamma) + v (beta+delta)."""
@@ -393,55 +408,157 @@ class _Search:
         total = a_sum * dg + b_sum * dd
         return dg, dd, (1.0 - self.s) * total, self.s * total
 
-    def a_slice(self, a_sum: float) -> float:
-        """chi-bar of the largest-entropy point with alpha+gamma = a_sum, where S2 is fixed.
+    def a_slice(self, a_sum: float):
+        """(chi, slope, curvature) of the largest-entropy point with alpha+gamma = a_sum.
 
-        The slice's ``pin`` is built once and serves both the face point and the Newton
-        solve; the corner comes from ``relation``.  The face point stands in where
-        sqrt(phi^2 - _SLACK) meets the face (within 2 _SLACK when pinned) or the solve
-        fails ("Pinned s").
+        chi is chi-bar, S(sigma) - S2, where S2 is fixed by A.  The slice's ``pin`` is
+        built once and serves both the face point and the Newton solve, which starts
+        from the multipliers that the last solved slice predicts here; the corner comes
+        from ``relation``.  The face point stands in where sqrt(phi^2 - _SLACK) meets
+        the face (within 2 _SLACK when pinned) or the solve fails ("Pinned s"); such a
+        slice has no multipliers, and its slope and curvature are None, as where
+        ``_slope`` gives none.  A slice is solved at most once per search.
         """
+        if a_sum in self.slices:
+            return self.slices[a_sum]
         (u, v), b_sum = self.uv, 1.0 - a_sum
         corner2 = (u * a_sum + v * b_sum) ** 2 - _SLACK
         pin = self.pin(a_sum, b_sum)
         point = self.face(a_sum, b_sum, pin)
         thin = 0.0 if pin is None else 2.0 * _SLACK
+        slope = curvature = None
         if a_sum * b_sum and corner2 + thin < point[0] * point[3]:
-            solved = _max_entropy(a_sum, b_sum, math.sqrt(max(corner2, 0.0)), pin, self.mu)
-            point, self.mu = solved or (point, self.mu)
+            mu = None
+            if self.warm:
+                at, m, dm = self.warm
+                mu = tuple(mi + di * (a_sum - at) for mi, di in zip(m, dm))
+            solved = _max_entropy(a_sum, b_sum, math.sqrt(max(corner2, 0.0)), pin, mu)
+            if solved:
+                point, m, hess = solved
+                slope, curvature, dm = self._slope(a_sum, point, m, hess, pin)
+                self.warm = a_sum, m, dm
         point = self.relation(*point[:4])
         chi = chi_bar_of_params(*point)
         self.evals += 1
         if chi > self.chi:
-            self.chi, self.point = chi, point
-        return chi
+            self.chi, self.point, self.best_a = chi, point, a_sum
+        self.slices[a_sum] = chi, slope, curvature
+        return chi, slope, curvature
+
+    def _slope(self, a_sum: float, point, m, hess, pin):
+        """A solved slice's slope and curvature of chi in A (or None, None), and dm/dA.
+
+        The dual's constraint values c = (A, k_sum - dd (1-A), 2 corner) move
+        with A by c' = (1, (1-s)(dg - dd) + dd, 2 phi (u-v) / corner), with 0
+        in the middle when free.  The dual's minimum is the slice's entropy
+        (nats), so by the envelope theorem its slope is -m.c'; the optimal
+        multipliers move by dm/dA = H^-1 c', so its curvature is
+        -c'.H^-1 c' - m3 c3'', where c3'' comes from the slack in the corner.
+        S2 = h((1+r)/2), r^2 = (2A-1)^2 + 4 phi^2, is differentiated in
+        closed form.  No slope where r = 0 or r >= 1, or where alpha delta <
+        phi^2: there chi-bar, which evaluates the point at the corner phi,
+        clips the block's small eigenvalue, and the slack, not the entropy
+        whose slope this is, shapes the slice.  Nor where H^-1 c' is not
+        defined (corner 0, H not positive definite).  dm/dA is 0 wherever
+        there is no slope, so that a search without slopes starts each slice
+        from the last slice's multipliers.
+        """
+        (u, v), du = self.uv, self.uv[0] - self.uv[1]
+        phi = u * a_sum + v * (1.0 - a_sum)
+        corner2 = phi * phi - _SLACK
+        mid = 0.0 if pin is None else (1.0 - self.s) * (pin[0] - pin[1]) + pin[1]
+        c = (1.0, mid, 2.0 * phi * du / math.sqrt(corner2)) if corner2 > 0.0 else None
+        down = c and _descent(hess, *c)  # -H^-1 c'
+        gap = 2.0 * a_sum - 1.0
+        r = math.sqrt(gap * gap + 4.0 * phi * phi)
+        if down is None or not 0.0 < r < 1.0 or point[0] * point[3] < phi * phi:
+            return None, None, (0.0, 0.0, 0.0)
+        c3_2 = -2.0 * du * du * _SLACK / (corner2 * math.sqrt(corner2))
+        slope4 = -sum(mi * ci for mi, ci in zip(m, c)) / _LN2
+        curv4 = (sum(ci * di for ci, di in zip(c, down)) - m[2] * c3_2) / _LN2
+        r1 = (2.0 * gap + 4.0 * phi * du) / r
+        r2 = (4.0 + 4.0 * du * du - r1 * r1) / r
+        log_ratio = math.log2((1.0 - r) / (1.0 + r))
+        curv2 = -r1 * r1 / (_LN2 * (1.0 - r) * (1.0 + r)) + 0.5 * log_ratio * r2
+        return slope4 - 0.5 * log_ratio * r1, curv4 - curv2, (-down[0], -down[1], -down[2])
 
     def run(self) -> None:
-        """Brent's search over the A-interval, both ends first.
+        """Newton steps on the slices' slope, and Brent's search where they stop short.
 
-        Maxima on or next to an end are common here, and golden steps alone
-        would close in on them slowly.  An end that beats the golden-section
-        point is the maximum if the slices do not rise one tolerance step
-        inward; otherwise the search runs between that end and that point.
+        The Newton steps (``_newton``) start at the golden-section point of
+        the A-interval.  Where they stop at a slice with no slope, or where
+        the Newton point lies past an end of the A-interval that no slice has
+        tried (maxima on an end are common at small kappa and with loss), the
+        derivative-free ``_settle`` searches the bracket that the slopes
+        leave, and Newton steps resume from the best slice.
         """
-        lo, hi = self.a_range()
+        self.lo, self.hi = lo, hi = self.a_range()
         if lo > hi:
             return
         x = lo + GOLD * (hi - lo)
-        fx = self.a_slice(x)
         if hi == lo:
+            self.a_slice(x)
             return
-        span = 1.5e-8 * (hi - lo)
-        f_end, end = max((self.a_slice(lo), lo), (self.a_slice(hi), hi))
-        a, b = lo, hi
+        x = self._newton(x)
+        if x is not None:
+            self._settle(*self._bracket(), x, 1.5e-8 * (hi - lo))
+            self._newton(self.best_a)
+
+    def _bracket(self):
+        """The part of the A-interval where the slopes of the slices evaluated leave the maximum."""
+        a, b = self.lo, self.hi
+        for at, (_, slope, _) in self.slices.items():
+            if slope is not None:
+                a, b = (max(a, at), b) if slope > 0.0 else (a, min(b, at))
+        return a, b
+
+    def _newton(self, x: float):
+        """Safeguarded Newton steps on the slope from x; None once they converge.
+
+        The next point is x - slope/curvature, or the middle of the bracket
+        (``_bracket``) if that leaves it between two slices.  The steps stop
+        once the predicted gain, slope step / 2, is below the rounding of chi,
+        or the step below an ulp of x.  They stop short, returning the last
+        point, at a slice with no slope or where the Newton point lies past an
+        end of the A-interval that no slice has tried.
+        """
+        while True:
+            _, slope, curvature = self.a_slice(x)
+            if slope is None:
+                return x
+            a, b = self._bracket()
+            step = -slope / curvature if curvature < 0.0 else math.copysign(math.inf, slope)
+            if slope == 0.0 or slope * step <= ULPS:
+                return None
+            if not a < x + step < b:
+                if (b if slope > 0.0 else a) not in self.slices:
+                    return x
+                step = 0.5 * (a + b) - x
+            if abs(step) <= ULPS * abs(x):
+                return None
+            x += step
+
+    def _settle(self, a: float, b: float, x: float, span: float) -> None:
+        """Brent's search over [a, b] from x in it, the ends other than x first.
+
+        Maxima on or next to an end are common here, and golden steps alone
+        would close in on them slowly.  An end that beats x is the maximum if
+        the slices do not rise one tolerance step inward; otherwise the search
+        runs between that end and x.
+        """
+        def chi(a_sum):
+            return self.a_slice(a_sum)[0]
+
+        fx = chi(x)
+        f_end, end = max((chi(e), e) for e in (a, b) if e != x)
         if f_end >= fx:
             step = end + math.copysign(span + ULPS * abs(end), x - end)
-            f_step = self.a_slice(step) if abs(step - end) < abs(x - end) else -math.inf
+            f_step = chi(step) if abs(step - end) < abs(x - end) else -math.inf
             if f_step <= f_end:
                 return
             a, b = sorted((end, x))
             x, fx = step, f_step
-        brent_max(self.a_slice, a, b, x, fx, span)
+        brent_max(chi, a, b, x, fx, span)
 
 
 def _maximize(cs: ConstraintSet) -> OptimResult:

@@ -343,6 +343,22 @@ class TestUnbalancedChiGrid:
             assert is_feasible(constraint_set(cfg, q, p_lost), s.a, s.b, s.c, s.d, s.f,
                                tol=1e-8), (q, p_lost)
 
+    def test_few_slices_and_solves_on_the_qubit_scan(self, monkeypatch):
+        # the benchmark's qubit-scan kappa menu; the Brent A-search took 13.9 slices
+        # and 59.1 Newton evaluations (_gibbs calls) per solve on these rows
+        calls = []
+        gibbs = attack._gibbs
+
+        def counting(*args):
+            calls.append(args)
+            return gibbs(*args)
+
+        monkeypatch.setattr(attack, "_gibbs", counting)
+        slices = [maximize_holevo_qubit(make_config(kappa), 0.01 * i).iterations
+                  for kappa in (0.2, 0.3, 0.5, 0.6, 0.7, 0.8) for i in range(1, 13)]
+        assert sum(slices) / len(slices) <= 6.0
+        assert len(calls) / len(slices) <= 25.0
+
 
 def _pinned_grid():
     """Rows (variant, kappa, q, p_lost, chi_s_max) of ``golden/pinned_chi_grid.csv``.
@@ -405,7 +421,7 @@ class TestMaxEntropySlice:
         b_sum = 1.0 - a_sum
         corner = u * a_sum + v * b_sum
         assume(corner * corner < a_sum * b_sum * (1.0 - 1e-6))
-        point, _ = _max_entropy(a_sum, b_sum, corner)
+        point, _, _ = _max_entropy(a_sum, b_sum, corner)
         alpha, beta, gamma, delta, phi = point
         assert min(alpha, beta, gamma, delta) >= 0.0
         # PSD up to rounding: near a face of the slice the block is almost pure
@@ -470,9 +486,10 @@ class TestMaxEntropySlice:
                 assert best >= self._entropy(a_sum - g, b_sum - d, g, d, corner) - 1e-12
 
     def test_face_fallbacks_are_slice_maxima(self, monkeypatch):
-        # the slices whose Newton solve fails on CI's extreme qubit scans and on
-        # the benchmark's kappa menu: a_slice answers them by the face gamma = g_lo,
-        # and no point of the gamma-segment of test_pinned_slice may beat it
+        # the slices whose Newton solve fails on CI's extreme qubit scans, on the
+        # benchmark's kappa menu and at kappa = 1e-12 in Q steps of 0.01 (where solves
+        # from predicted multipliers still fail): a_slice answers them by the face
+        # gamma = g_lo, and no point of the gamma-segment of test_pinned_slice may beat it
         failed = []
 
         def solve(a_sum, b_sum, corner, pin=None, mu=None):
@@ -483,7 +500,8 @@ class TestMaxEntropySlice:
 
         monkeypatch.setattr(attack, "_max_entropy", solve)
         grids = (((1e-12, 1e-4, 0.01), [round(0.05 * i, 2) for i in range(10)]),
-                 ((0.2, 0.3, 0.5, 0.6, 0.7, 0.8), [round(0.01 * i, 2) for i in range(13)]))
+                 ((0.2, 0.3, 0.5, 0.6, 0.7, 0.8), [round(0.01 * i, 2) for i in range(13)]),
+                 ((1e-12,), [round(0.01 * i, 2) for i in range(46)]))
         for kappas, qs in grids:
             for variant in (Variant.UNBALANCED, Variant.PBS):
                 for kappa in kappas:
@@ -500,6 +518,39 @@ class TestMaxEntropySlice:
                 d = (k_sum - g * dg) / dd
                 if (a_sum - g) * d >= corner * corner:
                     assert self._entropy(a_sum - g, b_sum - d, g, d, corner) <= face + 1e-12
+
+
+class TestSliceSlope:
+    """The slope and curvature in A that each solved slice returns, from its multipliers."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(variant=st.sampled_from(list(Variant)), log_kappa=st.floats(-3.0, 0.0),
+           q=st.floats(0.005, 0.4), p_lost=st.one_of(st.just(0.0), st.floats(0.0, 0.99)),
+           bound=st.sampled_from((None, 0, 1)), frac=st.floats(0.05, 0.95))
+    def test_matches_central_differences(self, variant, log_kappa, q, p_lost, bound, frac):
+        # bound: None for the free search, else the index of the pinned s-bound.  The
+        # slope is held to central differences of chi-bar, and the curvature to those of
+        # the slope: second differences of chi-bar lose up to 1e-4 to rounding near the
+        # ends.  Richardson's extrapolation combines steps h and h/2, and each slice
+        # comes from a search of its own, so no cache or warm start is shared
+        cs = constraint_set(make_config(10.0 ** log_kappa, variant), q, p_lost)
+        s = None if bound is None else cs.s_bounds()[bound]
+        lo, hi = _Search(cs, s).a_range()
+        assume(lo < hi)
+        a_sum = lo + frac * (hi - lo)
+        _, slope, curvature = _Search(cs, s).a_slice(a_sum)
+        assume(slope is not None)
+
+        def central(h):
+            up, down = _Search(cs, s).a_slice(a_sum + h), _Search(cs, s).a_slice(a_sum - h)
+            assume(up[1] is not None and down[1] is not None)
+            return (up[0] - down[0]) / (2.0 * h), (up[1] - down[1]) / (2.0 * h)
+
+        h = 1e-3 * (hi - lo) * min(frac, 1.0 - frac)
+        (slope_h, curv_h), (slope_h2, curv_h2) = central(h), central(0.5 * h)
+        want_slope, want_curv = (4.0 * slope_h2 - slope_h) / 3.0, (4.0 * curv_h2 - curv_h) / 3.0
+        assert abs(slope - want_slope) <= 1e-6 * max(abs(want_slope), 1.0)
+        assert abs(curvature - want_curv) <= 1e-6 * max(abs(want_curv), 1.0)
 
 
 class TestARange:
