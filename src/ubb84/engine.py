@@ -22,12 +22,14 @@ from __future__ import annotations
 
 import os
 import time
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .attack import maximize_holevo_qubit
-from .channel import ChannelParams, honest_statistics
 from .protocol import ProtocolConfig, Variant, make_config
 from .qmath import GOLD, binary_entropy, brent_max
+
+if TYPE_CHECKING:  # the qubit commands never load the channel model
+    from .channel import ChannelParams
 
 # What a pool costs against running its jobs in-process: importing
 # concurrent.futures.process, forking the workers, pickling jobs and rows, and the
@@ -104,6 +106,8 @@ def _realistic_point(cfg: ProtocolConfig, params: ChannelParams, distance_km: fl
                      mu: float, chi: float | None = None) -> KeyRatePoint:
     """The CSV row at one distance and mean photon number; chi is solved from the
     statistics unless given, and it does not depend on mu."""
+    from .channel import honest_statistics
+
     stats = honest_statistics(cfg, params, distance_km, mu)
     if chi is None:
         chi = _chi_s_max(cfg, stats)
@@ -124,6 +128,8 @@ def optimize_mu(cfg: ProtocolConfig, params: ChannelParams, distance_km: float) 
     once.  The point's ``mu`` is the best one found; if every rate in the
     bracket is negative the best (floored-to-zero) point is reported.
     """
+    from .channel import honest_statistics
+
     lo, hi = 1e-4, 2.0
     floor = honest_statistics(cfg, params, distance_km, lo)
     chi = _chi_s_max(cfg, floor)

@@ -338,7 +338,7 @@ def test_cli_import_leaves_module_unloaded(module):
 
 @pytest.mark.parametrize("argv, unloaded", [
     (["qubit-rate", "--kappa", "0.5", "--qber", "0.03"],
-     ["ubb84.squash", "concurrent.futures.process", "dataclasses", "inspect"]),
+     ["ubb84.channel", "ubb84.squash", "concurrent.futures.process", "dataclasses", "inspect"]),
     (["squash-validate", "--trials", "1000"],
      ["ubb84.attack", "ubb84.engine", "dataclasses", "inspect", "fractions", "decimal"]),
     (["compare", "--kappa", "0.5", "--lmax", "10"],

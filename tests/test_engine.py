@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import signal_kept_weight
-from ubb84 import engine
+from ubb84 import channel, engine
 from ubb84.attack import maximize_holevo_qubit
 from ubb84.channel import default_params, honest_statistics
 from ubb84.engine import (
@@ -133,7 +133,7 @@ class TestOptimizeMu:
             calls.append(args)
             return honest_statistics(*args)
 
-        monkeypatch.setattr(engine, "honest_statistics", counted)
+        monkeypatch.setattr(channel, "honest_statistics", counted)
         counts = []
         for kappa in (0.2, 0.3, 0.5, 0.6, 0.7, 0.8):
             for variant in Variant:
