@@ -66,7 +66,8 @@ multipliers: by the envelope theorem the slice entropy moves with A as
 curvature follows from the dual Hessian H, since the multipliers move by
 H^-1 c' (``_Search._slope``), which also predicts the next slice's
 multipliers.  So a safeguarded Newton search on that slope, inside the
-bracket its signs keep, finds the maximum in a few slices.  Where a slice
+bracket its signs keep and from the middle of the A-range, finds the
+maximum in a few slices.  Where a slice
 has no slope (a face point, a failed solve, r >= 1, or a slice that the
 slack below shapes), or the Newton point lies past an untried end of the
 A-range, Brent's search (``qmath.brent_max``, after the ends) takes over
@@ -333,17 +334,17 @@ class _Search:
     ``pin`` (None when free), is built once and passed to ``face`` and the
     Newton solve.  Every point takes its corner phi from the one error-rate
     relation (``relation``).
-    Keeps the best point and its A, the evaluation count, each evaluated
-    slice by A (``slices``), and in ``warm`` the last solved slice's A,
-    multipliers and their derivative in A, from which the next slice's
-    solve starts.  ``run`` sets the A-interval (lo, hi).
+    Keeps the best point, the evaluation count, each evaluated slice's
+    (chi, slope, curvature) by A (``slices``), and in ``warm`` the last
+    solved slice's A, multipliers and their derivative in A, from which the
+    next slice's solve starts.  ``run`` sets the A-interval (lo, hi).
     """
 
     def __init__(self, cs: ConstraintSet, s=None):
         self.uv = _error_relation(cs)
         self.weights = cs.weights
         self.s, self.warm, self.slices = s, None, {}
-        self.evals, self.chi, self.point, self.best_a = 0, -math.inf, None, None
+        self.evals, self.chi, self.point = 0, -math.inf, None
         self.lo = self.hi = None
 
     def relation(self, alpha: float, beta: float, gamma: float, delta: float):
@@ -441,7 +442,7 @@ class _Search:
         chi = chi_bar_of_params(*point)
         self.evals += 1
         if chi > self.chi:
-            self.chi, self.point, self.best_a = chi, point, a_sum
+            self.chi, self.point = chi, point
         self.slices[a_sum] = chi, slope, curvature
         return chi, slope, curvature
 
@@ -485,24 +486,28 @@ class _Search:
     def run(self) -> None:
         """Newton steps on the slices' slope, and Brent's search where they stop short.
 
-        The Newton steps (``_newton``) start at the golden-section point of
-        the A-interval.  Where they stop at a slice with no slope, or where
-        the Newton point lies past an end of the A-interval that no slice has
-        tried (maxima on an end are common at small kappa and with loss), the
-        derivative-free ``_settle`` searches the bracket that the slopes
-        leave, and Newton steps resume from the best slice.
+        The Newton steps (``_newton``) start in the middle of the A-interval,
+        where the qubit-level maxima lie close by.  Where they stop at a slice
+        with no slope, or where the Newton point lies past an end of the
+        A-interval that no slice has tried (maxima on an end are common at
+        small kappa and with loss), the derivative-free ``_settle`` searches
+        the bracket that the slopes leave, and Newton steps resume from the
+        best slice.  If the middle slice has no slope, ``_settle`` starts as
+        the search without slopes did, cold from the golden-section point.
         """
         self.lo, self.hi = lo, hi = self.a_range()
         if lo > hi:
             return
-        x = lo + GOLD * (hi - lo)
         if hi == lo:
-            self.a_slice(x)
+            self.a_slice(lo)
             return
-        x = self._newton(x)
+        x = self._newton(0.5 * (lo + hi))
         if x is not None:
-            self._settle(*self._bracket(), x, 1.5e-8 * (hi - lo))
-            self._newton(self.best_a)
+            a, b = self._bracket()
+            if (a, b) == (lo, hi) and self.slices[x][1] is None:
+                x, self.warm = lo + GOLD * (hi - lo), None
+            self._settle(a, b, x, 1.5e-8 * (hi - lo))
+            self._newton(max(self.slices, key=lambda at: self.slices[at][0]))
 
     def _bracket(self):
         """The part of the A-interval where the slopes of the slices evaluated leave the maximum."""
