@@ -521,27 +521,31 @@ class _Search:
         """Safeguarded Newton steps on the slope from x; None once they converge.
 
         The next point is x - slope/curvature, or the middle of the bracket
-        (``_bracket``) if that leaves it between two slices.  The steps stop
-        once the predicted gain, slope step / 2, is below the rounding of chi,
-        or the step below an ulp of x.  They stop short, returning the last
-        point, at a slice with no slope or where the Newton point lies past an
-        end of the A-interval that no slice has tried.
+        (``_bracket``) where that leaves the bracket or is not half the step
+        before last (the safeguard of rtsafe, Numerical Recipes, 9.4), so that
+        the bracket keeps shrinking.  The steps stop once the predicted gain,
+        slope step / 2, is below the rounding of chi, the step is below an ulp
+        of x, or the slopes cross within rounding (an empty bracket).  They
+        stop short, returning the last point, at a slice with no slope or where
+        the Newton point lies past an end of the A-interval not yet tried.
         """
+        older = last = math.inf
         while True:
             _, slope, curvature = self.a_slice(x)
             if slope is None:
                 return x
             a, b = self._bracket()
             step = -slope / curvature if curvature < 0.0 else math.copysign(math.inf, slope)
-            if slope == 0.0 or slope * step <= ULPS:
+            if slope == 0.0 or slope * step <= ULPS or not a < b:
                 return None
-            if not a < x + step < b:
-                if (b if slope > 0.0 else a) not in self.slices:
-                    return x
+            inside = a < x + step < b
+            if not inside and (b if slope > 0.0 else a) not in self.slices:
+                return x
+            if not inside or abs(step) > 0.5 * older:
                 step = 0.5 * (a + b) - x
             if abs(step) <= ULPS * abs(x):
                 return None
-            x += step
+            x, older, last = x + step, last, abs(step)
 
     def _settle(self, a: float, b: float, x: float, span: float) -> None:
         """Brent's search over [a, b] from x in it, the ends other than x first.
