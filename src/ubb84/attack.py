@@ -334,8 +334,8 @@ class _Search:
     ``pin`` (None when free), is built once and passed to ``face`` and the
     Newton solve.  Every point takes its corner phi from the one error-rate
     relation (``relation``).
-    Keeps the best point, the evaluation count, each evaluated slice's
-    (chi, slope, curvature) by A (``slices``), and in ``warm`` the last
+    Keeps the best point, each evaluated slice's (chi, slope, curvature)
+    by A (``slices``, one entry per evaluation), and in ``warm`` the last
     solved slice's A, multipliers and their derivative in A, from which the
     next slice's solve starts.  ``run`` sets the A-interval (lo, hi).
     """
@@ -344,7 +344,7 @@ class _Search:
         self.uv = _error_relation(cs)
         self.weights = cs.weights
         self.s, self.warm, self.slices = s, None, {}
-        self.evals, self.chi, self.point = 0, -math.inf, None
+        self.chi, self.point = -math.inf, None
         self.lo = self.hi = None
 
     def relation(self, alpha: float, beta: float, gamma: float, delta: float):
@@ -440,7 +440,6 @@ class _Search:
                 self.warm = a_sum, m, dm
         point = self.relation(*point[:4])
         chi = chi_bar_of_params(*point)
-        self.evals += 1
         if chi > self.chi:
             self.chi, self.point = chi, point
         self.slices[a_sum] = chi, slope, curvature
@@ -585,8 +584,8 @@ def _maximize(cs: ConstraintSet) -> OptimResult:
         state = _state(cs.weights, *free.point)
         if lo - 1e-12 <= state.a + state.b <= hi + 1e-12:
             # the exact branch's point is evaluated only here, outside the count
-            chi = free.chi if free.evals else chi_bar_of_params(*free.point)
-            return OptimResult(chi_max=min(chi, 1.0), argmax=state, iterations=free.evals)
+            chi = free.chi if free.slices else chi_bar_of_params(*free.point)
+            return OptimResult(chi_max=min(chi, 1.0), argmax=state, iterations=len(free.slices))
         # concavity puts the maximum on the s-bound that the free maximum violates
         lo = min(max(state.a + state.b, lo), hi)
     pinned = _Search(cs, lo)
@@ -594,7 +593,7 @@ def _maximize(cs: ConstraintSet) -> OptimResult:
     if pinned.point is None:
         raise InfeasibleError(f"no feasible attack state found (q={cs.q}, p_lost={cs.p_lost})")
     return OptimResult(chi_max=min(pinned.chi, 1.0), argmax=_state(cs.weights, *pinned.point),
-                       iterations=free.evals + pinned.evals)
+                       iterations=len(free.slices) + len(pinned.slices))
 
 
 def maximize_holevo_qubit(cfg: ProtocolConfig, q: float, p_lost: float = 0.0) -> OptimResult:

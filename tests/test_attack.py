@@ -178,6 +178,37 @@ class TestSliceConstraintBuiltOnce:
         assert len(pins) == result.iterations
 
 
+class TestIterationsCountEvaluations:
+    def test_one_chi_bar_call_per_iteration(self, monkeypatch):
+        # a search evaluates chi-bar once per slice it solves, and a slice it returns to
+        # (at kappa = 0.01 every search below does) is not counted again; the exact
+        # branch runs no search and evaluates its closed-form point once
+        calls = []
+        chi_bar = attack.chi_bar_of_params
+
+        def counting(*point):
+            calls.append(point)
+            return chi_bar(*point)
+
+        def solve(variant, kappa, p_lost):
+            calls.clear()
+            result = maximize_holevo_qubit(make_config(kappa, variant), 0.05, p_lost)
+            return result.iterations, len(calls)
+
+        monkeypatch.setattr(attack, "chi_bar_of_params", counting)
+        free = [(Variant.PBS, kappa, p_lost) for kappa in (0.01, 0.5) for p_lost in (0.3, 1.0)]
+        pinned = [(variant, kappa, 0.0) for variant in (Variant.UNBALANCED, Variant.PBS)
+                  for kappa in (0.01, 0.5)]
+        for case in free + pinned:
+            iterations, evaluations = solve(*case)
+            assert iterations == evaluations > 0, case
+        exact = [(variant, 0.5, p_lost) for variant in (Variant.FIX_LOSS, Variant.FIX_UNEVEN_BS)
+                 for p_lost in (0.0, 0.3)]
+        exact += [(Variant.UNBALANCED, 0.5, 0.3), (Variant.PBS, 1.0, 0.3)]
+        for case in exact:
+            assert solve(*case) == (0, 1), case
+
+
 class TestRealisticOptimizer:
     # a bound fed an upper estimate of q or p_lost errs in the secure direction only
     # if chi_max is nondecreasing in both
