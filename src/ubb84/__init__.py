@@ -13,8 +13,8 @@ _EXPORTS = {
     "attack": ("ConstraintSet", "InfeasibleError", "OptimResult", "maximize_holevo_qubit"),
     "channel": ("ChannelParams", "ObservedStats", "default_params", "honest_statistics",
                 "load_params"),
-    "engine": ("KeyRatePoint", "compare_variants", "cutoff_distance", "distance_scan",
-               "format_csv", "optimize_mu", "qubit_point", "qubit_scan", "realistic_keyrate"),
+    "engine": ("KeyRatePoint", "cutoff_distance", "distance_scan", "format_csv",
+               "optimize_mu", "qubit_point", "qubit_scan", "realistic_keyrate"),
     "protocol": ("ProtocolConfig", "Variant", "make_config"),
     "sifting": ("SymmetricState",),
     "squash": ("ClickPattern", "EffectiveOutcome", "squash_distribution", "squash_sample"),

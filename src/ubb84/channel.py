@@ -5,7 +5,10 @@ Poissonian photon number ends up as a kept detection event, the total and
 single-photon error rates, and the single-photon loss fraction that feeds
 the relaxed reduced-state constraint.  The variant enters only through its
 row of the receiver table, ``ProtocolConfig.receiver``: the shares of the
-light that reach a detector and land in a kept slot.
+light that reach a detector and land in a kept slot.  ``honest_statistics``
+splits the model at the mean photon number: what depends only on the
+distance is computed once, and the function it returns adds the Poisson
+aggregates for each mu.
 
 Conventions (one defensible reading of an under-specified simulation; see
 the package README):
@@ -21,6 +24,7 @@ the package README):
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from typing import NamedTuple
 
 from .protocol import ProtocolConfig
@@ -118,43 +122,45 @@ def transmittance(params: ChannelParams, distance_km: float) -> float:
     return 10.0 ** (-params.alpha_db_per_km * distance_km / 10.0)
 
 
-def honest_statistics(cfg: ProtocolConfig, params: ChannelParams, distance_km: float,
-                      mu: float) -> ObservedStats:
-    """Observed statistics of the honest (eavesdropper-free) setup at one operating point.
+def honest_statistics(cfg: ProtocolConfig, params: ChannelParams,
+                      distance_km: float) -> Callable[[float], ObservedStats]:
+    """Observed statistics of the honest (eavesdropper-free) setup at one distance,
+    as a function ``at(mu)`` of the mean photon number.
 
     With eta_sys = eta_ch * eta_det * kept fraction, a kept n-photon signal
     fires with D_n = A_n + 2 y0 (1 - A_n), A_n = 1 - (1 - eta_sys)^n, and
     errs with weight e_d A_n + y0 (1 - A_n).  Aggregation over the Poisson
     split has the closed forms used below.  The single-photon error rate is
     q = (e_d eta_sys + y0) / (eta_sys + 2 y0), and the loss fraction uses
-    the survival factor only (outside clicks count as arrived).  Raises
-    ValueError unless the distance is finite and nonnegative and mu is
-    finite and positive.
+    the survival factor only (outside clicks count as arrived).  Everything
+    that does not depend on mu (eta_sys, d1, q_single and p_lost) is
+    computed here, once; ``at`` adds the Poisson aggregates.  Raises
+    ValueError unless the distance is finite and nonnegative, and ``at``
+    unless mu is finite and positive.
     """
     if not 0.0 <= distance_km < math.inf:
         raise ValueError(f"distance must be finite and nonnegative, got {distance_km!r}")
-    if not 0.0 < mu < math.inf:
-        raise ValueError(f"mu must be finite and positive, got {mu!r}")
     eta_ch = transmittance(params, distance_km)
     receiver = cfg.receiver
     eta_sys = eta_ch * params.eta_det * receiver.kept
     y0 = params.y0
     e_d = params.e_d
-
-    no_photon = math.exp(-mu * eta_sys)  # sum_n poisson(n) (1-eta)^n
-    p_click_total = (1.0 - no_photon) + 2.0 * y0 * no_photon
     d_1 = eta_sys + 2.0 * y0 * (1.0 - eta_sys)
-    p_click_s = mu * math.exp(-mu) * d_1
-
-    err_total = e_d * (1.0 - no_photon) + y0 * no_photon
-    q_tot = err_total / p_click_total if p_click_total > 0.0 else 0.5
     q_single = (e_d * eta_sys + y0) / (eta_sys + 2.0 * y0) if eta_sys + y0 > 0.0 else 0.5
-
     p_lost = 1.0 - eta_ch * params.eta_det * receiver.survival
-    return ObservedStats(
-        p_click_s=p_click_s,
-        p_click_total=p_click_total,
-        q_tot=q_tot,
-        q_single=q_single,
-        p_lost=p_lost,
-    )
+
+    def at(mu: float) -> ObservedStats:
+        if not 0.0 < mu < math.inf:
+            raise ValueError(f"mu must be finite and positive, got {mu!r}")
+        no_photon = math.exp(-mu * eta_sys)  # sum_n poisson(n) (1-eta)^n
+        p_click_total = (1.0 - no_photon) + 2.0 * y0 * no_photon
+        err_total = e_d * (1.0 - no_photon) + y0 * no_photon
+        return ObservedStats(
+            p_click_s=mu * math.exp(-mu) * d_1,
+            p_click_total=p_click_total,
+            q_tot=err_total / p_click_total if p_click_total > 0.0 else 0.5,
+            q_single=q_single,
+            p_lost=p_lost,
+        )
+
+    return at

@@ -142,15 +142,13 @@ def main(argv=None) -> int:
             _emit(format_csv(qubit_scan(cfgs, qs, threads=args.threads)), args.out)
         elif args.command in ("distance-scan", "compare"):
             from .channel import default_params, load_params
-            from .engine import compare_variants, distance_scan, format_csv
+            from .engine import distance_scan, format_csv
 
             params = load_params(args.preset) if args.preset else default_params()
             distances = _grid(args.lmin, args.lmax, args.lstep, "--lmin, --lmax and --lstep")
-            if args.command == "distance-scan":
-                points = distance_scan(make_config(args.kappa, args.variant), params,
-                                       distances, threads=args.threads)
-            else:
-                points = compare_variants(args.kappa, params, distances, threads=args.threads)
+            variants = [args.variant] if args.command == "distance-scan" else Variant
+            points = distance_scan([make_config(args.kappa, v) for v in variants], params,
+                                   distances, threads=args.threads)
             _emit(format_csv(points), args.out)
             _print_cutoffs(points)
         elif args.command == "squash-validate":

@@ -16,6 +16,9 @@ qubit rate is per postselected signal and carries no 1/2.  Reported rates
 are floored at zero in ``_point`` alone, the one builder of a CSV row; raw
 signed values are kept for threshold detection and for the CSV diagnostic
 column.
+
+``distance_scan`` is the one realistic scan: ``distance-scan`` passes it one
+config and ``compare`` all four, and each job is one ``optimize_mu``.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import time
 from typing import TYPE_CHECKING, NamedTuple
 
 from .attack import maximize_holevo_qubit
-from .protocol import ProtocolConfig, Variant, make_config
+from .protocol import ProtocolConfig
 from .qmath import GOLD, binary_entropy, brent_max
 
 if TYPE_CHECKING:  # the qubit commands never load the channel model
@@ -102,47 +105,47 @@ def _point(cfg: ProtocolConfig, distance_km: float | None, mu: float | None, q_t
                         p_lost, chi, rate_raw, max(0.0, rate_raw))
 
 
-def _realistic_point(cfg: ProtocolConfig, params: ChannelParams, distance_km: float,
-                     mu: float, chi: float | None = None) -> KeyRatePoint:
-    """The CSV row at one distance and mean photon number; chi is solved from the
-    statistics unless given, and it does not depend on mu."""
-    from .channel import honest_statistics
-
-    stats = honest_statistics(cfg, params, distance_km, mu)
-    if chi is None:
-        chi = _chi_s_max(cfg, stats)
-    return _point(cfg, distance_km, mu, stats.q_tot, stats.q_single, stats.p_lost, chi,
-                  _raw_rate(stats, chi, params.f_ec))
-
-
 def realistic_keyrate(cfg: ProtocolConfig, params: ChannelParams, distance_km: float,
                       mu: float) -> KeyRatePoint:
     """Tagged key rate per emitted signal at one distance and mean photon number."""
-    return _realistic_point(cfg, params, distance_km, mu)
+    from .channel import honest_statistics
+
+    stats = honest_statistics(cfg, params, distance_km)(mu)
+    chi = _chi_s_max(cfg, stats)
+    return _point(cfg, distance_km, mu, stats.q_tot, stats.q_single, stats.p_lost, chi,
+                  _raw_rate(stats, chi, params.f_ec))
 
 
 def optimize_mu(cfg: ProtocolConfig, params: ChannelParams, distance_km: float) -> KeyRatePoint:
     """Brent maximization of the realistic rate over mu in [1e-4, 2].
 
-    q_single and p_lost do not depend on mu, so the Holevo maximization runs
-    once.  The point's ``mu`` is the best one found; if every rate in the
-    bracket is negative the best (floored-to-zero) point is reported.
+    The honest statistics are built once for the distance, and each mu
+    evaluates only their Poisson aggregates.  q_single and p_lost do not
+    depend on mu, so the Holevo maximization runs once too.  The point's
+    ``mu`` is the best one evaluated, reported from that evaluation; if every
+    rate in the bracket is negative the best (floored-to-zero) point is
+    reported.
     """
     from .channel import honest_statistics
 
     lo, hi = 1e-4, 2.0
-    floor = honest_statistics(cfg, params, distance_km, lo)
-    chi = _chi_s_max(cfg, floor)
+    at = honest_statistics(cfg, params, distance_km)
+    seen = {lo: at(lo)}
+    chi = _chi_s_max(cfg, seen[lo])
 
     def raw_of(mu: float) -> float:
-        return _raw_rate(honest_statistics(cfg, params, distance_km, mu), chi, params.f_ec)
+        stats = seen[mu] = at(mu)
+        return _raw_rate(stats, chi, params.f_ec)
 
     # without the solver's end-first rule, which would stop in the dip of rate(mu)
     # just above 1e-4; the ends are compared after, the lower mu first on a tie
     x = lo + GOLD * (hi - lo)
     mu_star, raw_star = brent_max(raw_of, lo, hi, x, raw_of(x), 1.5e-8 * (hi - lo))
-    rates = {lo: _raw_rate(floor, chi, params.f_ec), hi: raw_of(hi), mu_star: raw_star}
-    return _realistic_point(cfg, params, distance_km, max(rates, key=rates.get), chi)
+    rates = {lo: _raw_rate(seen[lo], chi, params.f_ec), hi: raw_of(hi), mu_star: raw_star}
+    mu = max(rates, key=rates.get)
+    stats = seen[mu]
+    return _point(cfg, distance_km, mu, stats.q_tot, stats.q_single, stats.p_lost, chi,
+                  rates[mu])
 
 
 def _scan(fn, jobs, threads: int):
@@ -178,18 +181,12 @@ def _scan(fn, jobs, threads: int):
     return points
 
 
-def _mu_jobs(cfgs, params: ChannelParams, distances):
-    """The ``optimize_mu`` jobs for every (config, distance) pair, row-major in cfgs."""
+def distance_scan(cfgs, params: ChannelParams, distances, *, threads: int = 1):
+    """Mu-optimized key-rate points for every (config, distance) pair, row-major in cfgs."""
     distances = list(distances)
     if not distances:
         raise ValueError("distance list is empty")
-    return [(cfg, params, d) for cfg in cfgs for d in distances]
-
-
-def distance_scan(cfg: ProtocolConfig, params: ChannelParams, distances, *,
-                  threads: int = 1):
-    """Mu-optimized key-rate points, one per distance, in input order."""
-    return _scan(optimize_mu, _mu_jobs([cfg], params, distances), threads)
+    return _scan(optimize_mu, [(cfg, params, d) for cfg in cfgs for d in distances], threads)
 
 
 def cutoff_distance(points):
@@ -209,10 +206,3 @@ def qubit_point(cfg: ProtocolConfig, q: float) -> KeyRatePoint:
 def qubit_scan(cfgs, q_list, *, threads: int = 1):
     """Qubit rates for every (config, error rate) pair, row-major in cfgs."""
     return _scan(qubit_point, [(cfg, q) for cfg in cfgs for q in q_list], threads)
-
-
-def compare_variants(kappa: float, params: ChannelParams, distances, *,
-                     threads: int = 1):
-    """Distance scans of all four variants at one kappa, concatenated."""
-    return _scan(optimize_mu, _mu_jobs([make_config(kappa, v) for v in Variant], params,
-                                        distances), threads)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from reference import alice_povm, bob_povm, sift, source_state
+from ubb84.protocol import Variant, make_config
 
 
 def random_density(rng: np.random.Generator, dim: int = 4) -> np.ndarray:
@@ -12,6 +13,11 @@ def random_density(rng: np.random.Generator, dim: int = 4) -> np.ndarray:
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
+
+
+def every_variant(kappa: float):
+    """The configs of all four variants at one kappa, in the order compare scans them."""
+    return [make_config(kappa, v) for v in Variant]
 
 
 def signal_kept_weight(cfg) -> float:

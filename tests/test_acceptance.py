@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import announcement_filters, random_density, signal_kept_weight
+from conftest import announcement_filters, every_variant, random_density, signal_kept_weight
 from reference import (
     alice_povm,
     bob_povm,
@@ -25,7 +25,7 @@ from reference import (
 )
 from ubb84.attack import constraint_set, maximize_holevo_qubit
 from ubb84.channel import default_params
-from ubb84.engine import compare_variants, distance_scan, qubit_point
+from ubb84.engine import distance_scan, qubit_point
 from ubb84.protocol import make_config
 from ubb84.qmath import binary_entropy
 from ubb84.squash import ClickPattern, EffectiveOutcome, monte_carlo_check, squash_distribution
@@ -150,7 +150,7 @@ def test_criterion_4_monotonicity():
     distances = [0.0, 10.0, 20.0, 30.0]
     by_kappa = {}
     for kappa in (1.0, 0.8, 0.5, 0.3):
-        points = distance_scan(make_config(kappa), params, distances)
+        points = distance_scan([make_config(kappa)], params, distances)
         raw = [p.rate_raw for p in points]
         for lo, hi in zip(raw[1:], raw):
             assert hi >= lo - 1e-12, kappa  # nonincreasing over distance
@@ -164,7 +164,7 @@ def test_criterion_4_monotonicity():
 def test_criterion_5_protocol_ordering():
     crit = _Criterion(5, "PBS >= unbalanced >= fix-loss; unbalanced == fix-uneven-bs", 300.0)
     distances = [0.0, 10.0, 20.0, 30.0, 40.0, 50.0]
-    points = compare_variants(0.5, default_params(), distances)
+    points = distance_scan(every_variant(0.5), default_params(), distances)
     by_variant = {}
     for p in points:
         by_variant.setdefault(p.variant, []).append(p)

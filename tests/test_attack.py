@@ -353,7 +353,7 @@ class TestPbsChiGrid:
         for kappa in (0.2, 0.5, 0.8):
             cfg = make_config(kappa, Variant.PBS)
             for distance in range(0, 65, 5):
-                stats = honest_statistics(cfg, params, float(distance), 0.5)
+                stats = honest_statistics(cfg, params, float(distance))(0.5)
                 result = maximize_holevo_qubit(cfg, stats.q_single, stats.p_lost)
                 assert result.iterations <= 40, (kappa, distance, result.iterations)
 

@@ -96,12 +96,12 @@ class TestApparatus:
 class TestHonestStatistics:
     def test_noiseless_limit(self):
         params = default_params()._replace(y0=0.0, e_d=0.0)
-        stats = honest_statistics(make_config(1.0), params, 10.0, 0.1)
+        stats = honest_statistics(make_config(1.0), params, 10.0)(0.1)
         assert stats.q_single == 0.0
         assert stats.q_tot == 0.0
 
     def test_dark_count_dominated_limit(self):
-        stats = honest_statistics(make_config(1.0), default_params(), 500.0, 0.1)
+        stats = honest_statistics(make_config(1.0), default_params(), 500.0)(0.1)
         assert stats.q_single == pytest.approx(0.5, abs=1e-3)
         assert stats.q_tot == pytest.approx(0.5, abs=1e-3)
 
@@ -109,7 +109,7 @@ class TestHonestStatistics:
         for variant in Variant:
             for distance in (0.0, 20.0, 45.0):
                 cfg = make_config(0.8, variant)
-                stats = honest_statistics(cfg, default_params(), distance, 0.1)
+                stats = honest_statistics(cfg, default_params(), distance)(0.1)
                 oracle = stats_by_series(cfg, default_params(), distance, 0.1)
                 for field, expected in oracle.items():
                     assert getattr(stats, field) == pytest.approx(expected, abs=1e-12), field
@@ -119,7 +119,7 @@ class TestHonestStatistics:
         params = default_params()
         prev_click, prev_q = None, None
         for distance in (0.0, 10.0, 20.0, 40.0, 80.0, 120.0):
-            stats = honest_statistics(cfg, params, distance, 0.1)
+            stats = honest_statistics(cfg, params, distance)(0.1)
             assert params.e_d - 1e-12 <= stats.q_tot <= 0.5 + 1e-12
             if prev_click is not None:
                 assert stats.p_click_total <= prev_click + 1e-15
@@ -130,7 +130,7 @@ class TestHonestStatistics:
         for variant in Variant:
             cfg = make_config(0.45, variant)
             params = default_params()
-            stats = honest_statistics(cfg, params, 15.0, 0.1)
+            stats = honest_statistics(cfg, params, 15.0)(0.1)
             arrived = cfg.receiver.survival * transmittance(params, 15.0) * params.eta_det
             assert stats.p_lost + arrived == pytest.approx(1.0, abs=1e-12)
 
@@ -138,12 +138,12 @@ class TestHonestStatistics:
     @pytest.mark.parametrize("distance_km", [-1.0, math.nan, math.inf, -math.inf])
     def test_rejects_bad_distance(self, distance_km):
         with pytest.raises(ValueError, match="distance must be finite and nonnegative"):
-            honest_statistics(make_config(0.5), default_params(), distance_km, 0.1)
+            honest_statistics(make_config(0.5), default_params(), distance_km)(0.1)
 
     @pytest.mark.parametrize("mu", [0.0, -1.0, math.nan, math.inf, -math.inf])
     def test_rejects_bad_mu(self, mu):
         with pytest.raises(ValueError, match="mu must be finite and positive"):
-            honest_statistics(make_config(0.5), default_params(), 0.0, mu)
+            honest_statistics(make_config(0.5), default_params(), 0.0)(mu)
 
 
 class TestParams:

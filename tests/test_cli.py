@@ -6,9 +6,10 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import every_variant
 from ubb84.channel import default_params
 from ubb84.cli import VARIANT_CHOICES, build_parser, main
-from ubb84.engine import CSV_HEADER, compare_variants, cutoff_distance, format_csv
+from ubb84.engine import CSV_HEADER, cutoff_distance, distance_scan, format_csv
 from ubb84.qmath import binary_entropy
 
 
@@ -251,6 +252,18 @@ class TestRealisticCommands:
         variants = [line.split(",")[0] for line in out.strip().splitlines()[1:]]
         assert variants == ["unbalanced", "pbs", "fix-loss", "fix-uneven-bs"]
 
+    def test_distance_scan_prints_the_variants_compare_rows(self, capsys):
+        grid = ("--kappa", "0.3", "--lmax", "240", "--lstep", "30", "--threads", "1")
+        code, compared, cutoffs = run_cli(capsys, "compare", *grid)
+        assert code == 0
+        header, *rows = compared.splitlines()
+        for variant, cutoff in zip(VARIANT_CHOICES, cutoffs.splitlines(), strict=True):
+            code, out, err = run_cli(capsys, "distance-scan", "--variant", variant, *grid)
+            assert code == 0
+            assert out.splitlines() == [header] + [r for r in rows
+                                                   if r.startswith(variant + ",")]
+            assert err.splitlines() == [cutoff]
+
     def test_compare_prints_one_cutoff_line_per_variant(self, capsys):
         distances = [0.0, 100.0, 200.0]
         code, out, err = run_cli(
@@ -258,7 +271,7 @@ class TestRealisticCommands:
             "--threads", "1",
         )
         assert code == 0
-        points = compare_variants(0.5, default_params(), distances)
+        points = distance_scan(every_variant(0.5), default_params(), distances)
         assert out == format_csv(points)
         expected = []
         for variant in VARIANT_CHOICES:

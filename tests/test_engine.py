@@ -6,13 +6,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import signal_kept_weight
+from conftest import every_variant, signal_kept_weight
 from ubb84 import channel, engine
 from ubb84.attack import maximize_holevo_qubit
-from ubb84.channel import default_params, honest_statistics
+from ubb84.channel import default_params, honest_statistics, transmittance
 from ubb84.engine import (
     CSV_HEADER,
-    compare_variants,
     cutoff_distance,
     distance_scan,
     format_csv,
@@ -43,14 +42,14 @@ class TestRealisticKeyrate:
 
     def test_rate_bounded_by_single_photon_share(self):
         point = realistic_keyrate(make_config(0.5), default_params(), 20.0, 0.2)
-        stats = honest_statistics(make_config(0.5), default_params(), 20.0, 0.2)
+        stats = honest_statistics(make_config(0.5), default_params(), 20.0)(0.2)
         assert point.rate <= 0.5 * stats.p_click_s + 1e-15
         assert point.rate <= 1.0
 
     def test_fields_propagate(self):
         cfg = make_config(0.5, Variant.PBS)
         point = realistic_keyrate(cfg, default_params(), 15.0, 0.3)
-        stats = honest_statistics(cfg, default_params(), 15.0, 0.3)
+        stats = honest_statistics(cfg, default_params(), 15.0)(0.3)
         assert point.variant == "pbs"
         assert point.kappa == 0.5
         assert point.distance_km == 15.0
@@ -64,7 +63,8 @@ class TestRealisticKeyrate:
         # the mu search and the single-point path report the same row, every field, at
         # the chosen mu; past the cutoff too (250-900 km, where q_single nears 1/2)
         params = default_params()
-        points = compare_variants(kappa, params, [0.0, 20.0, 100.0, 250.0, 500.0, 900.0])
+        points = distance_scan(every_variant(kappa), params,
+                               [0.0, 20.0, 100.0, 250.0, 500.0, 900.0])
         assert len(points) == 24
         for p in points:
             cfg = make_config(p.kappa, p.variant)
@@ -76,7 +76,7 @@ class TestRealisticKeyrate:
         q = 0.05
         cfg = make_config(1.0)
         params = default_params()._replace(y0=0.0, e_d=q, eta_det=1.0, f_ec=1.0)
-        stats = honest_statistics(cfg, params, 0.0, 0.1)
+        stats = honest_statistics(cfg, params, 0.0)(0.1)
         assert stats.q_single == pytest.approx(q, abs=1e-12)
         assert stats.p_lost == pytest.approx(0.0, abs=1e-12)
         point = realistic_keyrate(cfg, params, 0.0, 0.1)
@@ -117,7 +117,7 @@ class TestOptimizeMu:
             chi = realistic_keyrate(cfg, params, distance, 0.1).chi_s_max
             rates = []
             for m in grid:
-                stats = honest_statistics(cfg, params, distance, m)
+                stats = honest_statistics(cfg, params, distance)(m)
                 rates.append(0.5 * (stats.p_click_s * (1.0 - chi) - stats.p_click_total
                                     * params.f_ec * binary_entropy(stats.q_tot)))
             case = (kappa, variant, distance)
@@ -130,8 +130,13 @@ class TestOptimizeMu:
         calls = []
 
         def counted(*args):
-            calls.append(args)
-            return honest_statistics(*args)
+            at = honest_statistics(*args)
+
+            def counted_at(mu):
+                calls.append(mu)
+                return at(mu)
+
+            return counted_at
 
         monkeypatch.setattr(channel, "honest_statistics", counted)
         counts = []
@@ -144,6 +149,22 @@ class TestOptimizeMu:
         assert len(counts) == 312
         assert sum(counts) / len(counts) <= 20.0
         assert max(counts) <= 30
+
+    def test_distance_part_computed_once(self, monkeypatch):
+        # the transmittance, the receiver row and what follows from them do not
+        # depend on mu, so one search reads them once, not once per rate
+        reads = []
+
+        def counted(params, distance_km):
+            reads.append(distance_km)
+            return transmittance(params, distance_km)
+
+        monkeypatch.setattr(channel, "transmittance", counted)
+        for variant in Variant:
+            for distance in (0.0, 30.0, 300.0):
+                reads.clear()
+                optimize_mu(make_config(0.5, variant), default_params(), distance)
+                assert reads == [distance], (variant, distance)
 
     def test_beats_bracket_ends(self):
         cfg = make_config(1.0)
@@ -163,7 +184,7 @@ class TestOptimizeMu:
 class TestScans:
     def test_distance_scan_monotone_and_ordered(self):
         cfg = make_config(0.5)
-        points = distance_scan(cfg, default_params(), [0.0, 15.0, 30.0, 45.0])
+        points = distance_scan([cfg], default_params(), [0.0, 15.0, 30.0, 45.0])
         assert [p.distance_km for p in points] == [0.0, 15.0, 30.0, 45.0]
         rates = [p.rate_raw for p in points]
         for lo, hi in zip(rates[1:], rates):
@@ -172,7 +193,7 @@ class TestScans:
     def test_cutoff_detection(self):
         cfg = make_config(0.5)
         params = default_params()._replace(y0=1e-4, e_d=0.05)
-        points = distance_scan(cfg, params, [0.0, 10.0, 20.0])
+        points = distance_scan([cfg], params, [0.0, 10.0, 20.0])
         assert cutoff_distance(points) == 10.0
         assert cutoff_distance(points[:1]) is None
 
@@ -196,8 +217,8 @@ class TestScans:
     def test_parallel_matches_serial(self, monkeypatch):
         pooled = self.spy_pool(monkeypatch)
         cfg = make_config(0.8, Variant.PBS)
-        serial = distance_scan(cfg, default_params(), [0.0, 20.0, 40.0], threads=1)
-        parallel = distance_scan(cfg, default_params(), [0.0, 20.0, 40.0], threads=2)
+        serial = distance_scan([cfg], default_params(), [0.0, 20.0, 40.0], threads=1)
+        parallel = distance_scan([cfg], default_params(), [0.0, 20.0, 40.0], threads=2)
         assert serial == parallel
         assert pooled == [2]
 
@@ -243,11 +264,11 @@ class TestScans:
         monkeypatch.setattr(engine, "POOL_COST_S", 0.0)
         cfg = make_config(1.0)
         distances = [0.0, 20.0, 40.0]
-        serial = distance_scan(cfg, default_params(), distances, threads=1)
-        assert distance_scan(cfg, default_params(), distances, threads=10**6) == serial
-        assert distance_scan(cfg, default_params(), distances, threads=-1) == serial
-        compare_variants(1.0, default_params(), [0.0], threads=10**6)
-        compare_variants(1.0, default_params(), [0.0], threads=0)
+        serial = distance_scan([cfg], default_params(), distances, threads=1)
+        assert distance_scan([cfg], default_params(), distances, threads=10**6) == serial
+        assert distance_scan([cfg], default_params(), distances, threads=-1) == serial
+        distance_scan(every_variant(1.0), default_params(), [0.0], threads=10**6)
+        distance_scan(every_variant(1.0), default_params(), [0.0], threads=0)
         sizes = [workers for workers, _, _ in opened]
         assert sizes == [2, 3, 3]
 
@@ -260,14 +281,15 @@ class TestScans:
         # a third job: 49 left project to 98 s and save 49 s, in chunks of 7.
         opened = self.fake_pool(monkeypatch)
         distances = [5.0 * i for i in range(13)]
-        serial = compare_variants(0.5, default_params(), distances, threads=1)
+        serial = distance_scan(every_variant(0.5), default_params(), distances, threads=1)
         monkeypatch.setattr(engine, "POOL_COST_S", 40.0)
         for threads, expected in ((0, (3, 50, 5)), (2, (2, 49, 7))):
             readings = itertools.accumulate(itertools.count())  # 0, 1, 3, 6, ...
             monkeypatch.setattr(engine, "time",
                                 SimpleNamespace(process_time=lambda: next(readings)))
             opened.clear()
-            assert compare_variants(0.5, default_params(), distances, threads=threads) == serial
+            assert distance_scan(every_variant(0.5), default_params(), distances,
+                                 threads=threads) == serial
             assert opened == [expected]
 
     @staticmethod
@@ -290,7 +312,8 @@ class TestScans:
 
     def test_default_compare_runs_in_process(self, monkeypatch):
         self.refuse_pool(monkeypatch)
-        compare_variants(0.5, default_params(), [5.0 * i for i in range(13)], threads=0)
+        distance_scan(every_variant(0.5), default_params(), [5.0 * i for i in range(13)],
+                      threads=0)
 
     def test_default_qubit_scan_runs_in_process(self, monkeypatch):
         self.refuse_pool(monkeypatch)
@@ -299,7 +322,7 @@ class TestScans:
 
     def test_empty_distance_list_rejected(self):
         with pytest.raises(ValueError):
-            distance_scan(make_config(1.0), default_params(), [])
+            distance_scan([make_config(1.0)], default_params(), [])
 
     def test_qubit_scan_rows_and_orderings(self):
         cfgs = [make_config(0.5), make_config(1.0)]
@@ -315,7 +338,7 @@ class TestScans:
             assert by_kappa[kappa][0].rate == pytest.approx(1.0, abs=1e-6)
 
     def test_compare_variants_ordering_at_single_distance(self):
-        points = compare_variants(0.5, default_params(), [20.0])
+        points = distance_scan(every_variant(0.5), default_params(), [20.0])
         rates = {p.variant: p.rate for p in points}
         assert rates["pbs"] >= rates["unbalanced"] >= rates["fix-loss"]
         assert rates["unbalanced"] == pytest.approx(rates["fix-uneven-bs"], abs=1e-4)

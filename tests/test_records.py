@@ -25,7 +25,7 @@ def _records():
         cfg,
         cfg.receiver,
         params,
-        honest_statistics(cfg, params, 10.0, 0.3),
+        honest_statistics(cfg, params, 10.0)(0.3),
         constraint_set(cfg, 0.03, 0.2),
         solved,
         solved.argmax,

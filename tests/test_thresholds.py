@@ -41,7 +41,7 @@ def row(kappa: float):
     cfg = make_config(kappa)
     kept = signal_kept_weight(cfg)
     rates = [kept * qubit_point(cfg, q).rate for q in (0.01, 0.03, 0.05)]
-    points = distance_scan(cfg, default_params(), [5.0 * i for i in range(61)])
+    points = distance_scan([cfg], default_params(), [5.0 * i for i in range(61)])
     return (kappa, _threshold(cfg), *rates, cutoff_distance(points))
 
 
