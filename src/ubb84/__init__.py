@@ -17,7 +17,7 @@ _EXPORTS = {
                "optimize_mu", "qubit_point", "qubit_scan", "realistic_keyrate"),
     "protocol": ("ProtocolConfig", "Variant", "make_config"),
     "sifting": ("SymmetricState",),
-    "squash": ("ClickPattern", "EffectiveOutcome", "squash_distribution", "squash_sample"),
+    "squash": ("ClickPattern", "EffectiveOutcome", "squash_distribution"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -1,14 +1,13 @@
 """Contract of the value records: pickling, validation, immutability, hashing.
 
 The pool pickles ``ProtocolConfig`` and ``ChannelParams`` into its workers and
-``KeyRatePoint`` back, and ``squash._table`` caches on ``ClickPattern``.
+``KeyRatePoint`` back, and a ``ClickPattern`` keys dicts.
 """
 
 import pickle
 
 import pytest
 
-from ubb84 import squash
 from ubb84.attack import constraint_set, maximize_holevo_qubit
 from ubb84.channel import ChannelParams, default_params, honest_statistics
 from ubb84.engine import qubit_point, realistic_keyrate
@@ -86,4 +85,3 @@ def test_click_pattern_keys_the_table_cache():
     one, same = ClickPattern(c2=True, basis="odd"), ClickPattern(c2=True, basis="odd")
     assert hash(one) == hash(same)
     assert {one: 1}[same] == 1
-    assert squash._table(one) is squash._table(same)

@@ -13,10 +13,8 @@ from ubb84.squash import (
     _VALIDATION_PATTERNS,
     EffectiveOutcome,
     _count_draws,
-    _table,
     monte_carlo_check,
     squash_distribution,
-    squash_sample,
 )
 
 R0, R1, R2, R3 = (
@@ -40,6 +38,12 @@ ALL_PATTERNS = [
 ]
 CROSS = {R0: Fraction(1, 8), R1: Fraction(1, 8), R2: Fraction(1, 8), R3: Fraction(1, 8),
          OUT: Fraction(1, 2)}
+
+
+def table(pattern):
+    """(outcomes, running sums) of the pattern's distribution, the table the check draws from."""
+    dist = squash_distribution(pattern)
+    return tuple(dist), tuple(itertools.accumulate(dist.values()))
 
 
 class TestClassify:
@@ -112,8 +116,6 @@ class TestDistribution:
         pattern = ClickPattern(c2=True, d2=True, basis="odd")
         squash_distribution(pattern)[R1] = Fraction(1)
         assert squash_distribution(pattern) == {R1: Fraction(1, 2), R3: Fraction(1, 2)}
-        draws = {squash_sample(pattern, s) for s in range(50)}
-        assert draws == {R1, R3}
 
     @given(patterns)
     @settings(max_examples=300)
@@ -133,30 +135,6 @@ class TestDistribution:
 
 
 class TestSampling:
-    def test_deterministic_given_seed(self):
-        pattern = ClickPattern(c2=True, d1=True)
-        a = [squash_sample(pattern, seed) for seed in range(50)]
-        b = [squash_sample(pattern, seed) for seed in range(50)]
-        assert a == b
-
-    def test_single_middle_any_seed(self):
-        pattern = ClickPattern(d2=True, basis="odd")
-        assert {squash_sample(pattern, s) for s in range(20)} == {R3}
-
-    def test_double_middle_convergence(self):
-        rng = random.Random(123)
-        pattern = ClickPattern(c2=True, d2=True, basis="even")
-        n = 100_000
-        hits = sum(squash_sample(pattern, rng) is R0 for _ in range(n))
-        assert abs(hits / n - 0.5) < 0.005
-
-    def test_cross_convergence(self):
-        rng = random.Random(321)
-        pattern = ClickPattern(c2=True, c1=True)
-        n = 100_000
-        hits = sum(squash_sample(pattern, rng) is OUT for _ in range(n))
-        assert abs(hits / n - 0.5) < 0.005
-
     def test_monte_carlo_check_passes(self):
         rows, ok = monte_carlo_check(20_000, seed=9)
         assert ok
@@ -168,7 +146,7 @@ class TestSampling:
 
 class TestByteCounts:
     # monte_carlo_check counts rows from the top byte of each draw's first
-    # generator word; choices, which squash_sample uses, is the reference
+    # generator word; choices over the same running sums is the reference
     @given(seed=st.integers(min_value=-(2**80), max_value=2**80),
            trials=st.integers(min_value=1, max_value=25_000),
            index=st.integers(min_value=0, max_value=len(_VALIDATION_PATTERNS) - 1))
@@ -178,7 +156,7 @@ class TestByteCounts:
     @example(seed=13, trials=12_345, index=6)  # 5 rows, partial last batch
     @settings(max_examples=60, deadline=None)
     def test_counts_and_state_match_choices(self, seed, trials, index):
-        outcomes, cumulative = _table(_VALIDATION_PATTERNS[index][1])
+        outcomes, cumulative = table(_VALIDATION_PATTERNS[index][1])
         rng, twin = random.Random(seed), random.Random(seed)
         counts = _count_draws(rng, cumulative, trials)
         reference = Counter(twin.choices(outcomes, cum_weights=cumulative, k=trials))
@@ -196,13 +174,42 @@ class TestByteCounts:
             _count_draws(random.Random(1), (0.25, 0.5), 10)
 
 
+class TestExactByteMap:
+    # a stub generator whose draws put 0, 1, ..., 255, 0, ... in byte 3 of each
+    # 8-byte word, the byte that picks the row; 10,240 trials hold each byte
+    # value 40 times and cross the _BATCH boundary, so every row of a drawn
+    # table gets exactly p * trials
+    class Cycling:
+        def __init__(self):
+            self.draws = 0
+
+        def getrandbits(self, bits):
+            assert bits % 64 == 0
+            words = range(self.draws, self.draws + bits // 64)
+            self.draws = words.stop
+            return int.from_bytes(b"".join(bytes([0, 0, 0, n % 256, 0, 0, 0, 0]) for n in words),
+                                  "little")
+
+    @pytest.mark.parametrize("name", ["double-middle even", "double-middle odd", "cross c2+d1"])
+    def test_every_row_gets_p_times_trials(self, name):
+        pattern = dict(_VALIDATION_PATTERNS)[name]
+        outcomes, cumulative = table(pattern)
+        trials = 10_240
+        assert trials % 256 == 0 and trials > squash._BATCH
+        rng = self.Cycling()
+        counts = _count_draws(rng, cumulative, trials)
+        dist = squash_distribution(pattern)
+        assert counts == [dist[outcome] * trials for outcome in outcomes]
+        assert rng.draws == trials
+
+
 class TestOneRowPatternsSkipped:
     # reference: every pattern, one-row tables too, draws with choices
     @staticmethod
     def reference(trials, seed):
         rows = []
         for index, (name, pattern) in enumerate(_VALIDATION_PATTERNS):
-            outcomes, cumulative = _table(pattern)
+            outcomes, cumulative = table(pattern)
             rng = random.Random((seed << 8) + index)
             counts = Counter(rng.choices(outcomes, cum_weights=cumulative, k=trials))
             for outcome, p in sorted(squash_distribution(pattern).items(),
@@ -235,7 +242,8 @@ class TestOneRowPatternsSkipped:
 
 class TestStreamPinned:
     # literals recorded with the sampler that built a Fraction table per draw
-    # and scanned it in order; a sampler that moves one draw fails here
+    # and scanned it in order; choices over the running sums draws the same
+    # stream, and a sampler that moves one draw fails here
     OBSERVED_2000_11 = [1.0, 1.0, 0.4825, 0.5175, 0.5045, 0.4955, 1.0, 1.0,
                         0.122, 0.1245, 0.122, 0.118, 0.5135]
     FIRST_DRAWS_11 = [
@@ -255,6 +263,7 @@ class TestStreamPinned:
         assert ok
         assert [observed for _, _, _, observed, _, _ in rows] == self.OBSERVED_2000_11
         for index, (_, pattern) in enumerate(_VALIDATION_PATTERNS):
+            outcomes, cumulative = table(pattern)
             rng = random.Random((11 << 8) + index)
-            draws = [squash_sample(pattern, rng).value for _ in range(32)]
+            draws = [o.value for o in rng.choices(outcomes, cum_weights=cumulative, k=32)]
             assert draws == list(self.FIRST_DRAWS_11[index]), index
