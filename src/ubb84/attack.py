@@ -96,8 +96,6 @@ peaks on the face, to rounding.  Free or pinned, every point takes its phi
 from the one relation.
 """
 
-from __future__ import annotations
-
 import math
 from typing import NamedTuple
 

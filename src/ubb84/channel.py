@@ -21,8 +21,6 @@ the package README):
 * outside clicks count as arrived (not lost) for the loss fraction.
 """
 
-from __future__ import annotations
-
 import math
 from collections.abc import Callable
 from typing import NamedTuple

@@ -6,8 +6,6 @@ to stdout or to --out.  Exit codes: 0 success, 1 failed validation check,
 2 infeasible or invalid input.
 """
 
-from __future__ import annotations
-
 import argparse
 import itertools
 import math
@@ -24,12 +22,11 @@ MAX_GRID_POINTS = 100_000
 def _add_common(parser: argparse.ArgumentParser):
     parser.add_argument("--out", metavar="FILE", help="write CSV here instead of stdout")
     parser.add_argument("--threads", type=int, default=0,
-                        help="worker processes for qubit-scan, distance-scan and compare, at "
-                             "most one per job and per usable core; 0 = all usable cores "
-                             "(default).  Jobs run in-process until the CPU time of those "
-                             "done, projected onto the rest, shows that the workers would "
-                             "save more than a pool costs; then the rest fans out in chunks. "
-                             "qubit-rate and squash-validate ignore it")
+                        help="cap on the worker processes of qubit-scan, distance-scan and "
+                             "compare, at most one per job and per usable core; 0 = all "
+                             "usable cores (default).  A scan pools only when that saves "
+                             "time, and the output is the same at any value.  qubit-rate "
+                             "and squash-validate ignore it")
 
 
 def _add_scan(parser: argparse.ArgumentParser):

@@ -21,8 +21,6 @@ column.
 config and ``compare`` all four, and each job is one ``optimize_mu``.
 """
 
-from __future__ import annotations
-
 import os
 import time
 from typing import TYPE_CHECKING, NamedTuple
@@ -105,7 +103,7 @@ def _point(cfg: ProtocolConfig, distance_km: float | None, mu: float | None, q_t
                         p_lost, chi, rate_raw, max(0.0, rate_raw))
 
 
-def realistic_keyrate(cfg: ProtocolConfig, params: ChannelParams, distance_km: float,
+def realistic_keyrate(cfg: ProtocolConfig, params: "ChannelParams", distance_km: float,
                       mu: float) -> KeyRatePoint:
     """Tagged key rate per emitted signal at one distance and mean photon number."""
     from .channel import honest_statistics
@@ -116,7 +114,7 @@ def realistic_keyrate(cfg: ProtocolConfig, params: ChannelParams, distance_km: f
                   _raw_rate(stats, chi, params.f_ec))
 
 
-def optimize_mu(cfg: ProtocolConfig, params: ChannelParams, distance_km: float) -> KeyRatePoint:
+def optimize_mu(cfg: ProtocolConfig, params: "ChannelParams", distance_km: float) -> KeyRatePoint:
     """Brent maximization of the realistic rate over mu in [1e-4, 2].
 
     The honest statistics are built once for the distance, and each mu
@@ -181,7 +179,7 @@ def _scan(fn, jobs, threads: int):
     return points
 
 
-def distance_scan(cfgs, params: ChannelParams, distances, *, threads: int = 1):
+def distance_scan(cfgs, params: "ChannelParams", distances, *, threads: int = 1):
     """Mu-optimized key-rate points for every (config, distance) pair, row-major in cfgs."""
     distances = list(distances)
     if not distances:

@@ -27,8 +27,6 @@ Everything here is an immutable value object; construction and queries are
 pure.
 """
 
-from __future__ import annotations
-
 from enum import Enum
 from typing import NamedTuple
 

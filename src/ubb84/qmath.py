@@ -6,8 +6,6 @@ partial trace) that the tests' reference route uses lives in
 ``tests/reference.py``.
 """
 
-from __future__ import annotations
-
 import math
 import sys
 

@@ -12,8 +12,6 @@ quantities, group averaging, the error rate read back from a state) is the
 tests' independent check and lives in ``tests/reference.py``.
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
 

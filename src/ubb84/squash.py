@@ -26,8 +26,6 @@ A one-row table takes no draws, as every draw would land in its row, and each
 table's last row is the remainder of ``trials``; neither moves a printed number.
 """
 
-from __future__ import annotations
-
 import bisect
 import itertools
 import random

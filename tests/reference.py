@@ -7,8 +7,9 @@ the tests hold those closed forms to:
 * a small Hermitian-matrix toolkit (eigenvalues, von Neumann entropy,
   partial trace, Kronecker product) for 2x2 and 4x4 operators;
 * the protocol objects: signal and source states, the sender and receiver
-  POVMs, the four-element symmetry group, the sifting filters and the
-  postselected POVMs;
+  POVMs, the unbalanced receiver's one-photon linear optics, the
+  four-element symmetry group, the sifting filters and the postselected
+  POVMs;
 * the matrix route: the filter map on 4x4 states, the Holevo quantities
   chi and chi-bar, group averaging and the error rate read back from a
   symmetric state;
@@ -239,6 +240,38 @@ def bob_povm(cfg: ProtocolConfig) -> Povm:
         v = np.array([1.0, np.exp(1j * math.pi * y / 2)]) / math.sqrt(2.0)
         elements.append(0.5 * _projector(v))
     return Povm(labels=(0, 1, 2, 3), elements=tuple(elements))
+
+
+def unbalanced_receiver_optics(kappa: float) -> Povm:
+    """One-photon POVM of the unbalanced receiver, from its linear optics.
+
+    A photon arrives in the early (index 0) or late (index 1) time mode, and
+    Bob picks the even (theta = 0) or odd (theta = pi/2) basis with
+    probability 1/2.  A 50/50 splitter sends it into a short arm, which keeps
+    its time slot, or a long arm of amplitude sqrt(kappa) e^{i theta}, one
+    slot later; the long arm's loss mode takes the rest.  A 50/50 combiner
+    maps (short, long) onto detectors c and d, in slots 0, 1 and 2.
+
+    Labels follow the squash table: the middle slot's even c, odd c, even d
+    and odd d clicks are 0..3, both detectors' outside slots (0 and 2) are
+    "out", and the loss mode is "none".
+    """
+    combiner = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)  # (short, long) -> (c, d)
+    sums = {label: np.zeros((2, 2), dtype=complex) for label in (0, 1, 2, 3, "out", "none")}
+    for parity, theta in enumerate((0.0, math.pi / 2)):
+        arms = np.zeros((2, 3, 2), dtype=complex)  # (arm, slot, input mode) amplitudes
+        for mode in (0, 1):
+            arms[0, mode, mode] = 1.0 / math.sqrt(2.0)
+            arms[1, mode + 1, mode] = math.sqrt(kappa) * np.exp(1j * theta) / math.sqrt(2.0)
+        rows = {}
+        for detector, slots in enumerate(np.einsum("da,ati->dti", combiner, arms)):
+            rows[parity + 2 * detector] = [slots[1]]
+            rows.setdefault("out", []).extend((slots[0], slots[2]))
+        loss = math.sqrt(1.0 - kappa) / math.sqrt(2.0)  # the long arm's loss port
+        rows["none"] = list(loss * np.eye(2))  # one loss mode per input mode
+        for label, amplitudes in rows.items():
+            sums[label] += sum(0.5 * np.outer(a.conj(), a) for a in amplitudes)
+    return Povm(labels=tuple(sums), elements=tuple(sums.values()))
 
 
 def symmetry_group() -> SymmetryGroup:

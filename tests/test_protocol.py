@@ -13,6 +13,7 @@ from reference import (
     signal_state,
     source_state,
     symmetry_group,
+    unbalanced_receiver_optics,
 )
 from ubb84.protocol import ProtocolConfig, Variant, make_config
 
@@ -152,6 +153,48 @@ class TestPovms:
         for y in range(4):
             assert np.allclose(unb.element(y), 0.5 * pbs.element(y), atol=1e-12)
 
+
+
+@pytest.mark.parametrize("kappa", [1e-4, 0.1, 0.5, 1.0])
+class TestReceiverOptics:
+    """The unbalanced receiver's one-photon optics against the qubit POVM.
+
+    The squash table (Beaudry, Moroder and Lütkenhaus, PRL 101, 093601
+    (2008)) reduces Bob's clicks to ``bob_povm``; at n = 1 the optics give
+    exactly ``survival`` times it, and the rest is loss.
+    """
+
+    def test_middle_slots_are_survival_times_bob_povm(self, kappa):
+        cfg = make_config(kappa)
+        optics = unbalanced_receiver_optics(kappa)
+        for y in range(4):
+            expected = cfg.receiver.survival * bob_povm(cfg).element(y)
+            assert np.allclose(optics.element(y), expected, rtol=0.0, atol=1e-12)
+
+    def test_outside_slots_are_survival_times_out(self, kappa):
+        cfg = make_config(kappa)
+        survival = cfg.receiver.survival
+        assert survival == pytest.approx((1.0 + kappa) / 2.0, abs=1e-15)
+        expected = survival * bob_povm(cfg).element("out")
+        assert np.allclose(unbalanced_receiver_optics(kappa).element("out"), expected,
+                           rtol=0.0, atol=1e-12)
+
+    def test_no_click_is_the_receiver_loss(self, kappa):
+        none = unbalanced_receiver_optics(kappa).element("none")
+        assert np.allclose(none, (1.0 - kappa) / 2.0 * np.eye(2), rtol=0.0, atol=1e-12)
+
+    def test_two_photon_no_click_below_receiver_loss(self, kappa):
+        # Both photons lost: the one-photon element tensored, on the symmetric
+        # subspace.  A squash onto a target that kept the receiver's internal
+        # loss inside the qubit measurement would need it >= (1 - survival) I,
+        # so that loss must count as channel loss, in p_lost.
+        none = unbalanced_receiver_optics(kappa).element("none")
+        sym = np.array([[1, 0, 0], [0, 1, 0], [0, 1, 0], [0, 0, 1]]) / [1, math.sqrt(2), 1]
+        two = sym.T @ np.kron(none, none) @ sym
+        assert np.allclose(two, ((1.0 - kappa) / 2.0) ** 2 * np.eye(3), rtol=0.0, atol=1e-12)
+        loss = 1.0 - make_config(kappa).receiver.survival
+        if kappa < 1.0:
+            assert np.linalg.eigvalsh(two)[-1] < loss
 
 class TestSymmetryGroup:
     def test_g2_unitary(self):
