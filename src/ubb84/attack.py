@@ -567,8 +567,15 @@ class _Search:
         brent_max(chi, a, b, x, fx, span)
 
 
-def _maximize(cs: ConstraintSet) -> OptimResult:
+def maximize_holevo_qubit(cfg: ProtocolConfig, q: float, p_lost: float = 0.0) -> OptimResult:
+    """Maximal chi-bar at error rate q with a fraction p_lost of single photons lost.
+
+    At p_lost = 0 the reduced-state constraint is exact (a+b = xi,
+    c+d = 1-xi), the qubit-level bound; above it the constraint is relaxed
+    by the loss.  Re f is fixed by the error rate and Im f is free.
+    """
     # min(chi, 1): one key bit bounds the Holevo quantity; PBS rounds above it at kappa < 1e-13
+    cs = constraint_set(cfg, q, p_lost)
     lo, hi = cs.s_bounds()
     free = _Search(cs)
     u, v = free.uv
@@ -592,13 +599,3 @@ def _maximize(cs: ConstraintSet) -> OptimResult:
         raise InfeasibleError(f"no feasible attack state found (q={cs.q}, p_lost={cs.p_lost})")
     return OptimResult(chi_max=min(pinned.chi, 1.0), argmax=_state(cs.weights, *pinned.point),
                        iterations=len(free.slices) + len(pinned.slices))
-
-
-def maximize_holevo_qubit(cfg: ProtocolConfig, q: float, p_lost: float = 0.0) -> OptimResult:
-    """Maximal chi-bar at error rate q with a fraction p_lost of single photons lost.
-
-    At p_lost = 0 the reduced-state constraint is exact (a+b = xi,
-    c+d = 1-xi), the qubit-level bound; above it the constraint is relaxed
-    by the loss.  Re f is fixed by the error rate and Im f is free.
-    """
-    return _maximize(constraint_set(cfg, q, p_lost))

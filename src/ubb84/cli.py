@@ -124,18 +124,15 @@ def main(argv=None) -> int:
     try:
         if args.threads < 0:
             raise ValueError(f"--threads must be >= 0, got {args.threads}")
-        if args.command == "qubit-rate":
-            from .engine import format_csv, qubit_point
-
-            cfg = make_config(args.kappa, args.variant)
-            point = qubit_point(cfg, args.qber)
-            _emit(format_csv([point]), args.out)
-        elif args.command == "qubit-scan":
+        if args.command in ("qubit-rate", "qubit-scan"):
             from .engine import format_csv, qubit_scan
 
-            cfgs = [make_config(k, args.variant) for k in _parse_kappas(args.kappas)]
-            qs = _grid(args.qber_start, args.qber_stop, args.qber_step,
-                       "--qber-start, --qber-stop and --qber-step")
+            if args.command == "qubit-rate":  # a one-point scan, which never pools
+                cfgs, qs = [make_config(args.kappa, args.variant)], [args.qber]
+            else:
+                cfgs = [make_config(k, args.variant) for k in _parse_kappas(args.kappas)]
+                qs = _grid(args.qber_start, args.qber_stop, args.qber_step,
+                           "--qber-start, --qber-stop and --qber-step")
             _emit(format_csv(qubit_scan(cfgs, qs, threads=args.threads)), args.out)
         elif args.command in ("distance-scan", "compare"):
             from .channel import default_params, load_params

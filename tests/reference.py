@@ -7,9 +7,9 @@ the tests hold those closed forms to:
 * a small Hermitian-matrix toolkit (eigenvalues, von Neumann entropy,
   partial trace, Kronecker product) for 2x2 and 4x4 operators;
 * the protocol objects: signal and source states, the sender and receiver
-  POVMs, the unbalanced receiver's one-photon linear optics, the
-  four-element symmetry group, the sifting filters and the postselected
-  POVMs;
+  POVMs, the unbalanced receiver's one-photon linear optics and its
+  squashed n-photon POVM, the four-element symmetry group, the sifting
+  filters and the postselected POVMs;
 * the matrix route: the filter map on 4x4 states, the Holevo quantities
   chi and chi-bar, group averaging and the error rate read back from a
   symmetric state;
@@ -31,6 +31,8 @@ All entropies and logarithms are base 2 (bits).
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -39,6 +41,7 @@ import numpy as np
 from ubb84.attack import ConstraintSet, InfeasibleError
 from ubb84.protocol import ProtocolConfig, Receiver, Variant
 from ubb84.sifting import SymmetricState
+from ubb84.squash import ClickPattern, EffectiveOutcome, squash_distribution
 
 # ---------------------------------------------------------------------------
 # Hermitian-matrix toolkit
@@ -242,35 +245,73 @@ def bob_povm(cfg: ProtocolConfig) -> Povm:
     return Povm(labels=(0, 1, 2, 3), elements=tuple(elements))
 
 
+def receiver_amplitudes(kappa: float, basis: str) -> np.ndarray:
+    """One-photon amplitude map of the unbalanced receiver in one basis.
+
+    A photon arrives in the early (column 0) or late (column 1) time mode.
+    A 50/50 splitter sends it into a short arm, which keeps its time slot,
+    or a long arm of amplitude sqrt(kappa) e^{i theta}, one slot later, with
+    theta = 0 in the even basis and pi/2 in the odd one; the long arm's loss
+    mode takes the rest.  A 50/50 combiner maps (short, long) onto detectors
+    c and d.  The 8 rows are c in slots 0, 1 and 2, d in slots 0, 1 and 2,
+    and the loss modes of the early and late photon.
+    """
+    theta = {"even": 0.0, "odd": math.pi / 2}[basis]
+    combiner = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)  # (short, long) -> (c, d)
+    arms = np.zeros((2, 3, 2), dtype=complex)  # (arm, slot, input mode) amplitudes
+    for mode in (0, 1):
+        arms[0, mode, mode] = 1.0 / math.sqrt(2.0)
+        arms[1, mode + 1, mode] = math.sqrt(kappa) * np.exp(1j * theta) / math.sqrt(2.0)
+    detected = np.einsum("da,ati->dti", combiner, arms).reshape(6, 2)
+    loss = math.sqrt(1.0 - kappa) / math.sqrt(2.0) * np.eye(2)  # the long arm's loss port
+    return np.vstack([detected, loss])
+
+
 def unbalanced_receiver_optics(kappa: float) -> Povm:
     """One-photon POVM of the unbalanced receiver, from its linear optics.
 
-    A photon arrives in the early (index 0) or late (index 1) time mode, and
-    Bob picks the even (theta = 0) or odd (theta = pi/2) basis with
-    probability 1/2.  A 50/50 splitter sends it into a short arm, which keeps
-    its time slot, or a long arm of amplitude sqrt(kappa) e^{i theta}, one
-    slot later; the long arm's loss mode takes the rest.  A 50/50 combiner
-    maps (short, long) onto detectors c and d, in slots 0, 1 and 2.
-
+    Bob picks each basis of ``receiver_amplitudes`` with probability 1/2.
     Labels follow the squash table: the middle slot's even c, odd c, even d
     and odd d clicks are 0..3, both detectors' outside slots (0 and 2) are
-    "out", and the loss mode is "none".
+    "out", and the loss modes are "none".
     """
-    combiner = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)  # (short, long) -> (c, d)
     sums = {label: np.zeros((2, 2), dtype=complex) for label in (0, 1, 2, 3, "out", "none")}
-    for parity, theta in enumerate((0.0, math.pi / 2)):
-        arms = np.zeros((2, 3, 2), dtype=complex)  # (arm, slot, input mode) amplitudes
-        for mode in (0, 1):
-            arms[0, mode, mode] = 1.0 / math.sqrt(2.0)
-            arms[1, mode + 1, mode] = math.sqrt(kappa) * np.exp(1j * theta) / math.sqrt(2.0)
-        rows = {}
-        for detector, slots in enumerate(np.einsum("da,ati->dti", combiner, arms)):
-            rows[parity + 2 * detector] = [slots[1]]
-            rows.setdefault("out", []).extend((slots[0], slots[2]))
-        loss = math.sqrt(1.0 - kappa) / math.sqrt(2.0)  # the long arm's loss port
-        rows["none"] = list(loss * np.eye(2))  # one loss mode per input mode
-        for label, amplitudes in rows.items():
-            sums[label] += sum(0.5 * np.outer(a.conj(), a) for a in amplitudes)
+    for parity, basis in enumerate(("even", "odd")):
+        amplitudes = receiver_amplitudes(kappa, basis)
+        rows = {parity: amplitudes[[1]], parity + 2: amplitudes[[4]],
+                "out": amplitudes[[0, 2, 3, 5]], "none": amplitudes[6:]}
+        for label, block in rows.items():
+            sums[label] += sum(0.5 * np.outer(a.conj(), a) for a in block)
+    return Povm(labels=tuple(sums), elements=tuple(sums.values()))
+
+
+def squashed_receiver_povm(kappa: float, n: int) -> Povm:
+    """The unbalanced receiver's n-photon POVM after the squash table.
+
+    n photons in the early and late modes span the symmetric subspace, with
+    basis |k late photons>, k = 0..n, embedded by the isometry P_sym.  Each
+    photon passes the amplitude map A of ``receiver_amplitudes``, and
+    threshold detectors report the set S of detector modes that any photon
+    reached.  With V = (A (x) ... (x) A) P_sym, n factors, S has the element
+    V^dagger Pi_S V, Pi_S the projector onto the output configurations that
+    fire exactly S.  ``ubb84.squash.squash_distribution`` maps each
+    (S, basis) onto the effective outcomes, each basis at 1/2.  Labels are
+    those of ``unbalanced_receiver_optics``; at n = 3 it sums 8^3 = 512
+    configurations.
+    """
+    sym = np.zeros((2 ** n, n + 1))
+    for index in range(2 ** n):
+        late = bin(index).count("1")
+        sym[index, late] = 1.0 / math.sqrt(math.comb(n, late))
+    labels = dict(zip(EffectiveOutcome, (0, 1, 2, 3, "out", "none")))
+    sums = {label: np.zeros((n + 1, n + 1), dtype=complex) for label in labels.values()}
+    for basis in ("even", "odd"):
+        # one row per output configuration, the first photon's mode most significant
+        v = functools.reduce(np.kron, [receiver_amplitudes(kappa, basis)] * n) @ sym
+        for modes, row in zip(itertools.product(range(8), repeat=n), v):
+            fired = ClickPattern(*(mode in modes for mode in range(6)), basis=basis)
+            for outcome, p in squash_distribution(fired).items():
+                sums[labels[outcome]] += 0.5 * p * np.outer(row.conj(), row)
     return Povm(labels=tuple(sums), elements=tuple(sums.values()))
 
 

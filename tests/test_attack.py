@@ -415,7 +415,7 @@ class TestPinnedChiGrid:
             cfg = make_config(kappa, variant)
             result = maximize_holevo_qubit(cfg, q, p_lost)
             assert result.iterations > 0, (variant, kappa, q, p_lost)
-            assert result.chi_max >= recorded - 1e-10, (variant, kappa, q, p_lost)
+            assert result.chi_max >= recorded - 1e-13, (variant, kappa, q, p_lost)
             s = result.argmax
             assert is_feasible(constraint_set(cfg, q, p_lost), s.a, s.b, s.c, s.d, s.f,
                                tol=1e-8), (variant, kappa, q, p_lost)

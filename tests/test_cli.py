@@ -61,6 +61,19 @@ class TestQubitCommands:
             assert run_cli(capsys, "qubit-scan", "--kappas", "0.5", "--threads", threads)[0] == 0
         assert seen == [0, 3]
 
+    def test_qubit_rate_prints_the_one_point_qubit_scan(self, capsys):
+        codes = set()
+        for variant in VARIANT_CHOICES:
+            for kappa, qber in (("1e-12", "0"), ("0.01", "0.2"), ("0.5", "0.03"),
+                                ("1", "0.45"), ("1e-17", "0.05")):
+                rated = run_cli(capsys, "qubit-rate", "--kappa", kappa, "--qber", qber,
+                                "--variant", variant)
+                scanned = run_cli(capsys, "qubit-scan", "--kappas", kappa, "--qber-start", qber,
+                                  "--qber-stop", qber, "--variant", variant)
+                assert rated == scanned, (variant, kappa, qber)
+                codes.add(rated[0])
+        assert codes == {0, 2}
+
     def test_fine_qber_step_keeps_its_points_apart(self, capsys):
         # rounding to 12 decimals put six of these points on 0 and five on 1e-12
         code, out, _ = run_cli(capsys, "qubit-scan", "--kappas", "0.5", "--qber-start", "0",

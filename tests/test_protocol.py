@@ -12,6 +12,7 @@ from reference import (
     postselected_povms,
     signal_state,
     source_state,
+    squashed_receiver_povm,
     symmetry_group,
     unbalanced_receiver_optics,
 )
@@ -195,6 +196,37 @@ class TestReceiverOptics:
         loss = 1.0 - make_config(kappa).receiver.survival
         if kappa < 1.0:
             assert np.linalg.eigvalsh(two)[-1] < loss
+
+
+@pytest.mark.parametrize("kappa", [0.1, 0.5, 1.0])
+class TestSquashedReceiver:
+    """The receiver's n-photon clicks on threshold detectors, through the squash table.
+
+    The squashing argument of Beaudry, Moroder and Lütkenhaus (PRL 101,
+    093601 (2008)) needs a valid POVM whose detection does not depend on
+    Bob's basis; the squashed map's fit onto the qubit target is not tested.
+    """
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_elements_sum_to_identity(self, kappa, n):
+        total = sum(squashed_receiver_povm(kappa, n).elements)
+        assert np.allclose(total, np.eye(n + 1), rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_detection_is_basis_independent(self, kappa, n):
+        povm = squashed_receiver_povm(kappa, n)
+        even = povm.element(0) + povm.element(2)
+        odd = povm.element(1) + povm.element(3)
+        assert np.allclose(even, odd, rtol=0.0, atol=1e-12)
+
+    def test_one_photon_is_the_receiver_optics(self, kappa):
+        optics = unbalanced_receiver_optics(kappa)
+        squashed = squashed_receiver_povm(kappa, 1)
+        assert squashed.labels == optics.labels
+        for label in optics.labels:
+            assert np.allclose(squashed.element(label), optics.element(label),
+                               rtol=0.0, atol=1e-12), label
+
 
 class TestSymmetryGroup:
     def test_g2_unitary(self):
